@@ -33,7 +33,6 @@ from buffon.counting import (
     count_line,
     endpoint_error,
     evaluate_lines,
-    is_exceptional,
     jitter_delta,
     oracle_count,
     oracle_padding_hits,
@@ -132,7 +131,6 @@ __all__ = [
     "count_line",
     "endpoint_error",
     "evaluate_lines",
-    "is_exceptional",
     "jitter_delta",
     "oracle_count",
     "oracle_padding_hits",

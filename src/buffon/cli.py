@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -235,9 +234,11 @@ def _cmd_oracle_check(ns) -> int:
         for theta, offset, fast, reference in check.mismatches:
             print(f"mismatch: theta={theta!r} offset={offset!r} "
                   f"count_line={fast} oracle={reference}")
+        verdict = (f"oracle disagreement on {len(check.mismatches)} lines"
+                   if check.mismatches else "no compared line disagreed")
         raise AssertionError(
-            f"oracle disagreement on {len(check.mismatches)} lines "
-            f"({check.skipped} lines unresolvable after jitter)")
+            f"{verdict}; {check.skipped} lines skipped as exceptional "
+            f"after {hz.ORACLE_ATTEMPTS} attempts")
     return 0
 
 
@@ -246,17 +247,10 @@ def _cmd_plot(ns) -> int:
     fit = hz.fit_slope(rows, y_field=ns.y_field, log_correction=ns.deflate)
     dat_path = f"{ns.out}.dat"
     gp_path = f"{ns.out}.gp"
-    dat_lines = ["# L y_plotted y_raw"]
-    for row in rows:
-        if row.n < hz.MIN_ASYMPTOTIC_N:
-            continue
-        y = getattr(row, ns.y_field)
-        plotted = y
-        if ns.deflate is not None and row.L_target > 1.0:
-            plotted = y / math.log(row.L_target) ** ns.deflate
-        if not (math.isfinite(plotted) and plotted > 0):
-            continue
-        dat_lines.append(f"{row.L_target!r} {plotted!r} {y!r}")
+    dat_lines = ["# L y_plotted y_raw"] + [
+        f"{x!r} {plotted!r} {y!r}"
+        for x, y, plotted in hz.fit_points(
+            rows, y_field=ns.y_field, log_correction=ns.deflate)]
     with open(dat_path, "w") as fh:
         fh.write("\n".join(dat_lines) + "\n")
     dat_name = dat_path.rsplit("/", 1)[-1]

@@ -29,9 +29,9 @@ EXCEPTIONAL_TOL absolute in offset units:
 
 Exceptional lines are never counted: scalar entry points raise, and the
 batch evaluator retries with a deterministic offset jitter of
-+-(attempt * JITTER_SCALE * eps).  The geometric oracle additionally
-screens every grid-segment endpoint exactly and raises when one lies
-within tolerance of the query line.
++-(attempt * JITTER_SCALE * eps) for attempt = 1 .. JITTER_ATTEMPTS.  The
+geometric oracle additionally screens every grid-segment endpoint exactly
+and raises when one lies within tolerance of the query line.
 """
 
 from __future__ import annotations
@@ -44,18 +44,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Line
-from .steinhaus import SteinhausSet, directions
+from .steinhaus import EXCEPTIONAL_TOL, SteinhausSet, directions
 
 __all__ = [
     "EXCEPTIONAL_TOL",
     "JITTER_SCALE",
+    "JITTER_ATTEMPTS",
     "ExceptionalLineError",
     "count_in_interval",
     "CountBreakdown",
     "LineBatch",
     "evaluate_lines",
     "count_line",
-    "is_exceptional",
     "oracle_count",
     "oracle_padding_hits",
     "endpoint_error",
@@ -63,8 +63,12 @@ __all__ = [
     "jitter_delta",
 ]
 
-EXCEPTIONAL_TOL = 1e-9
 JITTER_SCALE = 1e-7
+JITTER_ATTEMPTS = 4  # jitters evaluate_lines tries before excluding a line
+# Elements per (lines x families) kernel temporary, and per (shifts x
+# families) z_samples block.
+KERNEL_CHUNK = 2_000_000
+Z_CHUNK = 262_144
 
 
 class ExceptionalLineError(ValueError):
@@ -124,42 +128,6 @@ class LineBatch:
         return len(self.theta)
 
 
-_ALIGNED_CACHE: dict = {}
-
-
-def _aligned_lattice_edges(sset: SteinhausSet):
-    """Boundary edges collinear with (and sitting on) a family's lattice line.
-
-    Returns a list of (family k, offset, edge tangent, span lo, span hi) for
-    every polygon edge whose direction is perpendicular to nu_k and whose
-    offset along nu_k is itself a lattice value: chord endpoints on such an
-    edge are pinned crossings, not exceptional ones.
-    """
-    cached = _ALIGNED_CACHE.get(id(sset))
-    if cached is not None and cached[0] is sset:
-        return cached[1]
-    pairs = []
-    if sset.body.kind == "polygon":
-        v, e, elen = sset.body._edge_data
-        tau = e / elen[:, None]
-        dots = sset.directions @ tau.T  # (n families, E edges)
-        for k, j in zip(*np.nonzero(np.abs(dots) <= 1e-12)):
-            off = float(sset.directions[k] @ v[j])
-            frac = off / sset.eps - sset.shifts[k]
-            if abs(frac - round(frac)) * sset.eps <= EXCEPTIONAL_TOL:
-                t0 = float(tau[j] @ v[j])
-                t1 = t0 + float(elen[j])
-                pairs.append((
-                    int(k), off, tau[j].copy(),
-                    min(t0, t1) - EXCEPTIONAL_TOL, max(t0, t1) + EXCEPTIONAL_TOL,
-                ))
-    result = pairs or None
-    _ALIGNED_CACHE[id(sset)] = (sset, result)
-    if len(_ALIGNED_CACHE) > 64:
-        _ALIGNED_CACHE.pop(next(iter(_ALIGNED_CACHE)))
-    return result
-
-
 def _eval_arrays(sset: SteinhausSet, thetas, ps, keep_per_family=False):
     """One pass of the counting kernel over a batch of lines."""
     start, end, h, valid = sset.body.chord_batch(thetas, ps)
@@ -177,12 +145,11 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps, keep_per_family=False):
     # stable crossings (the lattice line there IS part of the set): include
     # the min-side value despite float noise around the lattice point, and
     # include the max-side value that the half-open convention would drop.
-    pinned = _aligned_lattice_edges(sset)
-    pinned_s = pinned_e = None
-    if pinned is not None:
+    pinned_a = pinned_b = None
+    if sset.pinned_edges:
         pinned_s = np.zeros(proj_s.shape, dtype=bool)
         pinned_e = np.zeros(proj_e.shape, dtype=bool)
-        for k, off, tau, span_lo, span_hi in pinned:
+        for k, off, tau, span_lo, span_hi in sset.pinned_edges:
             ts = start @ tau
             te = end @ tau
             pinned_s[:, k] |= (
@@ -205,14 +172,12 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps, keep_per_family=False):
     max_abs_dev = np.max(np.abs(diffs), axis=1) if per_family.size else np.zeros(len(h))
 
     # chord endpoint next to the point where a grid segment meets the boundary
-    fr_s = proj_s / sset.eps - sset.shifts[None, :]
-    fr_e = proj_e / sset.eps - sset.shifts[None, :]
-    near_s = np.abs(fr_s - np.rint(fr_s)) * sset.eps <= EXCEPTIONAL_TOL
-    near_e = np.abs(fr_e - np.rint(fr_e)) * sset.eps <= EXCEPTIONAL_TOL
-    if pinned_s is not None:
-        near_s &= ~pinned_s
-        near_e &= ~pinned_e
-    exceptional = np.any(near_s | near_e, axis=1)
+    near_a = np.abs(alpha - np.rint(alpha)) * sset.eps <= EXCEPTIONAL_TOL
+    near_b = np.abs(beta - np.rint(beta)) * sset.eps <= EXCEPTIONAL_TOL
+    if pinned_a is not None:
+        near_a &= ~pinned_a
+        near_b &= ~pinned_b
+    exceptional = np.any(near_a | near_b, axis=1)
 
     # parallel to a family and lying on one of its lattice lines
     width = (beta - alpha) * sset.eps
@@ -245,25 +210,19 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps, keep_per_family=False):
 
 
 def evaluate_lines(
-    sset: SteinhausSet,
-    thetas: np.ndarray,
-    offsets: np.ndarray,
-    jitter: bool = True,
-    max_attempts: int = 4,
-    chunk: int | None = None,
+    sset: SteinhausSet, thetas: np.ndarray, offsets: np.ndarray
 ) -> LineBatch:
     """Count every line, jittering exceptional ones deterministically.
 
-    Lines still exceptional after max_attempts jitters keep exceptional=True
-    and zeroed counts; callers exclude them from suprema (they form a null
-    set of line space).  Processes in chunks to bound the (lines x families)
-    working memory.
+    Lines still exceptional after JITTER_ATTEMPTS jitters keep
+    exceptional=True and zeroed counts; callers exclude them from suprema
+    (they form a null set of line space).  Processes in chunks to bound the
+    (lines x families) working memory.
     """
     thetas = np.asarray(thetas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     n_lines = len(thetas)
-    if chunk is None:
-        chunk = max(256, 2_000_000 // max(sset.n, 1))
+    chunk = max(256, KERNEL_CHUNK // max(sset.n, 1))
 
     fields = {
         "theta": thetas.copy(),
@@ -284,8 +243,8 @@ def evaluate_lines(
         th = thetas[lo:hi]
         ps = offsets[lo:hi].copy()
         h, valid, total, z, mean, hits, dev, exc = _eval_arrays(sset, th, ps)
-        if jitter and np.any(exc):
-            for attempt in range(1, max_attempts + 1):
+        if np.any(exc):
+            for attempt in range(1, JITTER_ATTEMPTS + 1):
                 idx = np.where(exc)[0]
                 if idx.size == 0:
                     break
@@ -317,12 +276,6 @@ def evaluate_lines(
         fields["exceptional"][lo:hi] = still
 
     return LineBatch(**fields)
-
-
-def is_exceptional(sset: SteinhausSet, line: Line) -> bool:
-    """True when the line's count would be ambiguous under perturbation."""
-    out = _eval_arrays(sset, np.array([line.theta]), np.array([line.offset]))
-    return bool(out[7][0])
 
 
 def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
@@ -399,9 +352,7 @@ def endpoint_error(sset: SteinhausSet, x, y) -> float:
     return float(z_samples(sset.n, sset.eps, x, y, sset.shifts[None, :])[0])
 
 
-def z_samples(
-    n: int, eps: float, x, y, shifts: np.ndarray, chunk: int = 262_144
-) -> np.ndarray:
+def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
     """Z(x, y) for each row of a (trials, n) shift matrix, vectorized."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -413,7 +364,7 @@ def z_samples(
     b = np.maximum(px, py)
     mean_k = (b - a) / eps
     out = np.empty(len(shifts))
-    rows = max(1, chunk // max(n, 1))
+    rows = max(1, Z_CHUNK // max(n, 1))
     for lo in range(0, len(shifts), rows):
         u = shifts[lo : lo + rows]
         counts = np.ceil(b[None, :] / eps - u) - np.ceil(a[None, :] / eps - u)

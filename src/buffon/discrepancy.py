@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import ConvexBody, Line, ValidationError
+from .geometry import Line, ValidationError
 from .steinhaus import SteinhausSet
-from .counting import LineBatch, count_line, evaluate_lines
+from .counting import count_line, evaluate_lines
 from . import rng as rng_mod
 
 GOLDEN_FRACTION = 0.6180339887498949  # for deterministic in-row resampling
@@ -31,6 +31,7 @@ DELTA_LOG2_MAX = -3.0
 TOP_CANDIDATES = 100
 LOCAL_GRID = 11  # 11 x 11 refinement stencil per candidate
 EQUALITY_TOL = 1e-9
+QUADRATURE_CHUNK = 200_000  # elements per (angles x families) block
 
 
 def crofton_target(length: float, area: float, h: float) -> float:
@@ -52,14 +53,14 @@ def angular_sum(n: int, theta: float) -> float:
     return float(np.abs(np.cos(theta - math.pi * k / n)).sum())
 
 
-def max_quadrature_deviation(n: int, thetas: np.ndarray, chunk: int = 200_000) -> float:
+def max_quadrature_deviation(n: int, thetas: np.ndarray) -> float:
     """max over thetas of |angular_sum(n, theta) - 2 n / pi|, chunked."""
     if n < 1:
         raise ValidationError("n", f"n must be >= 1, got {n}")
     thetas = np.asarray(thetas, dtype=float)
     mean = 2.0 * n / math.pi
     angles = (math.pi / n) * np.arange(n)
-    rows = max(1, chunk // n)
+    rows = max(1, QUADRATURE_CHUNK // n)
     worst = 0.0
     for lo in range(0, thetas.size, rows):
         block = thetas[lo:lo + rows]
@@ -195,26 +196,6 @@ def _normalize_lines(thetas: np.ndarray, offsets: np.ndarray):
     return th, np.where(flip, -offsets, offsets)
 
 
-class _RunningMax:
-    """Order-independent max with total tie-break on (theta, offset)."""
-
-    def __init__(self):
-        self.value = -1.0
-        self.theta = 0.0
-        self.offset = 0.0
-
-    def update(self, values, thetas, offsets):
-        if values.size == 0:
-            return
-        order = np.lexsort((offsets, thetas, -values))
-        i = order[0]
-        v, t, p = float(values[i]), float(thetas[i]), float(offsets[i])
-        if v > self.value or (
-            v == self.value and (t, p) < (self.theta, self.offset)
-        ):
-            self.value, self.theta, self.offset = v, t, p
-
-
 def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
     """Deterministic prefix-stable stream of lines through near-lattice points.
 
@@ -241,26 +222,27 @@ def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
 
     u = rng_mod.stream(seed, "targeted").random((count, 12))
 
-    def lattice_offset(col_k, col_q, anchored):
-        """Family pick and lattice offset; anchored rows favor small offsets."""
-        k = np.minimum((col_k * n).astype(np.int64), n - 1)
-        q = qlo[k] + np.floor(col_q * qspan[k])
+    def lattice_offset(k, col_q, anchored):
+        """Lattice offset of family k; anchored rows favor small offsets."""
         if anchored:
             anchor = col_q < 0.25
             rescaled = qlo[k] + np.floor((col_q - 0.25) / 0.75 * qspan[k])
             q = np.where(anchor, q_anchor[k], np.clip(rescaled, qlo[k], qhi[k]))
-        return k, eps * (q + sset.shifts[k])
+        else:
+            q = qlo[k] + np.floor(col_q * qspan[k])
+        return eps * (q + sset.shifts[k])
 
     delta = eps * np.exp2(DELTA_LOG2_MIN + (DELTA_LOG2_MAX - DELTA_LOG2_MIN) * u[:, 4])
     sign1 = np.where(u[:, 5] < 0.5, -1.0, 1.0)
     sign2 = np.where(u[:, 10] < 0.5, -1.0, 1.0)
 
     # variant A: two near-lattice points, the line through them
-    k1, s1 = lattice_offset(u[:, 1], u[:, 2], anchored=False)
-    ka2, sa2 = lattice_offset(u[:, 6], u[:, 7], anchored=False)
+    k1, ka2 = np.minimum((u[:, [1, 6]] * n).astype(np.int64), n - 1).T
+    s1 = lattice_offset(k1, u[:, 2], anchored=False)
+    sa2 = lattice_offset(ka2, u[:, 7], anchored=False)
     tan1, tan2 = tangents[k1], tangents[ka2]
-    t1lo, t1hi = _support_many(body, tan1)
-    t2lo, t2hi = _support_many(body, tan2)
+    t1lo, t1hi = body.support_many(tan1)
+    t2lo, t2hi = body.support_many(tan2)
     p1 = (s1 + sign1 * delta)[:, None] * dirs[k1] + (
         t1lo + u[:, 3] * (t1hi - t1lo))[:, None] * tan1
     p2 = (sa2 + sign2 * delta)[:, None] * dirs[ka2] + (
@@ -274,16 +256,9 @@ def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
 
     # variant B: perturbed intersection of two distinct families' lattice lines
     if n >= 2:
-        _, s1b = lattice_offset(u[:, 1], u[:, 2], anchored=True)
+        s1b = lattice_offset(k1, u[:, 2], anchored=True)
         kb2 = (k1 + 1 + np.minimum((u[:, 6] * (n - 1)).astype(np.int64), n - 2)) % n
-        anchor2 = u[:, 7] < 0.25
-        qb2 = np.where(
-            anchor2,
-            q_anchor[kb2],
-            np.clip(qlo[kb2] + np.floor((u[:, 7] - 0.25) / 0.75 * qspan[kb2]),
-                    qlo[kb2], qhi[kb2]),
-        )
-        sb2 = eps * (qb2 + sset.shifts[kb2])
+        sb2 = lattice_offset(kb2, u[:, 7], anchored=True)
         n1, n2 = dirs[k1], dirs[kb2]
         det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
         bx = (s1b * n2[:, 1] - sb2 * n1[:, 1]) / det
@@ -322,15 +297,6 @@ def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
     return _normalize_lines(thetas, offsets)
 
 
-def _support_many(body: ConvexBody, units: np.ndarray):
-    """Support interval per row of an (N, 2) array of unit directions."""
-    if body.kind == "disk":
-        c = units @ body.center
-        return c - body.radius, c + body.radius
-    proj = units @ body.vertices.T
-    return proj.min(axis=1), proj.max(axis=1)
-
-
 class _Accumulator:
     """Evaluates candidate lines, keeps aggregates, and remembers samples."""
 
@@ -340,7 +306,6 @@ class _Accumulator:
         self.coef = 2.0 * length / (math.pi * sset.body.area)
         self.norm_factor = (
             sset.n * sset.body.area / sset.eps - length) * 2.0 / (math.pi * sset.body.area)
-        self.best = _RunningMax()
         self.samples = 0
         self.excluded = 0
         self.max_abs_z = 0.0
@@ -386,21 +351,18 @@ class _Accumulator:
                 self.max_padding_hits, int(batch.padding_hits[include].max()))
             self.max_abs_norm = max(
                 self.max_abs_norm, float(np.abs(norm[include]).max()))
-        kept_theta = batch.theta.copy()
-        kept_offset = batch.offset.copy()
-        self.best.update(local[include], kept_theta[include], kept_offset[include])
-        self.thetas.append(kept_theta[include])
-        self.offsets.append(kept_offset[include])
+        self.thetas.append(batch.theta[include])
+        self.offsets.append(batch.offset[include])
         self.locals.append(local[include])
 
     def top_candidates(self, count: int):
+        """The count largest local values with their lines, largest first;
+        ties go to the lexicographically smallest (theta, offset)."""
         th = np.concatenate(self.thetas) if self.thetas else np.empty(0)
         po = np.concatenate(self.offsets) if self.offsets else np.empty(0)
         lv = np.concatenate(self.locals) if self.locals else np.empty(0)
-        if th.size == 0:
-            return th, po
-        order = np.lexsort((po, th, -lv))[: min(count, th.size)]
-        return th[order], po[order]
+        order = np.lexsort((po, th, -lv))[:count]
+        return th[order], po[order], lv[order]
 
 
 def estimate_sup(
@@ -435,7 +397,7 @@ def estimate_sup(
     for round_idx in range(config.refine_rounds):
         step_t = d_theta / (10.0 ** (round_idx + 1))
         step_p = d_off / (10.0 ** (round_idx + 1))
-        cth, cpo = acc.top_candidates(TOP_CANDIDATES)
+        cth, cpo, _ = acc.top_candidates(TOP_CANDIDATES)
         if cth.size == 0:
             break
         grid_t = cth[:, None, None] + step_t * stencil[None, :, None]
@@ -444,19 +406,20 @@ def estimate_sup(
         nth, npo = _normalize_lines(grid_t.ravel(), grid_p.ravel())
         acc.evaluate(nth, npo)
 
-    if acc.best.value < 0.0:
+    wth, wpo, wlv = acc.top_candidates(1)
+    if wth.size == 0:
         # no admissible sample at all: report a line that misses the body
         miss = float(lo.min()) - 1.0 - sset.body.diameter
         witness = Line(0.0, miss)
     else:
-        witness = Line(acc.best.theta, acc.best.offset)
+        witness = Line(float(wth[0]), float(wpo[0]))
     terms = decompose(sset, witness, length)
     sup_value = abs(terms["signed_error"])
     recheck_tol = EQUALITY_TOL + 1e-13 * abs(terms["crofton"])
-    if acc.best.value >= 0.0 and abs(sup_value - acc.best.value) > recheck_tol:
+    if wth.size and abs(sup_value - wlv[0]) > recheck_tol:
         raise AssertionError(
             "witness recomputation mismatch: "
-            f"search={acc.best.value!r} recomputed={sup_value!r} "
+            f"search={float(wlv[0])!r} recomputed={sup_value!r} "
             f"theta={witness.theta!r} offset={witness.offset!r}")
     envelope_upper = (acc.max_abs_quad + acc.max_abs_z + sset.padding_count
                       + acc.max_abs_norm)

@@ -161,30 +161,6 @@ class ConvexBody:
         return math.sqrt(float(np.max(d2)))
 
     @cached_property
-    def bbox(self) -> tuple[float, float, float, float]:
-        """(xmin, ymin, xmax, ymax)."""
-        if self.kind == "disk":
-            cx, cy = self.center
-            r = self.radius
-            return (cx - r, cy - r, cx + r, cy + r)
-        v = self.vertices
-        return (
-            float(v[:, 0].min()),
-            float(v[:, 1].min()),
-            float(v[:, 0].max()),
-            float(v[:, 1].max()),
-        )
-
-    @cached_property
-    def centroid(self) -> np.ndarray:
-        if self.kind == "disk":
-            return self.center.copy()
-        v = self.vertices
-        nxt = np.roll(v, -1, axis=0)
-        w = v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]
-        return np.asarray((v + nxt).T @ w / (6.0 * self.area))
-
-    @cached_property
     def _edge_data(self):
         """Per-edge start point, edge vector, and length (polygon only)."""
         v = self.vertices
@@ -192,19 +168,6 @@ class ConvexBody:
         return v, e, np.hypot(e[:, 0], e[:, 1])
 
     # -- support and membership -------------------------------------------
-
-    def support_interval(self, nu) -> tuple[float, float]:
-        """(min, max) of x . nu over the body, for a unit direction nu."""
-        nu = np.asarray(nu, dtype=float)
-        if self.kind == "disk":
-            c = float(self.center @ nu)
-            return (c - self.radius, c + self.radius)
-        proj = self.vertices @ nu
-        return (float(proj.min()), float(proj.max()))
-
-    def offset_extent(self, theta: float) -> tuple[float, float]:
-        """Offset range of lines at normal angle theta that can meet the body."""
-        return self.support_interval((math.cos(theta), math.sin(theta)))
 
     def contains(self, point, tol: float = 1e-12) -> bool:
         p = np.asarray(point, dtype=float)
@@ -215,26 +178,19 @@ class ConvexBody:
         cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
         return bool(np.all(cross >= -tol * self.diameter * elen))
 
-    def contains_many(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Vectorized membership test for an (N, 2) array of points."""
-        pts = np.asarray(points, dtype=float)
+    def support_many(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(min, max) of x . u over the body, per row of an (N, 2) array of
+        unit directions."""
         if self.kind == "disk":
-            d = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-            return d <= self.radius + tol * self.diameter
-        v, e, elen = self._edge_data
-        rel = pts[:, None, :] - v[None, :, :]
-        cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-        return np.all(cross >= -tol * self.diameter * elen[None, :], axis=1)
+            c = units @ self.center
+            return c - self.radius, c + self.radius
+        proj = units @ self.vertices.T
+        return proj.min(axis=1), proj.max(axis=1)
 
     def offset_extents(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized offset_extent over an array of normal angles."""
+        """Offset range of lines at each normal angle that can meet the body."""
         th = np.asarray(thetas, dtype=float)
-        nus = np.column_stack([np.cos(th), np.sin(th)])
-        if self.kind == "disk":
-            d = nus @ self.center
-            return d - self.radius, d + self.radius
-        proj = nus @ self.vertices.T
-        return proj.min(axis=1), proj.max(axis=1)
+        return self.support_many(np.column_stack([np.cos(th), np.sin(th)]))
 
     # -- chords -------------------------------------------------------------
 
@@ -338,9 +294,6 @@ class ConvexBody:
             np.where(crossed, cand_a, -np.inf), np.where(crossed, cand_b, -np.inf)
         ).max(axis=0)
         return np.where(np.any(crossed, axis=0), np.maximum(wmax - wmin, 0.0), 0.0)
-
-    def slice_length(self, nu, s: float) -> float:
-        return float(self.slice_lengths(nu, np.array([s]))[0])
 
     # -- inscribed disk ------------------------------------------------------
 

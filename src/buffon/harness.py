@@ -44,6 +44,7 @@ __all__ = [
     "run_sweep",
     "write_sweep_csv",
     "read_sweep_csv",
+    "fit_points",
     "fit_slope",
     "z_tail_study",
     "length_study",
@@ -54,6 +55,8 @@ __all__ = [
 
 MIN_FIT_POINTS = 4
 MIN_ASYMPTOTIC_N = 8
+PROBE_FAN = 17  # rays in the coherence probe's fan
+ORACLE_ATTEMPTS = 6  # the line itself, then up to 5 jitters
 
 
 @dataclass(frozen=True)
@@ -127,20 +130,15 @@ def _sweep_worker(payload) -> dict:
             "error": None,
         }
     except Exception as exc:  # per-row capture keeps the sweep going
-        return {
-            "L_target": float(l_target),
-            "M": math.nan,
-            "n": 0,
-            "eps": math.nan,
-            "seed": row_seed,
-            "L_actual": math.nan,
-            "sup_estimate": math.nan,
-            "max_abs_z": math.nan,
-            "quadrature_max": math.nan,
-            "padding_count": 0,
-            "wall_time_seconds": time.perf_counter() - started,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        failed = {name: 0 if name in SweepRow._INT_FIELDS else math.nan
+                  for name in SweepRow.CSV_FIELDS}
+        failed.update(
+            L_target=float(l_target),
+            seed=row_seed,
+            wall_time_seconds=time.perf_counter() - started,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+        return failed
 
 
 def run_sweep(
@@ -221,38 +219,53 @@ def read_sweep_csv(path) -> list[SweepRow]:
     return rows
 
 
+def fit_points(
+    rows: Sequence[SweepRow],
+    x_field: str = "L_target",
+    y_field: str = "sup_estimate",
+    log_correction: Optional[float] = None,
+) -> list[tuple]:
+    """The (x, y, y_fitted) points a slope fit uses, in row order.
+
+    x and y are the row's own values; y_fitted is y divided by
+    (log x)^log_correction when a correction is given, else y itself.  Rows
+    are skipped when they carry an error, when n < MIN_ASYMPTOTIC_N
+    (non-asymptotic builds), when either coordinate is non-finite or
+    non-positive, or when a correction is given and x <= 1.
+    """
+    valid_names = {f.name for f in fields(SweepRow)}
+    for name in (x_field, y_field):
+        if name not in valid_names:
+            raise ValidationError("field", f"unknown SweepRow field {name!r}")
+    points = []
+    for row in rows:
+        if row.error is not None or row.n < MIN_ASYMPTOTIC_N:
+            continue
+        x = getattr(row, x_field)
+        y = fitted = getattr(row, y_field)
+        if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
+            continue
+        if log_correction is not None:
+            if x <= 1.0:
+                continue
+            fitted = y / math.log(x) ** log_correction
+        points.append((x, y, fitted))
+    return points
+
+
 def fit_slope(
     rows: Sequence[SweepRow],
     x_field: str = "L_target",
     y_field: str = "sup_estimate",
     log_correction: Optional[float] = None,
 ) -> SlopeFit:
-    """OLS on (log x, log y).  With log_correction = c, y is divided by
-    (log x)^c before fitting, deflating a known logarithmic factor so the
-    fitted exponent isolates the power law.
-
-    Rows are skipped when they carry an error, when n < MIN_ASYMPTOTIC_N
-    (non-asymptotic builds), or when either coordinate is non-finite or
-    non-positive.
+    """OLS on (log x, log y) over the fit_points of the rows.  With
+    log_correction = c, y is divided by (log x)^c before fitting, deflating a
+    known logarithmic factor so the fitted exponent isolates the power law.
     """
-    valid_names = {f.name for f in fields(SweepRow)}
-    for name in (x_field, y_field):
-        if name not in valid_names:
-            raise ValidationError("field", f"unknown SweepRow field {name!r}")
-    xs, ys = [], []
-    for row in rows:
-        if row.error is not None or row.n < MIN_ASYMPTOTIC_N:
-            continue
-        x = float(getattr(row, x_field))
-        y = float(getattr(row, y_field))
-        if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
-            continue
-        if log_correction is not None:
-            if x <= 1.0:
-                continue
-            y = y / math.log(x) ** log_correction
-        xs.append(math.log(x))
-        ys.append(math.log(y))
+    points = fit_points(rows, x_field, y_field, log_correction)
+    xs = [math.log(x) for x, _, _ in points]
+    ys = [math.log(fitted) for _, _, fitted in points]
     if len(xs) < MIN_FIT_POINTS:
         raise ValidationError(
             "rows", f"need at least {MIN_FIT_POINTS} usable rows, got {len(xs)}")
@@ -410,7 +423,19 @@ def _ray_exit(body: ConvexBody, origin: np.ndarray, direction: np.ndarray):
     return origin + float(np.max(t[ok])) * direction
 
 
-def coherence_probe(body: ConvexBody, n: int, eps: float, fan: int = 17) -> float:
+def _probe_exits(body: ConvexBody, n: int) -> list[np.ndarray]:
+    """Boundary exit points of the PROBE_FAN rays from the origin whose
+    angles split the window (pi/2 - pi/n, pi/2] evenly."""
+    exits = []
+    for angle in np.linspace(math.pi / 2 - math.pi / n, math.pi / 2, PROBE_FAN + 1)[1:]:
+        exit_point = _ray_exit(
+            body, np.zeros(2), np.array([math.cos(angle), math.sin(angle)]))
+        if exit_point is not None:
+            exits.append(exit_point)
+    return exits
+
+
+def coherence_probe(body: ConvexBody, n: int, eps: float) -> float:
     """Max |Z| over a fan of unshifted probe chords from the origin.
 
     With all shifts zero, every family has a lattice line through the
@@ -422,14 +447,9 @@ def coherence_probe(body: ConvexBody, n: int, eps: float, fan: int = 17) -> floa
         raise ValidationError(
             "body", "coherence probe needs the origin inside the body")
     sset = SteinhausSet(body=body, n=n, eps=eps, shifts=np.zeros(n))
-    origin = np.zeros(2)
     best = 0.0
-    for angle in np.linspace(math.pi / 2 - math.pi / n, math.pi / 2, fan + 1)[1:]:
-        exit_point = _ray_exit(
-            body, origin, np.array([math.cos(angle), math.sin(angle)]))
-        if exit_point is None:
-            continue
-        best = max(best, abs(endpoint_error(sset, origin, exit_point)))
+    for exit_point in _probe_exits(body, n):
+        best = max(best, abs(endpoint_error(sset, np.zeros(2), exit_point)))
     return best
 
 
@@ -463,12 +483,7 @@ def coherence_study(
         zero = coherence_probe(body, n, eps)
         shifts = rng.stream(seed, f"coherence/{n}").random((trials, n))
         random_max = 0.0
-        fan = np.linspace(math.pi / 2 - math.pi / n, math.pi / 2, 18)[1:]
-        for angle in fan:
-            exit_point = _ray_exit(
-                body, np.zeros(2), np.array([math.cos(angle), math.sin(angle)]))
-            if exit_point is None:
-                continue
+        for exit_point in _probe_exits(body, n):
             z = z_samples(n, eps, np.zeros(2), exit_point, shifts)
             random_max = max(random_max, float(np.max(np.abs(z))))
         rows.append(CoherenceRow(
@@ -495,16 +510,15 @@ class OracleCheck:
         return self.skipped == 0 and self.agreements == self.comparisons
 
 
-def run_oracle_check(
-    sset: SteinhausSet, lines: int, seed: int = 0, max_attempts: int = 6
-) -> OracleCheck:
+def run_oracle_check(sset: SteinhausSet, lines: int, seed: int = 0) -> OracleCheck:
     """Compare the lattice counter against the geometric crossing oracle on
     random lines.
 
     Both counters see the identical line: when either side screens a line as
     exceptional, the offset is jittered deterministically and both retry, so
     every comparison is on a line both accept.  Grid totals and padding hits
-    must both agree.
+    must both agree.  A line still screened out after ORACLE_ATTEMPTS tries
+    is not compared; it is counted in ``skipped``.
     """
     if lines < 1:
         raise ValidationError("lines", "need at least one line")
@@ -522,7 +536,7 @@ def run_oracle_check(
         theta = float(theta)
         offset = float(offset)
         resolved = None
-        for attempt in range(max_attempts):
+        for attempt in range(ORACLE_ATTEMPTS):
             delta = jitter_delta(theta, offset, sset.eps, attempt) if attempt else 0.0
             line = Line(theta, offset + delta)
             try:

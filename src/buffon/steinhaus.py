@@ -29,7 +29,7 @@ from .geometry import ConvexBody, ValidationError, body_from_dict, body_to_dict
 from .rng import stream
 
 __all__ = [
-    "direction",
+    "EXCEPTIONAL_TOL",
     "directions",
     "sample_shifts",
     "SteinhausSet",
@@ -53,13 +53,9 @@ __all__ = [
     "load_manifest",
 ]
 
-
-def direction(k: int, n: int) -> np.ndarray:
-    """Unit normal of family k: angle pi * k / n."""
-    if not 0 <= k < n:
-        raise ValidationError("k", f"family index must satisfy 0 <= k < n, got {k}")
-    a = math.pi * k / n
-    return np.array([math.cos(a), math.sin(a)])
+# Absolute offset tolerance below which a chord endpoint counts as sitting on
+# a lattice value (see buffon.counting for the exceptional-line policy).
+EXCEPTIONAL_TOL = 1e-9
 
 
 def directions(n: int) -> np.ndarray:
@@ -107,12 +103,9 @@ class SteinhausSet:
     @cached_property
     def q_ranges(self) -> np.ndarray:
         """Per-family inclusive lattice index range, support extremes +- 1."""
-        lo = np.empty(self.n, dtype=np.int64)
-        hi = np.empty(self.n, dtype=np.int64)
-        for k in range(self.n):
-            smin, smax = self.body.support_interval(self.directions[k])
-            lo[k] = math.ceil(smin / self.eps - self.shifts[k]) - 1
-            hi[k] = math.floor(smax / self.eps - self.shifts[k]) + 1
+        smin, smax = self.body.support_many(self.directions)
+        lo = np.ceil(smin / self.eps - self.shifts).astype(np.int64) - 1
+        hi = np.floor(smax / self.eps - self.shifts).astype(np.int64) + 1
         return np.column_stack([lo, hi])
 
     def family_offsets(self, k: int) -> np.ndarray:
@@ -151,13 +144,39 @@ class SteinhausSet:
             return np.zeros((0, 2, 2)), np.zeros(0, dtype=np.int64)
         return np.concatenate(segs, axis=0), np.concatenate(fams)
 
+    @cached_property
+    def pinned_edges(self) -> list:
+        """Boundary edges collinear with (and sitting on) a family's lattice line.
+
+        A list of (family k, offset, edge tangent, span lo, span hi) for every
+        polygon edge whose direction is perpendicular to nu_k and whose offset
+        along nu_k is itself a lattice value: chord endpoints on such an edge
+        are pinned crossings, not exceptional ones.
+        """
+        pairs = []
+        if self.body.kind == "polygon":
+            v, e, elen = self.body._edge_data
+            tau = e / elen[:, None]
+            dots = self.directions @ tau.T  # (n families, E edges)
+            for k, j in zip(*np.nonzero(np.abs(dots) <= 1e-12)):
+                off = float(self.directions[k] @ v[j])
+                frac = off / self.eps - self.shifts[k]
+                if abs(frac - round(frac)) * self.eps <= EXCEPTIONAL_TOL:
+                    t0 = float(tau[j] @ v[j])
+                    t1 = t0 + float(elen[j])
+                    pairs.append((
+                        int(k), off, tau[j].copy(),
+                        min(t0, t1) - EXCEPTIONAL_TOL, max(t0, t1) + EXCEPTIONAL_TOL,
+                    ))
+        return pairs
+
 
 def family_length_many(
     body: ConvexBody, nu: np.ndarray, eps: float, u_values: np.ndarray
 ) -> np.ndarray:
     """Total slice length of one family for each shift value in u_values."""
     u = np.asarray(u_values, dtype=float)
-    smin, smax = body.support_interval(nu)
+    (smin,), (smax,) = body.support_many(np.asarray(nu, dtype=float)[None, :])
     qlo = math.floor(smin / eps) - 2
     qhi = math.ceil(smax / eps) + 1
     q = np.arange(qlo, qhi + 1, dtype=float)

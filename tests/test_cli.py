@@ -87,6 +87,21 @@ def test_oracle_check_mismatch_exits_2(body_path, capsys, monkeypatch):
     assert "internal assertion failed" in captured.err
 
 
+def test_oracle_check_skip_only_exits_2_without_blaming_agreement(
+        body_path, capsys, monkeypatch):
+    fake = hz.OracleCheck(
+        comparisons=1999, agreements=1999, skipped=1, mismatches=())
+    monkeypatch.setattr(hz, "run_oracle_check", lambda *a, **k: fake)
+    assert main(["oracle-check", "--body", body_path, "--n", "4",
+                 "--eps", "0.1", "--lines", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert "1999/1999 agree" in captured.out
+    assert "mismatch" not in captured.out
+    assert "no compared line disagreed" in captured.err
+    assert "1 lines skipped as exceptional" in captured.err
+    assert "disagreement" not in captured.err
+
+
 def test_sweep_and_plot_are_byte_deterministic(tmp_path, body_path, capsys):
     args = ["sweep", "--body", body_path, "--mode", "shifted",
             "--l-min", "2000", "--l-max", "20000", "--points", "4",
@@ -105,6 +120,8 @@ def test_sweep_and_plot_are_byte_deterministic(tmp_path, body_path, capsys):
     gp = (tmp_path / "fig.gp").read_text()
     assert dat.startswith("# L y_plotted y_raw")
     assert 'plot "fig.dat"' in gp and "set logscale xy" in gp
+    points_used = int(out.split("points=")[1].split()[0])
+    assert len(dat.splitlines()) - 1 == points_used
 
 
 def test_tails_writes_table(tmp_path, body_path, capsys):

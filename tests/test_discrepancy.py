@@ -13,6 +13,7 @@ from buffon import steinhaus as sh
 from buffon.counting import ExceptionalLineError, count_line, endpoint_error
 from buffon.discrepancy import (
     DiscrepancyReport,
+    _Accumulator,
     SupConfig,
     angular_sum,
     crofton_target,
@@ -149,11 +150,11 @@ def test_estimate_sup_dominates_grid_lines(small_set):
                        refine_rounds=0, seed=5)
     report = estimate_sup(sset, length, config)
     # grid lines are a subset of the evaluated samples: max dominates
-    for i in range(16):
-        theta = math.pi * i / 16
-        glo, ghi = sset.body.offset_extent(theta)
+    thetas = math.pi * np.arange(16) / 16
+    lo, hi = sset.body.offset_extents(thetas)
+    for theta, glo, ghi in zip(thetas, lo, hi):
         for j in range(16):
-            line = Line(theta, glo + (ghi - glo) * j / 16)
+            line = Line(float(theta), float(glo + (ghi - glo) * j / 16))
             try:
                 value = local_discrepancy(sset, line, length)
             except ExceptionalLineError:
@@ -265,3 +266,29 @@ def test_report_json_is_deterministic(tmp_path, small_set):
     assert p1.read_bytes() == p2.read_bytes()
     parsed = json.loads(p1.read_text())
     assert parsed["theta_resolution"] == 16
+
+
+def test_witness_tie_break_is_smallest_theta_then_offset():
+    """Among lines of equal maximal local value the witness is the
+    lexicographically smallest (theta, offset), whatever the batch order."""
+    # No lattice line meets the disk (pitch 10, lines at x = +-5, ...), so
+    # every count is 0 and the local value 2 L h / (pi |Omega|) depends on
+    # |offset| alone: offsets +-0.25 tie at every angle, 0.5 is lower.
+    sset = sh.SteinhausSet(body=ConvexBody.disk((0.0, 0.0), 1.0), n=1,
+                           eps=10.0, shifts=np.array([0.5]))
+    thetas = np.repeat([0.3, 0.1, 2.0, 1.0], 3)
+    offsets = np.tile([0.25, 0.5, -0.25], 4)
+    tied = sorted((t, p) for t in (0.3, 0.1, 2.0, 1.0) for p in (-0.25, 0.25))
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        order = rng.permutation(len(thetas))
+        cut = int(rng.integers(1, len(thetas)))
+        acc = _Accumulator(sset, 40.0)
+        acc.evaluate(thetas[order[:cut]], offsets[order[:cut]])
+        acc.evaluate(thetas[order[cut:]], offsets[order[cut:]])
+        th, po, values = acc.top_candidates(len(thetas))
+        assert values[0] == values[7] > values[8]
+        assert list(zip(th[:8].tolist(), po[:8].tolist())) == tied
+    # the search's grid ties every angle at offset 0: the witness is theta 0
+    report = estimate_sup(sset, 40.0, SupConfig(8, 8, 1, 0))
+    assert (report.witness_theta, report.witness_offset) == (0.0, 0.0)

@@ -88,8 +88,9 @@ def get_bodies():
 def test_chord_matches_bruteforce_oracle():
     rng = np.random.default_rng(1)
     for body in get_bodies():
-        lo = min(body.bbox[0], body.bbox[1]) - 0.2
-        hi = max(body.bbox[2], body.bbox[3]) + 0.2
+        box_lo, box_hi = body.support_many(np.eye(2))
+        lo = box_lo.min() - 0.2
+        hi = box_hi.max() + 0.2
         for _ in range(400):
             line = Line(rng.uniform(0, math.pi), rng.uniform(lo, hi))
             got = body.chord(line)
@@ -139,7 +140,7 @@ def test_line_normalization_identifies_theta_plus_pi():
 def test_slice_matches_chord_length(s, theta):
     body = get_bodies()[2]
     nu = (math.cos(theta), math.sin(theta))
-    g = body.slice_length(nu, s)
+    (g,) = body.slice_lengths(nu, np.array([s]))
     ch = body.chord(Line(theta, s))
     want = ch.length if ch is not None else 0.0
     assert g == pytest.approx(want, abs=1e-9)
@@ -152,7 +153,7 @@ def test_slice_concavity_on_support():
         for _ in range(250):
             theta = rng.uniform(0, math.pi)
             nu = (math.cos(theta), math.sin(theta))
-            lo, hi = body.support_interval(nu)
+            (lo,), (hi,) = body.support_many(np.array([nu]))
             a, b = np.sort(rng.uniform(lo, hi, size=2))
             ga, gb, gm = body.slice_lengths(nu, np.array([a, b, 0.5 * (a + b)]))
             assert gm >= 0.5 * (ga + gb) - 1e-9 * body.diameter
@@ -160,24 +161,26 @@ def test_slice_concavity_on_support():
 
 def test_slice_of_unit_square_axis():
     sq = unit_square()
-    assert sq.slice_length((1.0, 0.0), 0.5) == pytest.approx(1.0)
     # boundary slices of the closed body have full edge length
-    assert sq.slice_length((1.0, 0.0), 0.0) == pytest.approx(1.0)
-    assert sq.slice_length((1.0, 0.0), 1.0) == pytest.approx(1.0)
-    assert sq.slice_length((1.0, 0.0), -1e-9) == 0.0
-    assert sq.slice_length((0.0, 1.0), 0.25) == pytest.approx(1.0)
+    g = sq.slice_lengths((1.0, 0.0), np.array([0.5, 0.0, 1.0, -1e-9]))
+    assert g[:3] == pytest.approx([1.0, 1.0, 1.0])
+    assert g[3] == 0.0
+    assert sq.slice_lengths((0.0, 1.0), np.array([0.25]))[0] == pytest.approx(1.0)
     d = math.sqrt(0.5)
-    assert sq.slice_length((d, d), d) == pytest.approx(math.sqrt(2.0))
+    assert sq.slice_lengths((d, d), np.array([d]))[0] == pytest.approx(math.sqrt(2.0))
 
 
 def test_area_diameter_bbox():
     sq = unit_square()
     assert sq.area == pytest.approx(1.0)
     assert sq.diameter == pytest.approx(math.sqrt(2.0))
-    assert sq.bbox == (0.0, 0.0, 1.0, 1.0)
+    box_lo, box_hi = sq.support_many(np.eye(2))
+    assert box_lo.tolist() == [0.0, 0.0] and box_hi.tolist() == [1.0, 1.0]
     disk = ConvexBody.disk((1.0, 2.0), 0.5)
     assert disk.area == pytest.approx(math.pi * 0.25)
     assert disk.diameter == pytest.approx(1.0)
+    box_lo, box_hi = disk.support_many(np.eye(2))
+    assert box_lo.tolist() == [0.5, 1.5] and box_hi.tolist() == [1.5, 2.5]
     # triangle (0,0),(2,0),(0,2): area 2, diameter 2*sqrt(2)
     tri = ConvexBody.polygon([(0, 0), (2, 0), (0, 2)])
     assert tri.area == pytest.approx(2.0)
@@ -238,16 +241,17 @@ def test_body_dict_round_trip():
 def test_support_interval_matches_vertex_extremes():
     rng = np.random.default_rng(5)
     body = get_bodies()[1]
-    for _ in range(100):
-        theta = rng.uniform(0, 2 * math.pi)
-        nu = np.array([math.cos(theta), math.sin(theta)])
-        lo, hi = body.support_interval(nu)
+    thetas = rng.uniform(0, 2 * math.pi, 100)
+    units = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    lo, hi = body.support_many(units)
+    assert np.array_equal((lo, hi), body.offset_extents(thetas))
+    for nu, nu_lo, nu_hi in zip(units, lo, hi):
         proj = body.vertices @ nu
-        assert lo == pytest.approx(float(proj.min()))
-        assert hi == pytest.approx(float(proj.max()))
+        assert nu_lo == pytest.approx(float(proj.min()))
+        assert nu_hi == pytest.approx(float(proj.max()))
         # all of the body lies in the slab
         for _ in range(10):
             t = rng.uniform(0, 1, size=len(body.vertices))
             t /= t.sum()
             point = t @ body.vertices
-            assert lo - 1e-12 <= float(point @ nu) <= hi + 1e-12
+            assert nu_lo - 1e-12 <= float(point @ nu) <= nu_hi + 1e-12

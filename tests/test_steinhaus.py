@@ -18,17 +18,16 @@ from test_geometry import random_polygon
 
 
 def test_direction_exact_formula():
-    assert np.allclose(sh.direction(0, 7), [1.0, 0.0])
-    d = sh.direction(2, 4)
+    assert np.allclose(sh.directions(7)[0], [1.0, 0.0])
+    d = sh.directions(4)[2]
     assert d[0] == pytest.approx(0.0, abs=1e-15)
     assert d[1] == pytest.approx(1.0)
     n = 12
+    dirs = sh.directions(n)
+    assert dirs.shape == (n, 2)
     for k in range(n):
         a = math.pi * k / n
-        assert np.allclose(sh.direction(k, n), [math.cos(a), math.sin(a)])
-    assert np.allclose(sh.directions(n), [sh.direction(k, n) for k in range(n)])
-    with pytest.raises(ValidationError):
-        sh.direction(7, 7)
+        assert np.allclose(dirs[k], [math.cos(a), math.sin(a)])
 
 
 def test_sample_shifts_deterministic_and_uniform():
@@ -91,7 +90,7 @@ def test_family_length_mean_and_deviation_bound():
     rng = np.random.default_rng(12)
     for body in [unit_square(), ConvexBody.disk((0.0, 0.0), 1.0), random_polygon(rng)]:
         eps = 0.08
-        nu = sh.direction(3, 7)
+        nu = sh.directions(7)[3]
         u = rng.uniform(0, 1, size=4000)
         lengths = sh.family_length_many(body, nu, eps, u)
         expected = body.area / eps
