@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,12 +124,10 @@ class LineBatch:
     exceptional: np.ndarray
     jittered: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.theta)
 
-
-def _eval_arrays(sset: SteinhausSet, thetas, ps, keep_per_family=False):
-    """One pass of the counting kernel over a batch of lines."""
+def _eval_arrays(sset: SteinhausSet, thetas, ps):
+    """One kernel pass: the batch, with the counts of invalid and exceptional
+    lines zeroed, and the raw (lines x families) per-family counts."""
     start, end, h, valid = sset.body.chord_batch(thetas, ps)
     dirs_t = sset.directions.T
     proj_s = start @ dirs_t
@@ -196,17 +194,21 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps, keep_per_family=False):
         exceptional |= np.any(near_pad, axis=1)
 
     exceptional &= valid
-    zero = ~valid
-    total = np.where(zero, 0.0, total).astype(np.int64)
-    z = np.where(zero, 0.0, z)
-    mean_term = np.where(zero, 0.0, mean_term)
-    hits = np.where(zero, 0, hits)
-    max_abs_dev = np.where(zero, 0.0, max_abs_dev)
-    out = (h, valid, total, z, mean_term, hits, max_abs_dev, exceptional)
-    if keep_per_family:
-        pf = np.where(zero[:, None], 0.0, per_family).astype(np.int64)
-        return out + (pf,)
-    return out
+    zero = ~valid | exceptional
+    batch = LineBatch(  # copies of the inputs: a jitter retry writes into the batch
+        theta=np.array(thetas, dtype=float),
+        offset=np.array(ps, dtype=float),
+        valid=valid,
+        h=h,
+        total=np.where(zero, 0.0, total).astype(np.int64),
+        z=np.where(zero, 0.0, z),
+        mean_term=np.where(zero, 0.0, mean_term),
+        padding_hits=np.where(zero, 0, hits),
+        max_abs_dev=np.where(zero, 0.0, max_abs_dev),
+        exceptional=exceptional,
+        jittered=np.zeros(len(h), dtype=bool),
+    )
+    return batch, per_family
 
 
 def evaluate_lines(
@@ -221,61 +223,27 @@ def evaluate_lines(
     """
     thetas = np.asarray(thetas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    n_lines = len(thetas)
     chunk = max(256, KERNEL_CHUNK // max(sset.n, 1))
 
-    fields = {
-        "theta": thetas.copy(),
-        "offset": offsets.copy(),
-        "valid": np.zeros(n_lines, dtype=bool),
-        "h": np.zeros(n_lines),
-        "total": np.zeros(n_lines, dtype=np.int64),
-        "z": np.zeros(n_lines),
-        "mean_term": np.zeros(n_lines),
-        "padding_hits": np.zeros(n_lines, dtype=np.int64),
-        "max_abs_dev": np.zeros(n_lines),
-        "exceptional": np.zeros(n_lines, dtype=bool),
-        "jittered": np.zeros(n_lines, dtype=bool),
-    }
-
-    for lo in range(0, n_lines, chunk):
-        hi = min(lo + chunk, n_lines)
-        th = thetas[lo:hi]
-        ps = offsets[lo:hi].copy()
-        h, valid, total, z, mean, hits, dev, exc = _eval_arrays(sset, th, ps)
-        if np.any(exc):
-            for attempt in range(1, JITTER_ATTEMPTS + 1):
-                idx = np.where(exc)[0]
-                if idx.size == 0:
-                    break
-                for i in idx:
-                    ps[i] = offsets[lo + i] + jitter_delta(
-                        th[i], offsets[lo + i], sset.eps, attempt
-                    )
-                rh, rvalid, rtotal, rz, rmean, rhits, rdev, rexc = _eval_arrays(
-                    sset, th[idx], ps[idx]
-                )
-                h[idx], valid[idx], total[idx] = rh, rvalid, rtotal
-                z[idx], mean[idx], hits[idx], dev[idx] = rz, rmean, rhits, rdev
-                exc[idx] = rexc
-                fields["jittered"][lo + idx] = True
-        still = exc
-        total = np.where(still, 0, total)
-        z = np.where(still, 0.0, z)
-        mean = np.where(still, 0.0, mean)
-        hits = np.where(still, 0, hits)
-        dev = np.where(still, 0.0, dev)
-        fields["offset"][lo:hi] = ps
-        fields["h"][lo:hi] = h
-        fields["valid"][lo:hi] = valid
-        fields["total"][lo:hi] = total
-        fields["z"][lo:hi] = z
-        fields["mean_term"][lo:hi] = mean
-        fields["padding_hits"][lo:hi] = hits
-        fields["max_abs_dev"][lo:hi] = dev
-        fields["exceptional"][lo:hi] = still
-
-    return LineBatch(**fields)
+    parts = []
+    # one pass even for no lines, so an empty batch still has every field
+    for lo in range(0, max(len(thetas), 1), chunk):
+        th = thetas[lo : lo + chunk]
+        base = offsets[lo : lo + chunk]
+        batch = _eval_arrays(sset, th, base)[0]
+        for attempt in range(1, JITTER_ATTEMPTS + 1):
+            idx = np.flatnonzero(batch.exceptional)
+            if idx.size == 0:
+                break
+            ps = np.array([base[i] + jitter_delta(th[i], base[i], sset.eps, attempt)
+                           for i in idx])
+            retry = _eval_arrays(sset, th[idx], ps)[0]
+            for f in fields(LineBatch):
+                getattr(batch, f.name)[idx] = getattr(retry, f.name)
+            batch.jittered[idx] = True
+        parts.append(batch)
+    return LineBatch(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                        for f in fields(LineBatch)})
 
 
 def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
@@ -285,25 +253,21 @@ def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
     (z accumulates per-family differences; mean_term is defined as their
     complement, and independently equals (h/eps) * sum_k |t . nu_k|).
     """
-    h, valid, total, z, mean, hits, dev, exc, pf = _eval_arrays(
-        sset,
-        np.array([line.theta]),
-        np.array([line.offset]),
-        keep_per_family=True,
-    )
-    if exc[0]:
+    batch, per_family = _eval_arrays(
+        sset, np.array([line.theta]), np.array([line.offset]))
+    if batch.exceptional[0]:
         raise ExceptionalLineError(
             line.theta, line.offset, "line within tolerance of a grid-segment "
             "endpoint, parallel-coincident with a lattice line, or near a "
             "padding endpoint; jitter the offset and retry"
         )
     return CountBreakdown(
-        per_family=pf[0],
-        total=int(total[0]),
-        mean_term=float(mean[0]),
-        z=float(z[0]),
-        padding_hits=int(hits[0]),
-        max_abs_dev=float(dev[0]),
+        per_family=np.where(batch.valid[0], per_family[0], 0.0).astype(np.int64),
+        total=int(batch.total[0]),
+        mean_term=float(batch.mean_term[0]),
+        z=float(batch.z[0]),
+        padding_hits=int(batch.padding_hits[0]),
+        max_abs_dev=float(batch.max_abs_dev[0]),
     )
 
 

@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "TANGENCY_CUTOFF",
     "ValidationError",
+    "as_float_array",
     "Line",
     "Chord",
     "ConvexBody",
@@ -89,8 +90,20 @@ class Chord:
         return float(np.hypot(*(self.end - self.start)))
 
 
+def as_float_array(value, field: str, ndim: Optional[int] = None) -> np.ndarray:
+    """Numbers (nested ndim deep, if given) as a float array.  Strings,
+    booleans, nulls and ragged lists raise a ValidationError naming the field."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "iuf" and ndim in (None, arr.ndim):
+            return arr.astype(float)
+    except ValueError:  # ragged nesting
+        pass
+    raise ValidationError(field, f"need numbers, got {value!r}")
+
+
 def _as_vertex_array(vertices) -> np.ndarray:
-    arr = np.asarray(vertices, dtype=float)
+    arr = as_float_array(vertices, "polygon")
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise ValidationError("polygon", "need an (m, 2) array with m >= 3")
     if not np.all(np.isfinite(arr)):
@@ -135,12 +148,13 @@ class ConvexBody:
 
     @staticmethod
     def disk(center, radius: float) -> "ConvexBody":
-        c = np.asarray(center, dtype=float)
+        c = as_float_array(center, "disk.center")
         if c.shape != (2,) or not np.all(np.isfinite(c)):
             raise ValidationError("disk.center", "need a finite point [x, y]")
+        radius = float(as_float_array(radius, "disk.radius", ndim=0))
         if not (math.isfinite(radius) and radius > 0.0):
             raise ValidationError("disk.radius", "radius must be positive and finite")
-        return ConvexBody(kind="disk", center=c, radius=float(radius))
+        return ConvexBody(kind="disk", center=c, radius=radius)
 
     # -- cached scalar properties -----------------------------------------
 

@@ -11,11 +11,10 @@ are kept on the row objects for console display but never serialized.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .counting import (
     z_samples,
 )
 from .discrepancy import SupConfig, estimate_sup
-from .geometry import ConvexBody, Line, ValidationError, body_from_dict, body_to_dict
+from .geometry import ConvexBody, Line, ValidationError
 from .steinhaus import SteinhausSet, build_exact, directions, family_length_many, total_length
 
 __all__ = [
@@ -102,33 +101,30 @@ def _row_seed(seed: int, mode: str, l_target: float) -> int:
     return rng.derive_seed(seed, f"sweep/{mode}/{float(l_target)!r}")
 
 
-def _sweep_worker(payload) -> dict:
-    """Run one sweep row from a fully picklable payload; never raises."""
-    body_json, l_target, mode, row_seed, config_dict = payload
+def _sweep_worker(payload) -> SweepRow:
+    """Run one sweep row from a picklable payload; never raises."""
+    body, l_target, mode, row_seed, config = payload
     started = time.perf_counter()
     try:
-        body = body_from_dict(json.loads(body_json))
-        config = SupConfig(**config_dict)
         sset, plan = build_exact(body, l_target, mode, row_seed)
         l_actual = total_length(sset)
         if abs(l_actual - l_target) > 1e-9 * l_target:
             raise AssertionError(
                 f"adjusted length {l_actual!r} misses target {l_target!r}")
         report = estimate_sup(sset, l_actual, config)
-        return {
-            "L_target": float(l_target),
-            "M": plan.expected_length,
-            "n": plan.n,
-            "eps": plan.eps,
-            "seed": row_seed,
-            "L_actual": l_actual,
-            "sup_estimate": report.sup_estimate,
-            "max_abs_z": report.max_abs_z,
-            "quadrature_max": report.max_abs_quadrature,
-            "padding_count": sset.padding_count,
-            "wall_time_seconds": time.perf_counter() - started,
-            "error": None,
-        }
+        return SweepRow(
+            L_target=float(l_target),
+            M=plan.expected_length,
+            n=plan.n,
+            eps=plan.eps,
+            seed=row_seed,
+            L_actual=l_actual,
+            sup_estimate=report.sup_estimate,
+            max_abs_z=report.max_abs_z,
+            quadrature_max=report.max_abs_quadrature,
+            padding_count=sset.padding_count,
+            wall_time_seconds=time.perf_counter() - started,
+        )
     except Exception as exc:  # per-row capture keeps the sweep going
         failed = {name: 0 if name in SweepRow._INT_FIELDS else math.nan
                   for name in SweepRow.CSV_FIELDS}
@@ -138,7 +134,7 @@ def _sweep_worker(payload) -> dict:
             wall_time_seconds=time.perf_counter() - started,
             error=f"{type(exc).__name__}: {exc}",
         )
-        return failed
+        return SweepRow(**failed)
 
 
 def run_sweep(
@@ -163,18 +159,11 @@ def run_sweep(
         import os
 
         workers = os.cpu_count() or 1
-    body_json = json.dumps(body_to_dict(body))
-    config_dict = asdict(config)
-    payloads = [
-        (body_json, l, mode, _row_seed(seed, mode, l), config_dict)
-        for l in l_values
-    ]
+    payloads = [(body, l, mode, _row_seed(seed, mode, l), config) for l in l_values]
     if workers == 1 or len(payloads) <= 1:
-        results = [_sweep_worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
-    return [SweepRow(**r) for r in results]
+        return [_sweep_worker(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_sweep_worker, payloads))
 
 
 def _format_cell(name: str, value) -> str:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ConvexBody, ValidationError, body_from_dict, body_to_dict
+from .geometry import ConvexBody, ValidationError, as_float_array, body_from_dict, body_to_dict
 from .rng import stream
 
 __all__ = [
@@ -75,7 +75,11 @@ def sample_shifts(n: int, seed: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class SteinhausSet:
-    """A built set: body, n families at pitch eps, shifts, padding segments."""
+    """A built set: body, n families at pitch eps, shifts, padding segments.
+
+    Never mutated after construction, so its derived quantities, the grid
+    length among them, are cached on first use.
+    """
 
     body: ConvexBody
     n: int
@@ -94,7 +98,10 @@ class SteinhausSet:
             raise ValidationError("shifts", f"need exactly n={self.n} shifts")
         if np.any((self.shifts < 0.0) | (self.shifts >= 1.0)):
             raise ValidationError("shifts", "shifts must lie in [0, 1)")
-        self.padding = np.asarray(self.padding, dtype=float).reshape(-1, 2, 2)
+        self.padding = np.asarray(self.padding, dtype=float)
+        if self.padding.size % 4:
+            raise ValidationError("padding", "need segments [[x0, y0], [x1, y1]]")
+        self.padding = self.padding.reshape(-1, 2, 2)
 
     @cached_property
     def directions(self) -> np.ndarray:
@@ -122,6 +129,11 @@ class SteinhausSet:
             return 0.0
         d = self.padding[:, 1] - self.padding[:, 0]
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
+
+    @cached_property
+    def measured_grid_length(self) -> float:
+        """grid_length(self), summed once per set."""
+        return grid_length(self)
 
     @cached_property
     def grid_segments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,12 +204,13 @@ def family_length(sset: SteinhausSet, k: int) -> float:
 
 
 def grid_length(sset: SteinhausSet) -> float:
+    """Sum of every family's slice lengths; sets cache it as measured_grid_length."""
     return float(math.fsum(family_length(sset, k) for k in range(sset.n)))
 
 
 def total_length(sset: SteinhausSet) -> float:
     """Grid length plus padding length."""
-    return grid_length(sset) + sset.padding_length
+    return sset.measured_grid_length + sset.padding_length
 
 
 # -- parameter planning ------------------------------------------------------
@@ -244,16 +257,39 @@ def _minimal_admissible_length(margin, lo: float = math.e) -> float:
     return b
 
 
-def _finish_plan(body: ConvexBody, target: float, m_expected: float, n: int, k0: float):
+def _cube_root_floor(length: float) -> int:
+    """floor(L^(1/3)) exactly (float powers round 100.0 down to 99.999...)."""
+    n = int(length ** (1.0 / 3.0))
+    while (n + 1) ** 3 <= length:
+        n += 1
+    while n > 0 and n**3 > length:
+        n -= 1
+    return n
+
+
+def _plan(body: ConvexBody, target_length: float, k0: float, margin, families) -> BuildPlan:
+    """M = L - margin(L), n = families(L, M) and eps = n |Omega| / M."""
+    if not (math.isfinite(target_length) and target_length > 1.0):
+        raise ValidationError("L", "target length must be finite and > 1")
+    m_expected = target_length - margin(target_length)
+    if m_expected <= math.e:
+        minimal = _minimal_admissible_length(margin)
+        raise ValidationError(
+            "L",
+            f"target length {target_length} too small for k0={k0}: expected grid "
+            f"length M={m_expected:.6g} must exceed e; minimal admissible L is "
+            f"about {minimal:.6g}",
+        )
+    n = families(target_length, m_expected)
     eps = n * body.area / m_expected
     if eps > 1.0:
         raise ValidationError(
             "L",
-            f"target length {target} gives lattice pitch eps={eps:.3g} > 1 for this "
-            f"body; increase L or shrink the body",
+            f"target length {target_length} gives lattice pitch eps={eps:.3g} > 1 for "
+            f"this body; increase L or shrink the body",
         )
     return BuildPlan(
-        target_length=float(target),
+        target_length=float(target_length),
         expected_length=float(m_expected),
         n=n,
         eps=float(eps),
@@ -264,20 +300,9 @@ def _finish_plan(body: ConvexBody, target: float, m_expected: float, n: int, k0:
 def plan_build(body: ConvexBody, target_length: float, k0: float) -> BuildPlan:
     """Shifted-mode parameters: M = L - k0 Phi(L), n = floor(M^(2/5) / (log M)^(1/5)),
     eps = n |Omega| / M."""
-    if not (math.isfinite(target_length) and target_length > 1.0):
-        raise ValidationError("L", "target length must be finite and > 1")
     margin = lambda length: k0 * phi(length) if length > 1.0 else 0.0
-    m_expected = target_length - margin(target_length)
-    if m_expected <= math.e:
-        minimal = _minimal_admissible_length(margin)
-        raise ValidationError(
-            "L",
-            f"target length {target_length} too small for k0={k0}: expected grid "
-            f"length M={m_expected:.6g} must exceed e; minimal admissible L is "
-            f"about {minimal:.6g}",
-        )
-    n = int(m_expected**0.4 / math.log(m_expected) ** 0.2)
-    return _finish_plan(body, target_length, m_expected, n, k0)
+    return _plan(body, target_length, k0, margin,
+                 lambda _, m: int(m**0.4 / math.log(m) ** 0.2))
 
 
 def plan_build_zero(body: ConvexBody, target_length: float, k0: float) -> BuildPlan:
@@ -286,27 +311,9 @@ def plan_build_zero(body: ConvexBody, target_length: float, k0: float) -> BuildP
     The zero-shift grid length deviates deterministically by O(n diam) from
     n |Omega| / eps, so the reserved margin scales with n rather than Phi(L).
     """
-    if not (math.isfinite(target_length) and target_length > 1.0):
-        raise ValidationError("L", "target length must be finite and > 1")
-    # exact floor of the cube root (float powers round 100.0 down to 99.999...)
-    n = int(target_length ** (1.0 / 3.0))
-    while (n + 1) ** 3 <= target_length:
-        n += 1
-    while n > 0 and n**3 > target_length:
-        n -= 1
-    if n < 1:
-        raise ValidationError("L", "target length too small for n = floor(L^(1/3)) >= 1")
-    m_expected = target_length - k0 * n * body.diameter
-    if m_expected <= math.e:
-        margin = lambda length: k0 * int(length ** (1.0 / 3.0)) * body.diameter
-        minimal = _minimal_admissible_length(margin)
-        raise ValidationError(
-            "L",
-            f"target length {target_length} too small for k0={k0}: expected grid "
-            f"length M={m_expected:.6g} must exceed e; minimal admissible L is "
-            f"about {minimal:.6g}",
-        )
-    return _finish_plan(body, target_length, m_expected, n, k0)
+    margin = lambda length: k0 * _cube_root_floor(length) * body.diameter
+    return _plan(body, target_length, k0, margin,
+                 lambda length, _: _cube_root_floor(length))
 
 
 def build_set(
@@ -384,7 +391,7 @@ def adjust_length(sset: SteinhausSet, target_length: float) -> SteinhausSet:
     Replaces any existing padding.  Errors if the grid alone already exceeds
     the target beyond tolerance (rebuild with a larger margin instead).
     """
-    base = grid_length(sset)
+    base = sset.measured_grid_length
     delta = target_length - base
     tol = 1e-9 * max(abs(target_length), 1.0)
     if delta < -tol:
@@ -394,7 +401,7 @@ def adjust_length(sset: SteinhausSet, target_length: float) -> SteinhausSet:
             f"rebuild with a larger margin (k0)",
         )
     padding = make_padding(sset.body, sset.n, delta) if delta > tol else np.zeros((0, 2, 2))
-    return SteinhausSet(
+    padded = SteinhausSet(
         body=sset.body,
         n=sset.n,
         eps=sset.eps,
@@ -402,6 +409,8 @@ def adjust_length(sset: SteinhausSet, target_length: float) -> SteinhausSet:
         padding=padding,
         seed=sset.seed,
     )
+    padded.measured_grid_length = base  # the same grid, so the same sum
+    return padded
 
 
 def build_exact(
@@ -467,15 +476,18 @@ def set_from_manifest(manifest: dict) -> SteinhausSet:
         raise ValidationError("manifest", f"unknown fields {sorted(extra)}")
     if missing:
         raise ValidationError("manifest", f"missing fields {sorted(missing)}")
+    n = float(as_float_array(manifest["n"], "n", ndim=0))
+    if not n.is_integer():
+        raise ValidationError("n", f"need an integer, got {manifest['n']!r}")
     sset = SteinhausSet(
         body=body_from_dict(manifest["body"]),
-        n=int(manifest["n"]),
-        eps=float(manifest["eps"]),
-        shifts=np.asarray(manifest["shifts"], dtype=float),
-        padding=np.asarray(manifest["padding"], dtype=float).reshape(-1, 2, 2),
+        n=int(n),
+        eps=float(as_float_array(manifest["eps"], "eps", ndim=0)),
+        shifts=as_float_array(manifest["shifts"], "shifts"),
+        padding=as_float_array(manifest["padding"], "padding"),
         seed=manifest["seed"],
     )
-    stored = float(manifest["total_length"])
+    stored = float(as_float_array(manifest["total_length"], "total_length", ndim=0))
     actual = total_length(sset)
     if abs(actual - stored) > 1e-9 * max(abs(stored), 1.0):
         raise ValidationError(

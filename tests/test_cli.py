@@ -1,8 +1,10 @@
 """CLI adapters: pipelines, exit codes, strict config, byte determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,9 +64,12 @@ def test_witness_reproducible_in_fresh_process(tmp_path, body_path, capsys):
                  "--out", report_path]) == 0
     capsys.readouterr()
     report = load_report(report_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-c", _FRESH_WITNESS_SCRIPT, set_path, report_path],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=env)
     fresh = float(result.stdout.strip())
     assert fresh == pytest.approx(report.sup_estimate, abs=1e-9)
 
@@ -159,6 +164,30 @@ def test_validation_exit_codes(tmp_path, body_path, capsys):
     assert main([]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):
+    bodies = [({"disk": {"center": [0, 0], "radius": "1"}}, "disk.radius"),
+              ({"polygon": [["a", 0], [1, 0], [1, 1]]}, "polygon")]
+    for spec, field in bodies:
+        path = tmp_path / "bad_body.json"
+        path.write_text(json.dumps(spec))
+        assert main(["build", "--body", str(path), "--length", "2000",
+                     "--out", str(tmp_path / "unused.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+    set_path = tmp_path / "set.json"
+    assert main(["build", "--body", body_path, "--length", "2000",
+                 "--out", str(set_path)]) == 0
+    for key, value in (("n", "x"), ("eps", "a")):
+        manifest = json.loads(set_path.read_text())
+        manifest[key] = value
+        bad = tmp_path / "bad_set.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["disc", "--set", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and "Traceback" not in err
 
 
 def test_config_file_strict_and_overridable(tmp_path, body_path, capsys):

@@ -154,7 +154,7 @@ def test_oracle_agreement_smoke():
             thetas = rng.uniform(0, math.pi, 120)
             ps = rng.uniform(lo, hi, 120)
             batch = evaluate_lines(sset, thetas, ps)
-            for i in range(len(batch)):
+            for i in range(batch.theta.size):
                 if batch.exceptional[i]:
                     continue
                 line = Line(float(batch.theta[i]), float(batch.offset[i]))
@@ -177,7 +177,7 @@ def test_padding_hits_match_geometric_count_and_bound():
     ps = rng.uniform(-0.2, 1.2, 400)
     batch = evaluate_lines(sset, thetas, ps)
     hit_some = 0
-    for i in range(len(batch)):
+    for i in range(batch.theta.size):
         if batch.exceptional[i]:
             continue
         line = Line(float(batch.theta[i]), float(batch.offset[i]))
@@ -256,6 +256,48 @@ def test_evaluate_lines_deterministic_jitter():
     for i in np.where(ok & b1.jittered)[0]:
         line = Line(float(b1.theta[i]), float(b1.offset[i]))
         assert int(b1.total[i]) == count_line(sset, line).total  # raises if exceptional
+
+
+def test_evaluate_lines_across_chunks_matches_line_by_line():
+    """At n=8000 the kernel runs 256-line chunks, so 600 lines take three.
+    Lines through grid-segment endpoints in the third chunk are exceptional;
+    at eps=0.001 the jitter (at most 4e-10) rescues only some of them."""
+    rng = np.random.default_rng(31)
+    n, m = 8000, 600
+    body = unit_square()
+    sset = sh.SteinhausSet(body=body, n=n, eps=0.001, shifts=rng.uniform(0, 1, n),
+                           padding=sh.make_padding(body, n, 2.0))
+    thetas = rng.uniform(0, math.pi, m)
+    ps = rng.uniform(-0.2, 1.2, m)
+    # the lattice line nearest the centre of each of 40 families ends on the
+    # boundary at `start`; put a line through each of those points
+    ks = rng.integers(0, n, 40)
+    fam = math.pi * ks / n
+    q = np.floor(0.5 * (np.cos(fam) + np.sin(fam)) / sset.eps - sset.shifts[ks])
+    start, _, _, valid = body.chord_batch(fam, sset.eps * (q + sset.shifts[ks]))
+    assert valid.all()
+    tail = slice(520, 560)
+    thetas[tail] = rng.uniform(0, math.pi, 40)
+    ps[tail] = start[:, 0] * np.cos(thetas[tail]) + start[:, 1] * np.sin(thetas[tail])
+    batch = evaluate_lines(sset, thetas, ps)
+    assert batch.exceptional[tail].any()
+    assert (batch.jittered & ~batch.exceptional)[512:].any()
+    assert batch.padding_hits.any()
+
+    one = [evaluate_lines(sset, thetas[i:i + 1], ps[i:i + 1]) for i in range(m)]
+    for name in ("theta", "offset", "valid", "total", "padding_hits",
+                 "exceptional", "jittered", "h"):
+        want = np.concatenate([getattr(b, name) for b in one])
+        assert np.array_equal(getattr(batch, name), want), name
+    # sums over the families may round differently at another batch size
+    for name in ("z", "mean_term", "max_abs_dev"):
+        want = np.concatenate([getattr(b, name) for b in one])
+        np.testing.assert_allclose(getattr(batch, name), want, rtol=1e-12, atol=1e-8)
+
+    for i in np.flatnonzero(batch.valid & ~batch.exceptional):
+        bd = count_line(sset, Line(float(batch.theta[i]), float(batch.offset[i])))
+        assert bd.total == batch.total[i] and bd.padding_hits == batch.padding_hits[i]
+        assert bd.z == pytest.approx(batch.z[i], abs=1e-8)
 
 
 def test_invalid_lines_count_zero():

@@ -151,6 +151,18 @@ def test_plan_build_zero_exact_cube_root():
     assert sh.plan_build_zero(body, 1000.0, k0=0.0).n == 10
 
 
+def test_plan_build_zero_too_small_names_minimal_length():
+    body = unit_square()
+    with pytest.raises(ValidationError, match="minimal admissible") as info:
+        sh.plan_build_zero(body, 3.0, k0=0.5)
+    minimal = float(str(info.value).rsplit("about ", 1)[1])
+    assert minimal == pytest.approx(math.e + 0.5 * body.diameter, rel=1e-5)
+    plan = sh.plan_build_zero(body, minimal * (1 + 1e-5), k0=0.5)
+    assert plan.n == 1 and plan.expected_length > math.e
+    with pytest.raises(ValidationError, match="minimal admissible"):
+        sh.plan_build_zero(body, minimal * (1 - 1e-5), k0=0.5)
+
+
 def test_padding_direction_never_parallel_to_families():
     for n in range(1, 80):
         t = sh.padding_direction(n)
@@ -235,6 +247,28 @@ def test_build_exact_retries_with_tiny_margin():
     # an unrecoverable margin within the retry budget errors out, per contract
     with pytest.raises(ValidationError, match="k0"):
         sh.build_exact(body, 5000.0, "zero", seed=1, k0=1e-9, max_retries=3)
+
+
+def test_grid_length_measured_once_per_set(monkeypatch, tmp_path):
+    calls = []
+    measure = sh.grid_length
+    monkeypatch.setattr(sh, "grid_length", lambda sset: calls.append(sset) or measure(sset))
+    body = unit_square()
+    sset, _ = sh.build_exact(body, 5000.0, "shifted", seed=3)
+    sh.total_length(sset)
+    path = tmp_path / "set.json"
+    sh.save_manifest(sset, path)
+    assert len(calls) == 1
+    calls.clear()
+    sh.total_length(sh.load_manifest(path))
+    assert len(calls) == 1
+    calls.clear()
+    attempts = []
+    build_set = sh.build_set
+    monkeypatch.setattr(sh, "build_set", lambda *a: attempts.append(a) or build_set(*a))
+    sset, _ = sh.build_exact(body, 5000.0, "zero", seed=1, k0=0.004)  # retries
+    sh.total_length(sset)
+    assert len(attempts) >= 2 and len(calls) == len(attempts)
 
 
 def test_manifest_round_trip_and_strictness(tmp_path):
