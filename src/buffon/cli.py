@@ -14,8 +14,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import harness as hz
 from . import rng
 from . import steinhaus as sh
@@ -128,12 +126,18 @@ def _merge_config(parser, sub_parsers, argv):
         if not isinstance(cfg, dict):
             raise ValidationError("config", "config file must hold a JSON object")
         sub = sub_parsers[ns.command]
-        known = {a.dest for a in sub._actions} - {"help", "config"}
-        for key in cfg:
-            if key not in known:
+        flags = {a.dest: a.option_strings[0] for a in sub._actions
+                 if a.dest not in ("help", "config")}
+        for key, value in cfg.items():
+            if key not in flags:
                 raise ValidationError(
                     "config", f"unknown field {key!r} for {ns.command}; "
-                    f"known: {sorted(known)}")
+                    f"known: {sorted(flags)}")
+            if value is not None:  # parsed as the same text on the command line
+                try:
+                    cfg[key] = getattr(sub.parse_args([f"{flags[key]}={value}"]), key)
+                except ValidationError as exc:
+                    raise ValidationError(key, f"config value {value!r}: {exc}") from exc
         sub.set_defaults(**cfg)
         ns = parser.parse_args(argv)  # explicit flags still win
     for field in _REQUIRED[ns.command]:
@@ -224,9 +228,8 @@ def _cmd_length_study(ns) -> int:
 
 def _cmd_oracle_check(ns) -> int:
     body = load_body(ns.body)
-    shifts = (sh.sample_shifts(ns.n, ns.seed) if ns.mode == "shifted"
-              else np.zeros(ns.n))
-    sset = sh.SteinhausSet(body=body, n=ns.n, eps=ns.eps, shifts=shifts,
+    sset = sh.SteinhausSet(body=body, n=ns.n, eps=ns.eps,
+                           shifts=sh.mode_shifts(ns.mode, ns.n, ns.seed),
                            seed=ns.seed)
     check = hz.run_oracle_check(sset, ns.lines, seed=rng.derive_seed(ns.seed, "lines"))
     print(f"{check.agreements}/{check.comparisons} agree")

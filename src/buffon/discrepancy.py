@@ -181,21 +181,6 @@ def load_report(path) -> DiscrepancyReport:
         return DiscrepancyReport.from_dict(json.load(fh))
 
 
-def _normalize_lines(thetas: np.ndarray, offsets: np.ndarray):
-    """Map (theta, p) into [0, pi) x R with the (theta+pi, -p) identification.
-
-    Mirrors the scalar Line normalization so that a winning sample can be
-    reconstructed as a Line with bitwise-identical fields.
-    """
-    k = np.floor(thetas / math.pi)
-    th = thetas - k * math.pi
-    seam = th >= math.pi
-    th = np.where(seam, th - math.pi, th)
-    k = k + seam
-    flip = (k.astype(np.int64) % 2) != 0
-    return th, np.where(flip, -offsets, offsets)
-
-
 def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
     """Deterministic prefix-stable stream of lines through near-lattice points.
 
@@ -294,7 +279,7 @@ def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
         pick_c = u[:, 0] >= 0.75
         thetas = np.where(pick_c, theta_c, thetas)
         offsets = np.where(pick_c, offs_c, offsets)
-    return _normalize_lines(thetas, offsets)
+    return Line.normalize_many(thetas, offsets)
 
 
 class _Accumulator:
@@ -403,7 +388,7 @@ def estimate_sup(
         grid_t = cth[:, None, None] + step_t * stencil[None, :, None]
         grid_p = cpo[:, None, None] + step_p * stencil[None, None, :]
         grid_t, grid_p = np.broadcast_arrays(grid_t, grid_p)
-        nth, npo = _normalize_lines(grid_t.ravel(), grid_p.ravel())
+        nth, npo = Line.normalize_many(grid_t.ravel(), grid_p.ravel())
         acc.evaluate(nth, npo)
 
     wth, wpo, wlv = acc.top_candidates(1)

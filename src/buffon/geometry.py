@@ -59,15 +59,19 @@ class Line:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.offset)):
             raise ValidationError("line", "theta and offset must be finite")
-        k = math.floor(self.theta / math.pi)
-        if k != 0:
-            theta = self.theta - k * math.pi
-            offset = self.offset if k % 2 == 0 else -self.offset
-            if theta >= math.pi:  # guard against rounding at the seam
-                theta -= math.pi
-                offset = -offset
-            object.__setattr__(self, "theta", theta)
-            object.__setattr__(self, "offset", offset)
+        if not 0.0 <= self.theta < math.pi:
+            theta, offset = Line.normalize_many(self.theta, self.offset)
+            object.__setattr__(self, "theta", float(theta))
+            object.__setattr__(self, "offset", float(offset))
+
+    @staticmethod
+    def normalize_many(thetas, offsets):
+        """Map (theta, p) into [0, pi) x R with the (theta + pi, -p) identification."""
+        k = np.floor(thetas / math.pi)
+        theta = thetas - k * math.pi
+        seam = theta >= math.pi  # guard against rounding at the seam
+        odd = (k + seam) % 2 != 0
+        return np.where(seam, theta - math.pi, theta), np.where(odd, -offsets, offsets)
 
     @property
     def normal(self) -> np.ndarray:
@@ -102,15 +106,6 @@ def as_float_array(value, field: str, ndim: Optional[int] = None) -> np.ndarray:
     raise ValidationError(field, f"need numbers, got {value!r}")
 
 
-def _as_vertex_array(vertices) -> np.ndarray:
-    arr = as_float_array(vertices, "polygon")
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-        raise ValidationError("polygon", "need an (m, 2) array with m >= 3")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("polygon", "vertices must be finite")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
     """A strictly convex polygon (CCW vertices) or a disk."""
@@ -124,7 +119,11 @@ class ConvexBody:
 
     @staticmethod
     def polygon(vertices) -> "ConvexBody":
-        arr = _as_vertex_array(vertices)
+        arr = as_float_array(vertices, "polygon")
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
+            raise ValidationError("polygon", "need an (m, 2) array with m >= 3")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("polygon", "vertices must be finite")
         nxt = np.roll(arr, -1, axis=0)
         edges = nxt - arr
         scale2 = float(np.max(np.abs(arr))) ** 2 + 1.0
@@ -315,27 +314,28 @@ class ConvexBody:
     def inscribed_disk(self) -> tuple[np.ndarray, float]:
         """(center, radius) of the largest disk inside the body.
 
-        For a polygon this is the Chebyshev-center linear program; for a disk
-        it is the disk itself.
-        """
+        A disk body is its own.  For a polygon, move every edge line inward at
+        unit speed and drop each edge as it vanishes (ties: lowest position
+        first); the circle touching the last three lines is the disk."""
         if self.kind == "disk":
             return self.center.copy(), self.radius
-        from scipy.optimize import linprog
-
+        # Disk (c, r) lies inside edge j iff nu_j . c + r <= b_j (nu_j: unit outward
+        # normal); live edges j-1, j, j+1 as equalities give the circle touching all
+        # three, whose r is when edge j vanishes.  Exact, because convex interior
+        # angles are below pi (so every offset edge shrinks linearly), a vanished
+        # edge's two neighbours imply its constraint, and three distinct unit
+        # normals never lie on one line (so no system is singular).
         v, e, elen = self._edge_data
         outward = np.column_stack([e[:, 1], -e[:, 0]]) / elen[:, None]
+        rows = np.column_stack([outward, np.ones(len(v))])
         b = np.sum(outward * v, axis=1)
-        a_ub = np.column_stack([outward, np.ones(len(v))])
-        res = linprog(
-            c=[0.0, 0.0, -1.0],
-            A_ub=a_ub,
-            b_ub=b,
-            bounds=[(None, None), (None, None), (0.0, None)],
-            method="highs",
-        )
-        if not res.success:  # pragma: no cover - LP on a valid polygon succeeds
-            raise RuntimeError(f"Chebyshev center LP failed: {res.message}")
-        return np.array(res.x[:2]), float(res.x[2])
+        live = np.arange(len(v))
+        while True:
+            trio = np.column_stack([np.roll(live, 1), live, np.roll(live, -1)])
+            sol = np.linalg.solve(rows[trio], b[trio][:, :, None])[:, :, 0]
+            if live.size == 3:
+                return sol[0, :2], float(sol[0, 2])
+            live = np.delete(live, np.argmin(sol[:, 2]))
 
 
 def unit_square() -> ConvexBody:

@@ -32,6 +32,7 @@ __all__ = [
     "EXCEPTIONAL_TOL",
     "directions",
     "sample_shifts",
+    "mode_shifts",
     "SteinhausSet",
     "family_length",
     "family_length_many",
@@ -71,6 +72,15 @@ def sample_shifts(n: int, seed: int) -> np.ndarray:
     reproducible regardless of n-order of evaluation.
     """
     return np.array([stream(seed, f"shift/{k}").random() for k in range(n)])
+
+
+def mode_shifts(mode: str, n: int, seed: int) -> np.ndarray:
+    """The shifts of a build mode: sampled ("shifted") or all zero ("zero")."""
+    if mode == "shifted":
+        return sample_shifts(n, seed)
+    if mode == "zero":
+        return np.zeros(n)
+    raise ValidationError("mode", f"expected 'shifted' or 'zero', got {mode!r}")
 
 
 @dataclass(eq=False)
@@ -320,13 +330,8 @@ def build_set(
     body: ConvexBody, plan: BuildPlan, seed: int, mode: str = "shifted"
 ) -> SteinhausSet:
     """Realize a plan: sample shifts (or zeros) — no padding yet."""
-    if mode == "shifted":
-        shifts = sample_shifts(plan.n, seed)
-    elif mode == "zero":
-        shifts = np.zeros(plan.n)
-    else:
-        raise ValidationError("mode", f"expected 'shifted' or 'zero', got {mode!r}")
-    return SteinhausSet(body=body, n=plan.n, eps=plan.eps, shifts=shifts, seed=seed)
+    return SteinhausSet(body=body, n=plan.n, eps=plan.eps,
+                        shifts=mode_shifts(mode, plan.n, seed), seed=seed)
 
 
 # -- exact-length padding ---------------------------------------------------
@@ -479,13 +484,16 @@ def set_from_manifest(manifest: dict) -> SteinhausSet:
     n = float(as_float_array(manifest["n"], "n", ndim=0))
     if not n.is_integer():
         raise ValidationError("n", f"need an integer, got {manifest['n']!r}")
+    seed = manifest["seed"]
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ValidationError("seed", f"need an integer or null, got {seed!r}")
     sset = SteinhausSet(
         body=body_from_dict(manifest["body"]),
         n=int(n),
         eps=float(as_float_array(manifest["eps"], "eps", ndim=0)),
         shifts=as_float_array(manifest["shifts"], "shifts"),
         padding=as_float_array(manifest["padding"], "padding"),
-        seed=manifest["seed"],
+        seed=seed,
     )
     stored = float(as_float_array(manifest["total_length"], "total_length", ndim=0))
     actual = total_length(sset)

@@ -179,7 +179,7 @@ def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):
     set_path = tmp_path / "set.json"
     assert main(["build", "--body", body_path, "--length", "2000",
                  "--out", str(set_path)]) == 0
-    for key, value in (("n", "x"), ("eps", "a")):
+    for key, value in (("n", "x"), ("eps", "a"), ("seed", "x"), ("seed", True)):
         manifest = json.loads(set_path.read_text())
         manifest[key] = value
         bad = tmp_path / "bad_set.json"
@@ -188,9 +188,13 @@ def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):
         assert main(["disc", "--set", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+    manifest = json.loads(set_path.read_text())
+    manifest["seed"] = -1  # as `buffon build --seed -1` writes it
+    bad.write_text(json.dumps(manifest))
+    assert sh.load_manifest(bad).seed == -1
 
 
-def test_config_file_strict_and_overridable(tmp_path, body_path, capsys):
+def test_config_file_strict_and_overridable(tmp_path, body_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 8, "eps": 0.1, "lines": 200, "oops": 1}))
     assert main(["oracle-check", "--body", body_path,
@@ -204,3 +208,19 @@ def test_config_file_strict_and_overridable(tmp_path, body_path, capsys):
     assert main(["oracle-check", "--body", body_path, "--config", str(cfg),
                  "--lines", "100"]) == 0
     assert "100/100 agree" in capsys.readouterr().out
+    # a config value is parsed as the same text on the command line would be
+    segment = {"n": 8, "eps": 0.1, "x0": 0.1, "y0": 0.1, "x1": 0.9, "y1": 0.8}
+    for command, fields, field, value in (
+            ("sweep", {"l_min": 2000, "l_max": 4000, "out": "x.csv"}, "points", 3.5),
+            ("tails", segment, "trials", 100000.0),
+            ("oracle-check", {"n": 8, "eps": 0.1}, "lines", 20.0)):
+        cfg.write_text(json.dumps({**fields, field: value}))
+        assert main([command, "--body", body_path, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+    # and null still means no value
+    monkeypatch.chdir(tmp_path)
+    cfg.write_text(json.dumps({"n": 16, "eps": 0.05, "trials": 1000, "out": None}))
+    assert main(["length-study", "--body", body_path, "--config", str(cfg)]) == 0
+    assert "mean_L=" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "square.json"]

@@ -5,6 +5,7 @@ independently (no interval clipping), so agreement with ``chord`` is a real
 cross-check, not a tautology.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -120,11 +121,25 @@ def test_chord_endpoints_on_line_and_boundary():
             assert body.contains(ch.end, tol=1e-9)
 
 
-def test_line_normalization_identifies_theta_plus_pi():
+def test_line_normalization_identifies_theta_plus_pi(monkeypatch):
     line = Line(1.0, 0.3)
     same = Line(1.0 + math.pi, -0.3)
     assert same.theta == pytest.approx(1.0)
     assert same.offset == pytest.approx(0.3)
+    assert type(same.theta) is float and type(same.offset) is float
+    # the batch form the sup search uses is the same map, bit for bit, also
+    # next to the seams at multiples of pi
+    seams = np.arange(-4, 5) * math.pi
+    thetas = np.concatenate([np.linspace(-20.0, 20.0, 4001), seams,
+                             np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf)])
+    offsets = np.linspace(-1.0, 1.0, thetas.size)
+    th, off = Line.normalize_many(thetas, offsets)
+    for t, p, want_t, want_p in zip(thetas, offsets, th, off):
+        got = Line(float(t), float(p))
+        assert (got.theta, got.offset) == (want_t, want_p)
+    # a line already in [0, pi) keeps its fields without a numpy call
+    monkeypatch.setattr(Line, "normalize_many", None)
+    assert Line(1.0, -0.3).offset == -0.3 and Line(0.0, 2.0).theta == 0.0
     # and they cut identical chords
     body = get_bodies()[0]
     c1, c2 = body.chord(line), body.chord(same)
@@ -206,19 +221,56 @@ def test_validation_rejects_bad_polygons():
 def test_inscribed_disk_of_square_and_disk():
     sq = unit_square()
     center, rho = sq.inscribed_disk
-    assert np.allclose(center, [0.5, 0.5], atol=1e-9)
-    assert rho == pytest.approx(0.5, abs=1e-9)
+    # exact, so padding (and with it every sweep byte) sits where it always did
+    assert center.tolist() == [0.5, 0.5] and rho == 0.5
     d = ConvexBody.disk((3.0, -1.0), 0.7)
     center, rho = d.inscribed_disk
     assert np.allclose(center, [3.0, -1.0])
     assert rho == pytest.approx(0.7)
+    # a rectangle's centre is not unique: any point on its midline will do
+    center, rho = ConvexBody.polygon([(0, 0), (3, 0), (3, 1), (0, 1)]).inscribed_disk
+    assert rho == pytest.approx(0.5, abs=1e-12)
+    assert center[1] == pytest.approx(0.5, abs=1e-12) and 0.5 <= center[0] <= 2.5
+    # regular m-gon with circumradius R: inradius R cos(pi / m).  Adjacent edge
+    # lines are nearly parallel, so the 3x3 solves lose about 1e-12.
+    m, big_r = 1000, 2.0
+    a = 2 * math.pi * np.arange(m) / m
+    center, rho = ConvexBody.polygon(
+        big_r * np.column_stack([np.cos(a), np.sin(a)])).inscribed_disk
+    assert rho == pytest.approx(big_r * math.cos(math.pi / m), rel=1e-11)
+    assert np.allclose(center, 0.0, atol=1e-9)
+
+
+def brute_inscribed_disk(body):
+    """Reference: of the circles touching any three edge lines, the largest
+    that fits inside every edge (the LP optimum sits on such a vertex)."""
+    v = body.vertices
+    e = np.roll(v, -1, axis=0) - v
+    nu = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    rows = np.column_stack([nu, np.ones(len(v))])
+    b = np.sum(nu * v, axis=1)
+    trios = np.array(list(itertools.combinations(range(len(v)), 3)))
+    sol = np.linalg.solve(rows[trios], b[trios][:, :, None])[:, :, 0]
+    fits = np.all(sol @ rows.T <= b + 1e-12 * body.diameter, axis=1)
+    best = sol[fits][np.argmax(sol[fits, 2])]
+    return best[:2], best[2]
 
 
 def test_inscribed_disk_inside_random_polygons():
     rng = np.random.default_rng(4)
-    for body in get_bodies()[:5]:
+    bodies = list(get_bodies()[:5])
+    while len(bodies) < 200:  # points on a circle, then a random shear
+        angles = np.sort(rng.uniform(0, 2 * math.pi, int(rng.integers(3, 13))))
+        if np.min(np.diff(angles, append=angles[0] + 2 * math.pi)) < 0.02:
+            continue
+        shear = np.array([[1.0, rng.uniform(-2, 2)], [0.0, rng.uniform(0.1, 3)]])
+        circle = np.column_stack([np.cos(angles), np.sin(angles)])
+        bodies.append(ConvexBody.polygon(circle @ shear.T))
+    for body in bodies:
         center, rho = body.inscribed_disk
         assert rho > 0
+        _, want = brute_inscribed_disk(body)
+        assert rho == pytest.approx(want, rel=1e-12), body.vertices
         for _ in range(200):
             phi = rng.uniform(0, 2 * math.pi)
             pt = center + (rho * 0.999) * np.array([math.cos(phi), math.sin(phi)])

@@ -7,6 +7,10 @@ slice-profile summation used by family_length).
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,33 @@ def test_build_exact_retries_with_tiny_margin():
     # an unrecoverable margin within the retry budget errors out, per contract
     with pytest.raises(ValidationError, match="k0"):
         sh.build_exact(body, 5000.0, "zero", seed=1, k0=1e-9, max_retries=3)
+
+
+_FRESH_BUILD_SCRIPT = """
+import sys
+import numpy as np
+from buffon.geometry import ConvexBody, unit_square
+from buffon.steinhaus import build_exact
+
+angles = np.sort(np.random.default_rng(7).uniform(0, 2 * np.pi, 9))
+polygon = ConvexBody.polygon(np.column_stack([np.cos(angles), 0.6 * np.sin(angles)]))
+for body in (unit_square(), polygon):
+    sset, _ = build_exact(body, 3000.0, "shifted", 1)
+    print(sset.padding_count)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_build_exact_needs_no_scipy():
+    """Padding a polygon finds its inscribed disk with numpy alone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _FRESH_BUILD_SCRIPT],
+                            capture_output=True, text=True, check=True, env=env)
+    *padding_counts, scipy_modules = result.stdout.splitlines()
+    assert all(int(count) > 0 for count in padding_counts)  # both were padded
+    assert scipy_modules == "[]"
 
 
 def test_grid_length_measured_once_per_set(monkeypatch, tmp_path):
