@@ -65,10 +65,10 @@ __all__ = [
 
 JITTER_SCALE = 1e-7
 JITTER_ATTEMPTS = 4  # jitters evaluate_lines tries before excluding a line
-# Elements per (lines x families) kernel temporary, and per (shifts x
-# families) z_samples block.
-KERNEL_CHUNK = 2_000_000
-Z_CHUNK = 262_144
+# Elements per (lines x families) kernel block and per (shifts x families)
+# z_samples block: 0.5 MB per float64 temporary, so a block stays in cache.
+KERNEL_CHUNK = 65_536
+Z_CHUNK = 65_536
 
 
 class ExceptionalLineError(ValueError):
@@ -125,6 +125,14 @@ class LineBatch:
     jittered: np.ndarray
 
 
+def _lattice_gap(x, eps, out=None):
+    """|x - rint(x)| * eps: distance to the nearest lattice value; out is not x."""
+    out = np.subtract(x, np.rint(x, out=out), out=out)
+    np.abs(out, out=out)
+    out *= eps
+    return out
+
+
 def _eval_arrays(sset: SteinhausSet, thetas, ps):
     """One kernel pass: the batch, with the counts of invalid and exceptional
     lines zeroed, and the raw (lines x families) per-family counts."""
@@ -134,8 +142,10 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
     proj_e = end @ dirs_t
     a = np.minimum(proj_s, proj_e)
     b = np.maximum(proj_s, proj_e)
-    alpha = a / sset.eps - sset.shifts[None, :]
-    beta = b / sset.eps - sset.shifts[None, :]
+    alpha = a / sset.eps
+    alpha -= sset.shifts
+    beta = b / sset.eps
+    beta -= sset.shifts
     n_lo = np.ceil(alpha)
     n_hi = np.ceil(beta)
 
@@ -163,26 +173,29 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
         n_hi = np.where(pinned_b, np.rint(beta) + 1.0, n_hi)
 
     per_family = n_hi - n_lo
-    diffs = per_family - (b - a) / sset.eps
+    # dead temporaries are reused with out=; each element keeps its arithmetic
+    diffs = np.subtract(b, a, out=b)
+    diffs /= sset.eps
+    np.subtract(per_family, diffs, out=diffs)
     z = np.sum(diffs, axis=1)
     total = np.sum(per_family, axis=1)
     mean_term = total - z
-    max_abs_dev = np.max(np.abs(diffs), axis=1) if per_family.size else np.zeros(len(h))
+    max_abs_dev = np.max(np.abs(diffs, out=diffs), axis=1, initial=0.0)
 
     # chord endpoint next to the point where a grid segment meets the boundary
-    near_a = np.abs(alpha - np.rint(alpha)) * sset.eps <= EXCEPTIONAL_TOL
-    near_b = np.abs(beta - np.rint(beta)) * sset.eps <= EXCEPTIONAL_TOL
+    near_a = _lattice_gap(alpha, sset.eps, out=n_lo) <= EXCEPTIONAL_TOL
+    near_b = _lattice_gap(beta, sset.eps, out=n_hi) <= EXCEPTIONAL_TOL
     if pinned_a is not None:
         near_a &= ~pinned_a
         near_b &= ~pinned_b
     exceptional = np.any(near_a | near_b, axis=1)
 
-    # parallel to a family and lying on one of its lattice lines
-    width = (beta - alpha) * sset.eps
-    mid = 0.5 * (alpha + beta)
-    par_co = (width <= EXCEPTIONAL_TOL) & (
-        np.abs(mid - np.rint(mid)) * sset.eps <= EXCEPTIONAL_TOL + 0.5 * width)
-    exceptional |= np.any(par_co, axis=1)
+    # parallel to a family and on one of its lattice lines (degenerate intervals)
+    width = np.multiply(np.subtract(beta, alpha, out=a), sset.eps, out=a)
+    at = np.flatnonzero(width <= EXCEPTIONAL_TOL)  # flat (line, family) indices
+    mid = 0.5 * (alpha.take(at) + beta.take(at))
+    coincident = _lattice_gap(mid, sset.eps) <= EXCEPTIONAL_TOL + 0.5 * width.take(at)
+    exceptional[at[coincident] // width.shape[1]] = True
 
     hits = np.zeros(len(h), dtype=np.int64)
     if sset.padding_count:
@@ -211,6 +224,17 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
     return batch, per_family
 
 
+def _eval_blocks(sset: SteinhausSet, thetas: np.ndarray, ps: np.ndarray) -> LineBatch:
+    """_eval_arrays in blocks of about KERNEL_CHUNK line-family elements (at
+    least 16 lines), so the working memory does not grow with the lines."""
+    chunk = max(16, KERNEL_CHUNK // max(sset.n, 1))
+    # one pass even for no lines, so an empty batch still has every field
+    parts = [_eval_arrays(sset, thetas[lo : lo + chunk], ps[lo : lo + chunk])[0]
+             for lo in range(0, max(len(thetas), 1), chunk)]
+    return LineBatch(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                        for f in fields(LineBatch)})
+
+
 def evaluate_lines(
     sset: SteinhausSet, thetas: np.ndarray, offsets: np.ndarray
 ) -> LineBatch:
@@ -218,32 +242,23 @@ def evaluate_lines(
 
     Lines still exceptional after JITTER_ATTEMPTS jitters keep
     exceptional=True and zeroed counts; callers exclude them from suprema
-    (they form a null set of line space).  Processes in chunks to bound the
-    (lines x families) working memory.
+    (they form a null set of line space).  Each jitter attempt retries every
+    line still exceptional at once, in blocks like the first pass.
     """
     thetas = np.asarray(thetas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    chunk = max(256, KERNEL_CHUNK // max(sset.n, 1))
-
-    parts = []
-    # one pass even for no lines, so an empty batch still has every field
-    for lo in range(0, max(len(thetas), 1), chunk):
-        th = thetas[lo : lo + chunk]
-        base = offsets[lo : lo + chunk]
-        batch = _eval_arrays(sset, th, base)[0]
-        for attempt in range(1, JITTER_ATTEMPTS + 1):
-            idx = np.flatnonzero(batch.exceptional)
-            if idx.size == 0:
-                break
-            ps = np.array([base[i] + jitter_delta(th[i], base[i], sset.eps, attempt)
-                           for i in idx])
-            retry = _eval_arrays(sset, th[idx], ps)[0]
-            for f in fields(LineBatch):
-                getattr(batch, f.name)[idx] = getattr(retry, f.name)
-            batch.jittered[idx] = True
-        parts.append(batch)
-    return LineBatch(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                        for f in fields(LineBatch)})
+    batch = _eval_blocks(sset, thetas, offsets)
+    for attempt in range(1, JITTER_ATTEMPTS + 1):
+        idx = np.flatnonzero(batch.exceptional)
+        if idx.size == 0:
+            break
+        ps = np.array([offsets[i] + jitter_delta(thetas[i], offsets[i], sset.eps, attempt)
+                       for i in idx])
+        retry = _eval_blocks(sset, thetas[idx], ps)
+        for f in fields(LineBatch):
+            getattr(batch, f.name)[idx] = getattr(retry, f.name)
+        batch.jittered[idx] = True
+    return batch
 
 
 def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:

@@ -71,7 +71,10 @@ class Line:
         theta = thetas - k * math.pi
         seam = theta >= math.pi  # guard against rounding at the seam
         odd = (k + seam) % 2 != 0
-        return np.where(seam, theta - math.pi, theta), np.where(odd, -offsets, offsets)
+        theta = np.where(seam, theta - math.pi, theta)
+        # -5e-324 / pi underflows to -0.0, so k = 0 leaves it negative; 0.0 is
+        # the nearest angle in range (pi - 5e-324 rounds to pi)
+        return np.where(theta < 0.0, 0.0, theta), np.where(odd, -offsets, offsets)
 
     @property
     def normal(self) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import rng
 from .counting import (
+    Z_CHUNK,
     ExceptionalLineError,
     count_line,
     endpoint_error,
@@ -328,8 +329,13 @@ def z_tail_study(
     for name, point in (("x", x), ("y", y)):
         if not body.contains(point, tol=1e-9):
             raise ValidationError(name, f"segment endpoint {point} outside body")
-    shifts = rng.stream(seed, "ztail").random((trials, n))
-    z = z_samples(n, eps, x, y, shifts)
+    # the shifts are drawn in row blocks, so the (trials, n) matrix is never
+    # held whole; Philox fills in order, so the blocks equal one large draw
+    draws = rng.stream(seed, "ztail")
+    block = max(1, Z_CHUNK // n)
+    z = np.concatenate([
+        z_samples(n, eps, x, y, draws.random((min(block, trials - lo), n)))
+        for lo in range(0, trials, block)])
     rows = []
     for s in s_values:
         s = float(s)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from buffon.geometry import ConvexBody, Line, unit_square
 from buffon import steinhaus as sh
+from buffon import counting
 from buffon.counting import (
     ExceptionalLineError,
     count_in_interval,
@@ -259,11 +260,13 @@ def test_evaluate_lines_deterministic_jitter():
 
 
 def test_evaluate_lines_across_chunks_matches_line_by_line():
-    """At n=8000 the kernel runs 256-line chunks, so 600 lines take three.
-    Lines through grid-segment endpoints in the third chunk are exceptional;
+    """600 lines at n=8000 take several kernel blocks, the last one partial.
+    Lines through grid-segment endpoints in a later block are exceptional;
     at eps=0.001 the jitter (at most 4e-10) rescues only some of them."""
     rng = np.random.default_rng(31)
     n, m = 8000, 600
+    block = max(16, counting.KERNEL_CHUNK // n)  # evaluate_lines' block length
+    assert m // block >= 3 and m % block
     body = unit_square()
     sset = sh.SteinhausSet(body=body, n=n, eps=0.001, shifts=rng.uniform(0, 1, n),
                            padding=sh.make_padding(body, n, 2.0))
@@ -277,11 +280,13 @@ def test_evaluate_lines_across_chunks_matches_line_by_line():
     start, _, _, valid = body.chord_batch(fam, sset.eps * (q + sset.shifts[ks]))
     assert valid.all()
     tail = slice(520, 560)
+    later = tail.start // block * block  # start of the block holding the tail
+    assert later >= block
     thetas[tail] = rng.uniform(0, math.pi, 40)
     ps[tail] = start[:, 0] * np.cos(thetas[tail]) + start[:, 1] * np.sin(thetas[tail])
     batch = evaluate_lines(sset, thetas, ps)
     assert batch.exceptional[tail].any()
-    assert (batch.jittered & ~batch.exceptional)[512:].any()
+    assert (batch.jittered & ~batch.exceptional)[later:].any()
     assert batch.padding_hits.any()
 
     one = [evaluate_lines(sset, thetas[i:i + 1], ps[i:i + 1]) for i in range(m)]
@@ -298,6 +303,44 @@ def test_evaluate_lines_across_chunks_matches_line_by_line():
         bd = count_line(sset, Line(float(batch.theta[i]), float(batch.offset[i])))
         assert bd.total == batch.total[i] and bd.padding_hits == batch.padding_hits[i]
         assert bd.z == pytest.approx(batch.z[i], abs=1e-8)
+
+
+@pytest.mark.parametrize("n, eps, zero_shifts", [(2, 0.25, True), (6, 0.1, False)])
+def test_parallel_coincident_lines_in_a_batch(monkeypatch, n, eps, zero_shifts):
+    """Lines at a family's angle are exceptional exactly when they lie on one
+    of its lattice lines, wherever they sit in a multi-block batch.  With two
+    families and zero shifts the lines along the square's edges are flagged
+    by the parallel-coincident screen alone (their endpoints are pinned)."""
+    monkeypatch.setattr(counting, "KERNEL_CHUNK", 16 * n)  # 16-line blocks
+    rng = np.random.default_rng(41)
+    shifts = np.zeros(n) if zero_shifts else rng.uniform(0, 1, n)
+    body = unit_square()
+    sset = sh.SteinhausSet(body=body, n=n, eps=eps, shifts=shifts)
+    # 40 ordinary lines, then per family its lattice lines across the square
+    # and the lines halfway between them
+    thetas, ps = [rng.uniform(0, math.pi, 40)], [rng.uniform(-0.2, 1.2, 40)]
+    expect = [np.zeros(40, dtype=bool)]
+    smin, smax = body.support_many(sset.directions)
+    for k in range(n):
+        q = np.arange(math.ceil(smin[k] / eps - shifts[k]),
+                      math.floor(smax[k] / eps - shifts[k]) + 1)
+        on = eps * (q + shifts[k])
+        offs = np.concatenate([on, on[:-1] + 0.5 * eps])
+        thetas.append(np.full(offs.size, math.pi * k / n))
+        ps.append(offs)
+        expect.append(np.arange(offs.size) < on.size)
+    order = rng.permutation(sum(t.size for t in thetas))
+    thetas, ps, expect = (np.concatenate(v)[order] for v in (thetas, ps, expect))
+    assert thetas.size > 3 * 16 and thetas.size % 16
+    batch = evaluate_lines(sset, thetas, ps)
+    flagged = batch.jittered | batch.exceptional
+    assert np.array_equal(flagged, expect)
+    for t, p, want in zip(thetas, ps, expect):
+        if want:
+            with pytest.raises(ExceptionalLineError):
+                count_line(sset, Line(float(t), float(p)))
+        else:
+            count_line(sset, Line(float(t), float(p)))
 
 
 def test_invalid_lines_count_zero():

@@ -131,12 +131,18 @@ def test_line_normalization_identifies_theta_plus_pi(monkeypatch):
     # next to the seams at multiples of pi
     seams = np.arange(-4, 5) * math.pi
     thetas = np.concatenate([np.linspace(-20.0, 20.0, 4001), seams,
-                             np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf)])
+                             np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf),
+                             [-5e-324]])
     offsets = np.linspace(-1.0, 1.0, thetas.size)
     th, off = Line.normalize_many(thetas, offsets)
+    assert np.all((th >= 0.0) & (th < math.pi))
     for t, p, want_t, want_p in zip(thetas, offsets, th, off):
         got = Line(float(t), float(p))
         assert (got.theta, got.offset) == (want_t, want_p)
+    # -5e-324 / pi underflows to -0.0; the angle goes to +0.0 with its offset
+    tiny = Line(-5e-324, 0.3)
+    assert (tiny.theta, tiny.offset) == (0.0, 0.3) and not np.signbit(tiny.theta)
+    assert (th[-1], off[-1]) == (0.0, offsets[-1]) and not np.signbit(th[-1])
     # a line already in [0, pi) keeps its fields without a numpy call
     monkeypatch.setattr(Line, "normalize_many", None)
     assert Line(1.0, -0.3).offset == -0.3 and Line(0.0, 2.0).theta == 0.0

@@ -167,6 +167,17 @@ def test_z_tail_study_bands_and_determinism():
         assert row.empirical_tail <= row.hoeffding_bound + row.sampling_band
 
 
+def test_z_tail_study_same_in_any_shift_blocks(monkeypatch):
+    """The shifts are drawn in row blocks of Z_CHUNK // n rows; one block,
+    the default blocks and 777-row blocks (12 of them plus a partial one)
+    give the same study."""
+    args = (unit_square(), 64, 0.02, (0.1, 0.1), (0.9, 0.8), 10_000, [0, 4, 8, 12])
+    default = hz.z_tail_study(*args, seed=5)
+    for rows in (10_000, 777):
+        monkeypatch.setattr(hz, "Z_CHUNK", 64 * rows)
+        assert hz.z_tail_study(*args, seed=5) == default
+
+
 def test_z_tail_study_validation():
     body = unit_square()
     with pytest.raises(ValidationError):
