@@ -41,7 +41,6 @@ from buffon.counting import (
 from buffon.discrepancy import (
     DiscrepancyReport,
     SupConfig,
-    angular_sum,
     crofton_target,
     decompose,
     estimate_sup,
@@ -84,6 +83,7 @@ from buffon.steinhaus import (
     BuildPlan,
     SteinhausSet,
     adjust_length,
+    angular_sum,
     build_exact,
     build_set,
     directions,

@@ -8,6 +8,17 @@ the number of lattice lines of that family the chord crosses is
 an O(1) integer formula.  The half-open convention resolves boundary ties
 deterministically; N_k differs from the mean (b - a)/eps by less than one.
 
+Summed over the families, the means are the mean term
+
+    mean_term = (h/eps) sum_k |t . nu_k| = (h/eps) angular_sum(n, theta + pi/2),
+
+with h the chord length and t the line's unit tangent, taken in closed form
+(steinhaus.angular_sum); z = total - mean_term is its complement.  Both
+are functions of the line's angle, chord length and integer total alone, so
+they do not depend on the batch the line is evaluated in.  The
+per-family deviation max_k |N_k - (b_k - a_k)/eps| is reported by
+count_line alone (CountBreakdown.max_abs_dev).
+
 A line is *exceptional* when its count is ambiguous under perturbation
 (a measure-zero set of line space).  Three conditions, all at
 EXCEPTIONAL_TOL absolute in offset units:
@@ -44,7 +55,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import Line
-from .steinhaus import EXCEPTIONAL_TOL, SteinhausSet, directions
+from .steinhaus import EXCEPTIONAL_TOL, SteinhausSet, angular_sum, directions
 
 __all__ = [
     "EXCEPTIONAL_TOL",
@@ -82,9 +93,10 @@ class ExceptionalLineError(ValueError):
         )
 
 
-def count_in_interval(a: float, b: float, eps: float, u: float) -> int:
-    """#{q : eps (q + u) in [a, b)}; zero when a == b."""
-    return math.ceil(b / eps - u) - math.ceil(a / eps - u)
+def count_in_interval(a, b, eps: float, u):
+    """#{q : eps (q + u) in [a, b)}; zero when a == b.  Broadcasts over
+    arrays; the counts are integer-valued floats."""
+    return np.ceil(b / eps - u) - np.ceil(a / eps - u)
 
 
 def jitter_delta(theta: float, offset: float, eps: float, attempt: int) -> float:
@@ -98,7 +110,9 @@ def jitter_delta(theta: float, offset: float, eps: float, attempt: int) -> float
 
 @dataclass(frozen=True, eq=False)
 class CountBreakdown:
-    """Per-family counts with the exact decomposition total = mean_term + z."""
+    """Per-family counts with the exact decomposition total = mean_term + z:
+    mean_term is the closed form, z its complement, and max_abs_dev the
+    largest per-family |N_k - mean_k| (a batch does not carry it)."""
 
     per_family: np.ndarray
     total: int
@@ -120,7 +134,6 @@ class LineBatch:
     z: np.ndarray
     mean_term: np.ndarray
     padding_hits: np.ndarray
-    max_abs_dev: np.ndarray
     exceptional: np.ndarray
     jittered: np.ndarray
 
@@ -142,6 +155,7 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
     proj_e = end @ dirs_t
     a = np.minimum(proj_s, proj_e)
     b = np.maximum(proj_s, proj_e)
+    # count_in_interval's formula, kept as alpha/beta: the screens need them
     alpha = a / sset.eps
     alpha -= sset.shifts
     beta = b / sset.eps
@@ -173,15 +187,12 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
         n_hi = np.where(pinned_b, np.rint(beta) + 1.0, n_hi)
 
     per_family = n_hi - n_lo
-    # dead temporaries are reused with out=; each element keeps its arithmetic
-    diffs = np.subtract(b, a, out=b)
-    diffs /= sset.eps
-    np.subtract(per_family, diffs, out=diffs)
-    z = np.sum(diffs, axis=1)
     total = np.sum(per_family, axis=1)
+    # mean term (h/eps) sum_k |t . nu_k| in closed form, t the line's tangent
+    z = total - h / sset.eps * angular_sum(sset.n, thetas + math.pi / 2)
     mean_term = total - z
-    max_abs_dev = np.max(np.abs(diffs, out=diffs), axis=1, initial=0.0)
 
+    # dead temporaries are reused with out=; each element keeps its arithmetic
     # chord endpoint next to the point where a grid segment meets the boundary
     near_a = _lattice_gap(alpha, sset.eps, out=n_lo) <= EXCEPTIONAL_TOL
     near_b = _lattice_gap(beta, sset.eps, out=n_hi) <= EXCEPTIONAL_TOL
@@ -217,7 +228,6 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
         z=np.where(zero, 0.0, z),
         mean_term=np.where(zero, 0.0, mean_term),
         padding_hits=np.where(zero, 0, hits),
-        max_abs_dev=np.where(zero, 0.0, max_abs_dev),
         exceptional=exceptional,
         jittered=np.zeros(len(h), dtype=bool),
     )
@@ -264,9 +274,11 @@ def evaluate_lines(
 def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
     """Exact per-family crossing counts of one line; raises on exceptional.
 
-    Invariants: total = sum(per_family) and mean_term = total - z exactly
-    (z accumulates per-family differences; mean_term is defined as their
-    complement, and independently equals (h/eps) * sum_k |t . nu_k|).
+    Invariants: total = sum(per_family) and mean_term = total - z exactly.
+    mean_term is the closed form of the summed per-family means
+    mean_k = (h/eps) |t . nu_k| = (h/eps) |sin(theta - pi k / n)|, and z its
+    complement, both bit-equal to the line's row in evaluate_lines;
+    max_abs_dev = max_k |per_family[k] - mean_k| is below one.
     """
     batch, per_family = _eval_arrays(
         sset, np.array([line.theta]), np.array([line.offset]))
@@ -276,13 +288,15 @@ def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
             "endpoint, parallel-coincident with a lattice line, or near a "
             "padding endpoint; jitter the offset and retry"
         )
+    per_family = np.where(batch.valid[0], per_family[0], 0.0)
+    mean_k = batch.h[0] / sset.eps * np.abs(sset.directions @ line.tangent)
     return CountBreakdown(
-        per_family=np.where(batch.valid[0], per_family[0], 0.0).astype(np.int64),
+        per_family=per_family.astype(np.int64),
         total=int(batch.total[0]),
         mean_term=float(batch.mean_term[0]),
         z=float(batch.z[0]),
         padding_hits=int(batch.padding_hits[0]),
-        max_abs_dev=float(batch.max_abs_dev[0]),
+        max_abs_dev=float(np.max(np.abs(per_family - mean_k))),
     )
 
 
@@ -326,26 +340,31 @@ def endpoint_error(sset: SteinhausSet, x, y) -> float:
     chord); no exceptional-line screening is applied, so probes may sit
     exactly on lattice points and resolve by the half-open convention.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     return float(z_samples(sset.n, sset.eps, x, y, sset.shifts[None, :])[0])
 
 
 def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
-    """Z(x, y) for each row of a (trials, n) shift matrix, vectorized."""
+    """Z(x, y) for each row of a (trials, n) shift matrix, vectorized.
+
+    The mean term is one scalar, (|y - x|/eps) angular_sum(n, psi) with psi
+    the angle of y - x; the segment is oriented canonically first, so
+    Z(x, y) and Z(y, x) are equal to the bit.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if tuple(y) < tuple(x):
+        x, y = y, x
     shifts = np.asarray(shifts, dtype=float)
+    dx, dy = y - x
+    mean = math.hypot(dx, dy) / eps * angular_sum(n, math.atan2(dy, dx))
     dirs = directions(n)
     px = dirs @ x
     py = dirs @ y
-    a = np.minimum(px, py)
-    b = np.maximum(px, py)
-    mean_k = (b - a) / eps
+    a = np.minimum(px, py)[None, :]
+    b = np.maximum(px, py)[None, :]
     out = np.empty(len(shifts))
     rows = max(1, Z_CHUNK // max(n, 1))
     for lo in range(0, len(shifts), rows):
-        u = shifts[lo : lo + rows]
-        counts = np.ceil(b[None, :] / eps - u) - np.ceil(a[None, :] / eps - u)
-        out[lo : lo + rows] = np.sum(counts - mean_k[None, :], axis=1)
+        counts = count_in_interval(a, b, eps, shifts[lo : lo + rows])
+        out[lo : lo + rows] = np.sum(counts, axis=1) - mean
     return out

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .geometry import Line, ValidationError
-from .steinhaus import SteinhausSet
+from .steinhaus import SteinhausSet, angular_sum
 from .counting import count_line, evaluate_lines
 from . import rng as rng_mod
 
@@ -31,7 +31,6 @@ DELTA_LOG2_MAX = -3.0
 TOP_CANDIDATES = 100
 LOCAL_GRID = 11  # 11 x 11 refinement stencil per candidate
 EQUALITY_TOL = 1e-9
-QUADRATURE_CHUNK = 200_000  # elements per (angles x families) block
 
 
 def crofton_target(length: float, area: float, h: float) -> float:
@@ -45,28 +44,10 @@ def crofton_target(length: float, area: float, h: float) -> float:
     return 2.0 * length * h / (math.pi * area)
 
 
-def angular_sum(n: int, theta: float) -> float:
-    """Sum over the n equispaced unit normals of |cos(theta - pi k / n)|."""
-    if n < 1:
-        raise ValidationError("n", f"n must be >= 1, got {n}")
-    k = np.arange(n, dtype=float)
-    return float(np.abs(np.cos(theta - math.pi * k / n)).sum())
-
-
 def max_quadrature_deviation(n: int, thetas: np.ndarray) -> float:
-    """max over thetas of |angular_sum(n, theta) - 2 n / pi|, chunked."""
-    if n < 1:
-        raise ValidationError("n", f"n must be >= 1, got {n}")
-    thetas = np.asarray(thetas, dtype=float)
-    mean = 2.0 * n / math.pi
-    angles = (math.pi / n) * np.arange(n)
-    rows = max(1, QUADRATURE_CHUNK // n)
-    worst = 0.0
-    for lo in range(0, thetas.size, rows):
-        block = thetas[lo:lo + rows]
-        sums = np.abs(np.cos(block[:, None] - angles[None, :])).sum(axis=1)
-        worst = max(worst, float(np.abs(sums - mean).max()))
-    return worst
+    """max over thetas of |angular_sum(n, theta) - 2 n / pi|."""
+    dev = np.abs(angular_sum(n, thetas) - 2.0 * n / math.pi)
+    return float(dev.max(initial=0.0))
 
 
 def decompose(sset: SteinhausSet, line: Line, length: float) -> dict:

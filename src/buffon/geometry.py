@@ -225,7 +225,8 @@ class ConvexBody:
         cutoff = TANGENCY_CUTOFF * self.diameter
 
         if self.kind == "disk":
-            d = nu @ self.center - offsets
+            # elementwise, not a matvec: a line's chord does not depend on its batch
+            d = nu[:, 0] * self.center[0] + nu[:, 1] * self.center[1] - offsets
             h2 = self.radius**2 - d * d
             valid = h2 > (0.5 * cutoff) ** 2
             half = np.sqrt(np.where(valid, h2, 0.0))

@@ -391,43 +391,15 @@ def length_study(
 # -- unshifted-vs-shifted coherence probe --------------------------------------
 
 
-def _ray_exit(body: ConvexBody, origin: np.ndarray, direction: np.ndarray):
-    """Farthest intersection of the ray origin + t*direction with the
-    boundary, or None if the ray immediately leaves the body."""
-    if body.kind == "disk":
-        w = origin - body.center
-        half_b = float(direction @ w)
-        c = float(w @ w) - body.radius**2
-        disc = half_b * half_b - c
-        if disc < 0:
-            return None
-        t = -half_b + math.sqrt(disc)
-        return origin + t * direction if t > 1e-9 else None
-    v0 = body.vertices
-    v1 = np.roll(v0, -1, axis=0)
-    e = v1 - v0
-    w = v0 - origin[None, :]
-    denom = direction[0] * e[:, 1] - direction[1] * e[:, 0]
-    ok = np.abs(denom) > 1e-15
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / denom
-        s = (w[:, 0] * direction[1] - w[:, 1] * direction[0]) / denom
-    ok &= (t > 1e-9) & (s >= -1e-9) & (s <= 1.0 + 1e-9)
-    if not np.any(ok):
-        return None
-    return origin + float(np.max(t[ok])) * direction
-
-
 def _probe_exits(body: ConvexBody, n: int) -> list[np.ndarray]:
     """Boundary exit points of the PROBE_FAN rays from the origin whose
-    angles split the window (pi/2 - pi/n, pi/2] evenly."""
-    exits = []
-    for angle in np.linspace(math.pi / 2 - math.pi / n, math.pi / 2, PROBE_FAN + 1)[1:]:
-        exit_point = _ray_exit(
-            body, np.zeros(2), np.array([math.cos(angle), math.sin(angle)]))
-        if exit_point is not None:
-            exits.append(exit_point)
-    return exits
+    angles split the window (pi/2 - pi/n, pi/2] evenly; a ray that leaves
+    the body at once (t <= 1e-9) has none."""
+    angles = np.linspace(math.pi / 2 - math.pi / n, math.pi / 2, PROBE_FAN + 1)[1:]
+    # the line through the origin along each ray: its chord ends at the exit
+    _, end, _, valid = body.chord_batch(angles - math.pi / 2, np.zeros(PROBE_FAN))
+    t = end[:, 0] * np.cos(angles) + end[:, 1] * np.sin(angles)
+    return list(end[valid & (t > 1e-9)])
 
 
 def coherence_probe(body: ConvexBody, n: int, eps: float) -> float:

@@ -31,6 +31,7 @@ from .rng import stream
 __all__ = [
     "EXCEPTIONAL_TOL",
     "directions",
+    "angular_sum",
     "sample_shifts",
     "mode_shifts",
     "SteinhausSet",
@@ -63,6 +64,17 @@ def directions(n: int) -> np.ndarray:
     """All family normals, shape (n, 2)."""
     a = np.pi * np.arange(n) / n
     return np.column_stack([np.cos(a), np.sin(a)])
+
+
+def angular_sum(n: int, theta):
+    """sum_k |cos(theta - pi k / n)| over the n family normals, elementwise
+    in theta, in closed form: the sum has period pi/n, and on one period it
+    is cos(pi/(2n) - s) / sin(pi/(2n)) with s = (theta + pi/2) mod (pi/n)."""
+    if n < 1:
+        raise ValidationError("n", f"n must be >= 1, got {n}")
+    half = math.pi / (2 * n)
+    s = np.mod(np.asarray(theta, dtype=float) + math.pi / 2, math.pi / n)
+    return np.cos(half - s) / math.sin(half)
 
 
 def sample_shifts(n: int, seed: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
 from buffon import steinhaus as sh
+from buffon.rng import stream
 from buffon.counting import ExceptionalLineError, count_line, endpoint_error
 from buffon.discrepancy import (
     DiscrepancyReport,
@@ -59,6 +60,40 @@ def test_angular_sum_matches_direct_loop(n, theta):
 def test_angular_sum_period_pi_over_n(n, theta):
     assert angular_sum(n, theta + math.pi / n) == pytest.approx(
         angular_sum(n, theta), rel=1e-12, abs=1e-10)
+
+
+def _angular_sum_loop(n, thetas):
+    """The n-term sum, in row blocks so the (angles x families) matrix stays small."""
+    angles = math.pi * np.arange(n) / n
+    return np.concatenate([
+        np.abs(np.cos(thetas[lo:lo + 256, None] - angles[None, :])).sum(axis=1)
+        for lo in range(0, thetas.size, 256)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 37, 554, 4096])
+def test_angular_sum_closed_form_on_arrays_and_seams(n):
+    """The closed form switches branch where (theta + pi/2) mod (pi/n) wraps
+    to 0: check every seam in [-pi/2, pi/2], the floats on both sides of
+    it, and random angles, against the n-term sum."""
+    seams = math.pi * np.arange(n + 1) / n - math.pi / 2
+    thetas = np.concatenate([
+        seams, np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf),
+        np.random.default_rng(n).uniform(-10, 10, 300)])
+    got = angular_sum(n, thetas)
+    assert got.shape == thetas.shape
+    # atol for n=1 only: |cos| vanishes on its seams
+    np.testing.assert_allclose(got, _angular_sum_loop(n, thetas), rtol=1e-12, atol=1e-15)
+    assert isinstance(angular_sum(n, 0.3), float)
+
+
+def test_max_quadrature_deviation_matches_brute_force_on_c3_grid():
+    """The deviation cancels two sums of size 2n/pi, so it is compared to
+    1e-12 of that size."""
+    thetas = stream(9001, "quadrature").uniform(0, math.pi, 10_000)
+    for n in (4, 64, 512, 4096):
+        brute = float(np.abs(_angular_sum_loop(n, thetas) - 2 * n / math.pi).max())
+        assert max_quadrature_deviation(n, thetas) == pytest.approx(
+            brute, rel=0, abs=1e-12 * 2 * n / math.pi)
 
 
 def test_quadrature_deviation_decays_like_one_over_n():

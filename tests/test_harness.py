@@ -1,6 +1,9 @@
 """Experiment drivers: sweep pipeline, CSV determinism, fits, studies."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,3 +246,18 @@ def test_oracle_check_zero_shift_square():
     assert check.all_agree
     with pytest.raises(ValidationError):
         hz.run_oracle_check(sset, 0)
+
+
+def test_benchmark_shims_name_defined_attributes(monkeypatch):
+    """perfbench/tracing.py wraps each target as vars(owner)[attr]; a renamed
+    function would fail every traced benchmark op, so each must exist."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    targets = tracing._targets()
+    assert targets
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in targets
+               if attr not in vars(owner)]
+    assert not missing
