@@ -27,6 +27,7 @@ __all__ = [
     "TANGENCY_CUTOFF",
     "ValidationError",
     "as_float_array",
+    "unit_vector",
     "Line",
     "Chord",
     "ConvexBody",
@@ -107,6 +108,16 @@ def as_float_array(value, field: str, ndim: Optional[int] = None) -> np.ndarray:
     except ValueError:  # ragged nesting
         pass
     raise ValidationError(field, f"need numbers, got {value!r}")
+
+
+def unit_vector(nu) -> np.ndarray:
+    """nu, or each row of a (K, 2) stack, scaled to unit length by math.hypot
+    (numpy's hypot rounds some directions differently)."""
+    nu = np.asarray(nu, dtype=float)
+    norm = np.array([math.hypot(x, y) for x, y in nu.reshape(-1, 2)])
+    if np.any((norm == 0.0) | ~np.isfinite(norm)):
+        raise ValidationError("nu", "direction must be a nonzero finite vector")
+    return nu / norm.reshape(nu.shape[:-1] + (1,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,47 +281,43 @@ class ConvexBody:
 
     # -- slices --------------------------------------------------------------
 
-    def slice_lengths(self, nu, svals: np.ndarray) -> np.ndarray:
-        """Lengths of the slices {x . nu = s} intersect body, vectorized in s.
+    def vertex_projections(self, nu) -> np.ndarray:
+        """x . nu at each polygon vertex, (..., E) for nu of shape (..., 2);
+        elementwise, so a direction's row does not depend on its stack."""
+        return nu[..., 0, None] * self.vertices[:, 0] + nu[..., 1, None] * self.vertices[:, 1]
 
-        Handles polygon edges lying inside a slice line (the slice then has
-        the full edge length, which matters for unshifted grids aligned with
-        the boundary).
+    def slice_lengths(self, nu, svals: np.ndarray) -> np.ndarray:
+        """Lengths of the slices {x . nu = s} intersect body, vectorized in s;
+        a (K, 2) stack of directions takes (K, m) offsets, and on a polygon its
+        rows equal single-direction calls bit for bit.  A polygon edge inside a
+        slice line counts in full (unshifted grids aligned with the boundary).
         """
-        nu = np.asarray(nu, dtype=float)
-        norm = math.hypot(nu[0], nu[1])
-        if norm == 0.0 or not math.isfinite(norm):
-            raise ValidationError("nu", "direction must be a nonzero finite vector")
-        nu = nu / norm
+        nu = unit_vector(nu)
         s = np.asarray(svals, dtype=float)
 
         if self.kind == "disk":
-            h2 = self.radius**2 - (s - float(self.center @ nu)) ** 2
+            h2 = self.radius**2 - (s - (nu @ self.center)[..., None]) ** 2
             return 2.0 * np.sqrt(np.maximum(h2, 0.0))
 
-        v = self.vertices
-        tang = np.array([-nu[1], nu[0]])
-        z = v @ nu
-        w = v @ tang
-        zj = np.roll(z, -1)
-        wj = np.roll(w, -1)
-        lo = np.minimum(z, zj)[:, None]
-        hi = np.maximum(z, zj)[:, None]
-        sb = s[None, :]
-        crossed = (sb >= lo) & (sb <= hi)
+        z = self.vertex_projections(nu)[..., None]  # (..., E, 1) against s (..., 1, m)
+        w = self.vertex_projections(np.stack([-nu[..., 1], nu[..., 0]], axis=-1))[..., None]
+        zj = np.roll(z, -1, axis=-2)
+        wj = np.roll(w, -1, axis=-2)
+        sb = s[..., None, :]
+        crossed = (sb >= np.minimum(z, zj)) & (sb <= np.maximum(z, zj))
         dz = zj - z
         degenerate = dz == 0.0
-        t = (sb - z[:, None]) / np.where(degenerate, 1.0, dz)[:, None]
-        wcut = w[:, None] + t * (wj - w)[:, None]
-        cand_a = np.where(degenerate[:, None], w[:, None], wcut)
-        cand_b = np.where(degenerate[:, None], wj[:, None], wcut)
+        t = (sb - z) / np.where(degenerate, 1.0, dz)
+        wcut = w + t * (wj - w)
+        cand_a = np.where(degenerate, w, wcut)
+        cand_b = np.where(degenerate, wj, wcut)
         wmin = np.minimum(
             np.where(crossed, cand_a, np.inf), np.where(crossed, cand_b, np.inf)
-        ).min(axis=0)
+        ).min(axis=-2)
         wmax = np.maximum(
             np.where(crossed, cand_a, -np.inf), np.where(crossed, cand_b, -np.inf)
-        ).max(axis=0)
-        return np.where(np.any(crossed, axis=0), np.maximum(wmax - wmin, 0.0), 0.0)
+        ).max(axis=-2)
+        return np.where(np.any(crossed, axis=-2), np.maximum(wmax - wmin, 0.0), 0.0)
 
     # -- inscribed disk ------------------------------------------------------
 

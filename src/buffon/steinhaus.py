@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ConvexBody, ValidationError, as_float_array, body_from_dict, body_to_dict
+from .geometry import (ConvexBody, ValidationError, as_float_array, body_from_dict,
+                       body_to_dict, unit_vector)
 from .rng import stream
 
 __all__ = [
@@ -34,8 +35,8 @@ __all__ = [
     "angular_sum",
     "sample_shifts",
     "mode_shifts",
+    "check_lattice",
     "SteinhausSet",
-    "family_length",
     "family_length_many",
     "grid_length",
     "total_length",
@@ -95,6 +96,14 @@ def mode_shifts(mode: str, n: int, seed: int) -> np.ndarray:
     raise ValidationError("mode", f"expected 'shifted' or 'zero', got {mode!r}")
 
 
+def check_lattice(n: int, eps: float) -> None:
+    """Refuse, naming the field, unless n >= 1 and the pitch eps is finite and > 0."""
+    if n < 1:
+        raise ValidationError("n", f"need at least one family, got n={n}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError("eps", f"pitch must be positive and finite, got {eps}")
+
+
 @dataclass(eq=False)
 class SteinhausSet:
     """A built set: body, n families at pitch eps, shifts, padding segments.
@@ -111,10 +120,7 @@ class SteinhausSet:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("n", "need at least one family")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValidationError("eps", "pitch must be positive and finite")
+        check_lattice(self.n, self.eps)
         self.shifts = np.asarray(self.shifts, dtype=float)
         if self.shifts.shape != (self.n,):
             raise ValidationError("shifts", f"need exactly n={self.n} shifts")
@@ -136,10 +142,6 @@ class SteinhausSet:
         lo = np.ceil(smin / self.eps - self.shifts).astype(np.int64) - 1
         hi = np.floor(smax / self.eps - self.shifts).astype(np.int64) + 1
         return np.column_stack([lo, hi])
-
-    def family_offsets(self, k: int) -> np.ndarray:
-        lo, hi = self.q_ranges[k]
-        return self.eps * (np.arange(lo, hi + 1, dtype=float) + self.shifts[k])
 
     @property
     def padding_count(self) -> int:
@@ -165,8 +167,8 @@ class SteinhausSet:
         """
         segs = []
         fams = []
-        for k in range(self.n):
-            offs = self.family_offsets(k)
+        for k, (lo, hi) in enumerate(self.q_ranges):
+            offs = self.eps * (np.arange(lo, hi + 1, dtype=float) + self.shifts[k])
             theta = math.pi * k / self.n
             start, end, _, valid = self.body.chord_batch(
                 np.full(offs.shape, theta), offs
@@ -205,29 +207,48 @@ class SteinhausSet:
         return pairs
 
 
-def family_length_many(
-    body: ConvexBody, nu: np.ndarray, eps: float, u_values: np.ndarray
-) -> np.ndarray:
-    """Total slice length of one family for each shift value in u_values."""
-    u = np.asarray(u_values, dtype=float)
-    (smin,), (smax,) = body.support_many(np.asarray(nu, dtype=float)[None, :])
-    qlo = math.floor(smin / eps) - 2
-    qhi = math.ceil(smax / eps) + 1
-    q = np.arange(qlo, qhi + 1, dtype=float)
-    offsets = eps * (q[None, :] + u[:, None])
-    g = body.slice_lengths(nu, offsets.ravel()).reshape(offsets.shape)
-    return g.sum(axis=1)
+def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.ndarray:
+    """Each family's length in the body, (trials, n) for (trials, n) shifts.
 
+    On a polygon the slice length g is linear between sorted vertex
+    projections z, so the lattice offsets eps (q + u) of a half-open piece
+    sum to count * g(mean offset), and the top z adds g when it is a lattice
+    value: O(E) per (row, family), with each offset placed against z by the
+    slice sum's own float test.  A disk sums every slice that can meet it.
+    """
+    u = np.asarray(shifts, dtype=float)
+    dirs = directions(u.shape[1])
+    if body.kind == "disk":
+        smin, smax = body.support_many(dirs)  # one row: the set's q_ranges, bit for bit
+        lo = np.min(np.ceil(smin / eps - u), axis=0) - 1
+        hi = np.max(np.floor(smax / eps - u), axis=0) + 1
+        lengths = np.empty(u.shape)
+        for k, nu in enumerate(dirs):
+            s = eps * (np.arange(lo[k], hi[k] + 1) + u[:, k, None])
+            lengths[:, k] = body.slice_lengths(nu, s.ravel()).reshape(s.shape).sum(axis=1)
+        return lengths
+    z = np.sort(body.vertex_projections(unit_vector(dirs)), axis=1)  # as slice_lengths has them
+    g = body.slice_lengths(dirs, z)
 
-def family_length(sset: SteinhausSet, k: int) -> float:
-    """H^1 length of family k inside the body: sum of slice lengths."""
-    g = sset.body.slice_lengths(sset.directions[k], sset.family_offsets(k))
-    return float(g.sum())
+    def first(zk):  # least q with eps (q + u) >= zk
+        q = np.ceil(zk / eps - u)
+        q -= eps * (q - 1.0 + u) >= zk
+        return q + (eps * (q + u) < zk)
+
+    lengths = np.zeros(u.shape)
+    lo = first(z[:, 0])
+    for i in range(1, z.shape[1]):
+        hi = first(z[:, i])
+        width = np.where(z[:, i] > z[:, i - 1], z[:, i] - z[:, i - 1], 1.0)
+        t = (eps * (0.5 * (lo + hi - 1.0) + u) - z[:, i - 1]) / width
+        lengths += np.where(hi > lo, (hi - lo) * (g[:, i - 1] + t * (g[:, i] - g[:, i - 1])), 0.0)
+        lo = hi
+    return lengths + np.where(eps * (lo + u) == z[:, -1], g[:, -1], 0.0)
 
 
 def grid_length(sset: SteinhausSet) -> float:
-    """Sum of every family's slice lengths; sets cache it as measured_grid_length."""
-    return float(math.fsum(family_length(sset, k) for k in range(sset.n)))
+    """Sum of every family's length; sets cache it as measured_grid_length."""
+    return math.fsum(family_length_many(sset.body, sset.eps, sset.shifts[None, :])[0])
 
 
 def total_length(sset: SteinhausSet) -> float:

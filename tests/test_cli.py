@@ -166,6 +166,18 @@ def test_validation_exit_codes(tmp_path, body_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [
+    ["length-study", "--n", "16", "--trials", "1000"],
+    ["tails", "--n", "8", "--x0", "0.1", "--y0", "0.1", "--x1", "0.9", "--y1", "0.8",
+     "--trials", "10000"],
+])
+def test_studies_refuse_a_non_finite_or_negative_eps(body_path, capsys, command, eps):
+    assert main([*command, "--body", body_path, "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: eps: ") and captured.out == ""
+
+
 def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):
     bodies = [({"disk": {"center": [0, 0], "radius": "1"}}, "disk.radius"),
               ({"polygon": [["a", 0], [1, 0], [1, 1]]}, "polygon")]

@@ -191,6 +191,23 @@ def test_slice_of_unit_square_axis():
     assert sq.slice_lengths((d, d), np.array([d]))[0] == pytest.approx(math.sqrt(2.0))
 
 
+def test_slice_lengths_of_a_direction_stack_equal_single_calls():
+    """A (K, 2) stack with (K, m) offsets gives the single-direction rows,
+    bit for bit on a polygon; a zero direction anywhere is refused."""
+    rng = np.random.default_rng(4)
+    dirs = np.column_stack([np.cos(np.arange(9) * 0.37), np.sin(np.arange(9) * 0.37)]) * 1.5
+    s = rng.uniform(-1.5, 1.5, size=(9, 40))
+    for body in get_bodies():
+        rows = [body.slice_lengths(nu, sk) for nu, sk in zip(dirs, s)]
+        stacked = body.slice_lengths(dirs, s)
+        assert stacked.shape == (9, 40)
+        if body.kind == "polygon":
+            assert np.array_equal(stacked, rows)
+        np.testing.assert_allclose(stacked, rows, rtol=0, atol=1e-12)
+    with pytest.raises(ValidationError):
+        unit_square().slice_lengths(np.vstack([dirs[:2], [0.0, 0.0]]), s[:3])
+
+
 def test_area_diameter_bbox():
     sq = unit_square()
     assert sq.area == pytest.approx(1.0)

@@ -203,6 +203,26 @@ def test_length_study_square_and_disk():
         hz.length_study(unit_square(), 16, 0.05, 10)
 
 
+def test_length_study_makes_one_family_length_call(monkeypatch):
+    calls = []
+    family_length_many = hz.family_length_many
+    monkeypatch.setattr(hz, "family_length_many", lambda *a: (
+        calls.append(a) or family_length_many(*a)))
+    hz.length_study(unit_square(), 64, 0.05, 1_000, seed=4)
+    assert len(calls) == 1
+
+
+def test_length_study_names_the_worst_family(monkeypatch):
+    def lengths(body, eps, shifts):
+        out = np.full(shifts.shape, body.area / eps)
+        out[:, 2] += 3.0  # 2*diameter of the unit square is 2.83
+        out[5, 4] -= 4.0
+        return out
+    monkeypatch.setattr(hz, "family_length_many", lengths)
+    with pytest.raises(AssertionError, match="family 4 deviates by 4.0"):
+        hz.length_study(unit_square(), 8, 0.05, 1_000)
+
+
 def test_coherence_study_separates_modes():
     rows = hz.coherence_study(
         unit_square(), [16, 64, 256], [16e-4, 64e-4, 256e-4],

@@ -1,8 +1,9 @@
 """Construction tests: directions, shifts, lengths, planning, padding, manifests.
 
-Length oracles are geometric: the grid length must match the sum of chord
-lengths of every clipped lattice line (an independent code path from the
-slice-profile summation used by family_length).
+Length oracles: the grid length must match the sum of chord lengths of every
+clipped lattice line, and the slice sum (slice_lengths at every lattice
+offset) that family_length_many replaces with one closed form per polygon
+piece.
 """
 
 import json
@@ -48,22 +49,44 @@ def test_sample_shifts_deterministic_and_uniform():
     assert abs(big.mean() - 0.5) < 0.01
 
 
+def slice_sum(body, eps, shifts):
+    """Oracle: each family's slice lengths summed at every lattice offset
+    eps (q + u) that can meet the body, shape (trials, n)."""
+    dirs = sh.directions(shifts.shape[1])
+    smin, smax = body.support_many(dirs)
+    lengths = np.empty(shifts.shape)
+    for k, nu in enumerate(dirs):
+        q = np.arange(math.floor(smin[k] / eps) - 2, math.ceil(smax[k] / eps) + 2, dtype=float)
+        offsets = eps * (q[None, :] + shifts[:, k, None])
+        g = body.slice_lengths(nu, offsets.ravel()).reshape(offsets.shape)
+        lengths[:, k] = g.sum(axis=1)
+    return lengths
+
+
+def many_sided_polygon(rng, m):
+    """A strictly convex m-gon: sorted angles on a shifted ellipse."""
+    angles = np.sort(rng.uniform(0, 2 * math.pi, size=m))
+    a, b = rng.uniform(0.3, 1.0, size=2)
+    pts = np.column_stack([a * np.cos(angles), b * np.sin(angles)])
+    try:
+        return ConvexBody.polygon(pts + rng.uniform(-0.3, 0.3, size=2))
+    except ValidationError:  # two angles too close for strict convexity
+        return many_sided_polygon(rng, m)
+
+
 def test_family_length_unit_square_midshift():
     """Four interior slices of the unit square: exactly |Omega| / eps."""
-    sset = sh.SteinhausSet(
-        body=unit_square(), n=1, eps=0.25, shifts=np.array([0.5])
-    )
-    assert sh.family_length(sset, 0) == pytest.approx(4.0, abs=1e-12)
+    lengths = sh.family_length_many(unit_square(), 0.25, np.array([[0.5]]))
+    assert lengths[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_family_length_unit_square_zero_shift_counts_boundary():
     """With U=0 the lattice lines x=0 and x=1 lie in the boundary: 5 slices."""
-    sset = sh.SteinhausSet(
-        body=unit_square(), n=1, eps=0.25, shifts=np.array([0.0])
-    )
-    assert sh.family_length(sset, 0) == pytest.approx(5.0, abs=1e-12)
+    body = unit_square()
+    lengths = sh.family_length_many(body, 0.25, np.array([[0.0]]))
+    assert lengths[0, 0] == pytest.approx(5.0, abs=1e-12)
     # deviation 1 respects the two-sided variation bound 2 * diam
-    assert abs(5.0 - 1.0 / 0.25) <= 2.0 * sset.body.diameter
+    assert abs(5.0 - 1.0 / 0.25) <= 2.0 * body.diameter
 
 
 def test_family_length_matches_chord_clipping_oracle():
@@ -79,11 +102,10 @@ def test_family_length_matches_chord_clipping_oracle():
         segments, fams = sset.grid_segments
         d = segments[:, 1] - segments[:, 0]
         seg_lengths = np.hypot(d[:, 0], d[:, 1])
+        lengths = sh.family_length_many(body, eps, sset.shifts[None, :])[0]
         for k in range(n):
             want = float(seg_lengths[fams == k].sum())
-            assert sh.family_length(sset, k) == pytest.approx(
-                want, rel=1e-9, abs=1e-9
-            )
+            assert lengths[k] == pytest.approx(want, rel=1e-9, abs=1e-9)
         assert sh.grid_length(sset) == pytest.approx(
             float(seg_lengths.sum()), rel=1e-9
         )
@@ -94,14 +116,112 @@ def test_family_length_mean_and_deviation_bound():
     rng = np.random.default_rng(12)
     for body in [unit_square(), ConvexBody.disk((0.0, 0.0), 1.0), random_polygon(rng)]:
         eps = 0.08
-        nu = sh.directions(7)[3]
-        u = rng.uniform(0, 1, size=4000)
-        lengths = sh.family_length_many(body, nu, eps, u)
+        u = rng.uniform(0, 1, size=(4000, 7))
+        lengths = sh.family_length_many(body, eps, u)
         expected = body.area / eps
         dev = lengths - expected
         assert np.max(np.abs(dev)) <= 2.0 * body.diameter + 1e-9
         sd = 2.0 * body.diameter / math.sqrt(len(u))
-        assert abs(float(lengths.mean()) - expected) < 6.0 * sd
+        assert np.all(np.abs(lengths.mean(axis=0) - expected) < 6.0 * sd)
+
+
+def test_family_length_many_matches_slice_sum():
+    """Per piece exact: within 1e-13 of the slice sum per (row, family) and
+    1e-14 on the fsum grid total, on polygons of 3 to 199 sides."""
+    rng = np.random.default_rng(21)
+    for case in range(24):
+        few = case % 2 == 0
+        body = random_polygon(rng) if few else many_sided_polygon(rng, int(rng.integers(9, 200)))
+        n = int(rng.integers(1, 201))
+        eps = float(10 ** rng.uniform(-3.0 if few else -2.0, -1.0))
+        trials = int(rng.integers(2, 30)) if few else 1
+        shifts = rng.uniform(0, 1, size=(trials, n)) if case % 4 < 2 else np.zeros((trials, n))
+        got = sh.family_length_many(body, eps, shifts)
+        want = slice_sum(body, eps, shifts)
+        assert got.shape == (trials, n)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        for row_got, row_want in zip(got, want):
+            assert math.fsum(row_got) == pytest.approx(math.fsum(row_want), rel=1e-14)
+
+
+def regular_polygon(m, radius=0.7, center=(0.1, 0.0)):
+    angles = 2 * math.pi * np.arange(m) / m
+    return ConvexBody.polygon(np.column_stack(
+        [center[0] + radius * np.cos(angles), center[1] + radius * np.sin(angles)]))
+
+
+@pytest.mark.parametrize("body", [unit_square(), regular_polygon(6), regular_polygon(8)],
+                         ids=["square", "hexagon", "octagon"])
+def test_family_length_many_edges_perpendicular_to_families(body):
+    """Edges perpendicular to a family's normal, where the slice length
+    jumps to zero past the edge, as in regular polygons with n a multiple of
+    their symmetry: the projections must match slice_lengths' to the bit."""
+    rng = np.random.default_rng(23)
+    for n in (4, 12, 24, 120):
+        for eps in (0.05, 0.003):
+            shifts = np.vstack([np.zeros(n), rng.uniform(0, 1, size=(3, n))])
+            np.testing.assert_allclose(sh.family_length_many(body, eps, shifts),
+                                       slice_sum(body, eps, shifts), rtol=1e-13, atol=0)
+
+
+SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+EDGES_ON_LATTICE = [(0.0625, 0), (0.9375, 0), (0.9375, 2), (0.0625, 2)]
+
+
+@pytest.mark.parametrize("vertices, eps, u, slices", [
+    # zero-shift unit square: x = 0, 0.25, ..., 1, both edges on lattice lines
+    (SQUARE, 0.25, 0.0, 5),
+    # one ulp more pitch puts 4 eps just past x = 1
+    (SQUARE, np.nextafter(0.25, 1.0), 0.0, 4),
+    # 0.1 * 1 == 0.1 is on the bottom edge; 0.1 * 7 rounds above 0.7, so
+    # the top edge is one ulp below the nearest lattice value
+    ([(0.1, 0), (0.7, 0), (0.7, 0.5), (0.1, 0.5)], 0.1, 0.0, 6),
+    # shifted lattice exactly through both edges: 0.125 (q + 0.5), q = 0..7
+    (EDGES_ON_LATTICE, 0.125, 0.5, 8),
+    # one ulp less pitch: q = 0 falls just below the bottom edge, q = 7 inside
+    (EDGES_ON_LATTICE, np.nextafter(0.125, 0.0), 0.5, 7),
+    # 0.45 / 0.09 rounds to 5, but 0.09 * 5 is just below the bottom edge
+    ([(0.45, 0), (0.8, 0), (0.8, 1), (0.45, 1)], 0.09, 0.0, 3),
+    # 0.07 / 0.01 rounds above 7, but 0.01 * 7 == 0.07 is on the bottom edge
+    ([(0.07, 0), (0.5, 0), (0.5, 1), (0.07, 1)], 0.01, 0.0, 44),
+])
+def test_family_length_many_lattice_on_breakpoints(vertices, eps, u, slices):
+    """A lattice value on a bottom or top vertex projection z counts exactly
+    when the slice sum's own float test on eps (q + u) against z passes."""
+    body = ConvexBody.polygon(vertices)
+    height = body.vertices[2, 1] - body.vertices[1, 1]
+    shifts = np.full((1, 1), u)
+    got = sh.family_length_many(body, float(eps), shifts)[0, 0]
+    assert got == slice_sum(body, float(eps), shifts)[0, 0] == slices * height
+
+
+def test_family_length_many_disk_sums_each_set_range():
+    """A disk's family length is the slice sum over the set's own lattice
+    range, so a set's grid length keeps its bits."""
+    rng = np.random.default_rng(22)
+    body = ConvexBody.disk((0.2, -0.1), 0.7)
+    for shifts in (rng.uniform(0, 1, size=37), np.zeros(37)):
+        sset = sh.SteinhausSet(body=body, n=37, eps=0.003, shifts=shifts)
+        want = [
+            float(body.slice_lengths(
+                sset.directions[k],
+                sset.eps * (np.arange(lo, hi + 1, dtype=float) + shifts[k])).sum())
+            for k, (lo, hi) in enumerate(sset.q_ranges)]
+        assert np.array_equal(sh.family_length_many(body, sset.eps, shifts[None, :])[0], want)
+        assert sh.grid_length(sset) == math.fsum(want)
+
+
+def test_grid_length_requests_at_most_n_e_slices(monkeypatch):
+    """A polygon's grid length asks for one slice per family and vertex."""
+    requested = []
+    slice_lengths = ConvexBody.slice_lengths
+    monkeypatch.setattr(ConvexBody, "slice_lengths", lambda self, nu, s: (
+        requested.append(np.size(s)) or slice_lengths(self, nu, s)))
+    body = ConvexBody.polygon([(0, 0), (1, 0), (1.2, 0.7), (0.4, 1.1), (-0.1, 0.6)])
+    plan = sh.plan_build(body, 3e7, 0.5)
+    sset = sh.build_set(body, plan, seed=3)
+    sh.grid_length(sset)
+    assert 0 < sum(requested) <= sset.n * len(body.vertices)
 
 
 def test_grid_segments_lie_on_their_lattice_lines():
