@@ -16,8 +16,8 @@ with h the chord length and t the line's unit tangent, taken in closed form
 (steinhaus.angular_sum); z = total - mean_term is its complement.  Both
 are functions of the line's angle, chord length and integer total alone, so
 they do not depend on the batch the line is evaluated in.  The
-per-family deviation max_k |N_k - (b_k - a_k)/eps| is reported by
-count_line alone (CountBreakdown.max_abs_dev).
+per-family deviation max_k |N_k - (b_k - a_k)/eps| is family_deviation,
+which count_line and count_lines report (a LineBatch does not carry it).
 
 A line is *exceptional* when its count is ambiguous under perturbation
 (a measure-zero set of line space).  Three conditions, all at
@@ -41,8 +41,8 @@ EXCEPTIONAL_TOL absolute in offset units:
 Exceptional lines are never counted: scalar entry points raise, and the
 batch evaluator retries with a deterministic offset jitter of
 +-(attempt * JITTER_SCALE * eps) for attempt = 1 .. JITTER_ATTEMPTS.  The
-geometric oracle additionally screens every grid-segment endpoint exactly
-and raises when one lies within tolerance of the query line.
+oracle's segment_crossings flags a line that passes within tolerance of a
+grid-segment endpoint, and oracle_count then raises.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import Line
-from .steinhaus import EXCEPTIONAL_TOL, SteinhausSet, angular_sum, directions
+from .steinhaus import EXCEPTIONAL_TOL, KERNEL_CHUNK, SteinhausSet, angular_sum, directions
 
 __all__ = [
     "EXCEPTIONAL_TOL",
@@ -76,9 +76,7 @@ __all__ = [
 
 JITTER_SCALE = 1e-7
 JITTER_ATTEMPTS = 4  # jitters evaluate_lines tries before excluding a line
-# Elements per (lines x families) kernel block and per (shifts x families)
-# z_samples block: 0.5 MB per float64 temporary, so a block stays in cache.
-KERNEL_CHUNK = 65_536
+# Elements per (shifts x families) z_samples block, as KERNEL_CHUNK per kernel block
 Z_CHUNK = 65_536
 
 
@@ -234,15 +232,35 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
     return batch, per_family
 
 
-def _eval_blocks(sset: SteinhausSet, thetas: np.ndarray, ps: np.ndarray) -> LineBatch:
+def _eval_blocks(sset: SteinhausSet, thetas: np.ndarray, ps: np.ndarray):
     """_eval_arrays in blocks of about KERNEL_CHUNK line-family elements (at
-    least 16 lines), so the working memory does not grow with the lines."""
+    least 16 lines), so the working memory does not grow with the lines; one
+    block even for no lines, so an empty batch still has every field."""
     chunk = max(16, KERNEL_CHUNK // max(sset.n, 1))
-    # one pass even for no lines, so an empty batch still has every field
-    parts = [_eval_arrays(sset, thetas[lo : lo + chunk], ps[lo : lo + chunk])[0]
-             for lo in range(0, max(len(thetas), 1), chunk)]
-    return LineBatch(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+    for lo in range(0, max(len(thetas), 1), chunk):
+        yield _eval_arrays(sset, thetas[lo : lo + chunk], ps[lo : lo + chunk])
+
+
+def _joined(batches: list) -> LineBatch:
+    return LineBatch(**{f.name: np.concatenate([getattr(b, f.name) for b in batches])
                         for f in fields(LineBatch)})
+
+
+def family_deviation(sset: SteinhausSet, batch: LineBatch, per_family) -> np.ndarray:
+    """max_k |N_k - mean_k| per line, mean_k = (h/eps) |t . nu_k| with t the
+    tangent; one matrix-vector product per line, so a row has one line's bits."""
+    tangents = np.column_stack([-np.sin(batch.theta), np.cos(batch.theta)])
+    mean_k = batch.h[:, None] / sset.eps * np.abs(
+        (sset.directions[None] @ tangents[:, :, None])[..., 0])
+    return np.max(np.abs(np.where(batch.valid[:, None], per_family, 0.0) - mean_k), axis=1)
+
+
+def count_lines(sset: SteinhausSet, thetas, offsets) -> tuple[LineBatch, np.ndarray]:
+    """evaluate_lines with no jitter (exceptional lines keep zeroed counts),
+    and each line's family_deviation."""
+    parts = [(b, family_deviation(sset, b, per_family))
+             for b, per_family in _eval_blocks(sset, thetas, offsets)]
+    return _joined([b for b, _ in parts]), np.concatenate([d for _, d in parts])
 
 
 def evaluate_lines(
@@ -257,14 +275,14 @@ def evaluate_lines(
     """
     thetas = np.asarray(thetas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    batch = _eval_blocks(sset, thetas, offsets)
+    batch = _joined([b for b, _ in _eval_blocks(sset, thetas, offsets)])
     for attempt in range(1, JITTER_ATTEMPTS + 1):
         idx = np.flatnonzero(batch.exceptional)
         if idx.size == 0:
             break
         ps = np.array([offsets[i] + jitter_delta(thetas[i], offsets[i], sset.eps, attempt)
                        for i in idx])
-        retry = _eval_blocks(sset, thetas[idx], ps)
+        retry = _joined([b for b, _ in _eval_blocks(sset, thetas[idx], ps)])
         for f in fields(LineBatch):
             getattr(batch, f.name)[idx] = getattr(retry, f.name)
         batch.jittered[idx] = True
@@ -288,49 +306,53 @@ def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
             "endpoint, parallel-coincident with a lattice line, or near a "
             "padding endpoint; jitter the offset and retry"
         )
-    per_family = np.where(batch.valid[0], per_family[0], 0.0)
-    mean_k = batch.h[0] / sset.eps * np.abs(sset.directions @ line.tangent)
     return CountBreakdown(
-        per_family=per_family.astype(np.int64),
+        per_family=np.where(batch.valid[0], per_family[0], 0.0).astype(np.int64),
         total=int(batch.total[0]),
         mean_term=float(batch.mean_term[0]),
         z=float(batch.z[0]),
         padding_hits=int(batch.padding_hits[0]),
-        max_abs_dev=float(np.max(np.abs(per_family - mean_k))),
+        max_abs_dev=float(family_deviation(sset, batch, per_family)[0]),
     )
 
 
-def oracle_count(sset: SteinhausSet, line: Line) -> int:
-    """Geometric reference count: strict sign-change crossings against every
-    clipped grid segment.  Shares no arithmetic with count_in_interval.
+def segment_crossings(segments: np.ndarray, thetas, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Strict sign-change crossings of each line with the (S, 2, 2) segments, and
+    whether a segment endpoint lies within EXCEPTIONAL_TOL of it; no arithmetic
+    shared with count_in_interval.  Lines go in blocks of at most KERNEL_CHUNK
+    line-segment elements; a line's signs do not depend on its block."""
+    offsets = np.asarray(offsets, dtype=float)
+    normals = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    hits, near = np.zeros(len(thetas), dtype=np.int64), np.zeros(len(thetas), dtype=bool)
+    rows = max(1, KERNEL_CHUNK // max(len(segments), 1))
+    ends = np.ascontiguousarray(np.transpose(segments, (1, 2, 0)))  # (endpoint, x|y, S)
+    # one workspace for every block: fresh arrays this size are page-faulted in again
+    work = np.empty((min(rows, len(thetas)), 3, len(segments)))
+    for lo in range(0, len(thetas) if len(segments) else 0, rows):
+        nu = normals[lo : lo + rows, None, :]
+        sig, product = work[: len(nu), :2], work[: len(nu), 2]
+        np.matmul(nu[:, None], ends[None], out=sig[:, :, None])  # a gemv per line and endpoint
+        sig -= offsets[lo : lo + rows, None, None]
+        crossing = np.multiply(sig[:, 0], sig[:, 1], out=product) < 0.0
+        hits[lo : lo + rows] = [np.count_nonzero(c) for c in crossing]
+        near[lo : lo + rows] = np.abs(sig, out=sig).min(axis=(1, 2)) <= EXCEPTIONAL_TOL
+    return hits, near
 
-    Screens every segment endpoint exactly: raises when one lies within
-    EXCEPTIONAL_TOL of the query line (the caller must jitter), since a
-    strict sign test is unreliable there.
-    """
-    segments, _ = sset.grid_segments
-    if segments.shape[0] == 0:
-        return 0
-    nu = line.normal
-    sig0 = segments[:, 0, :] @ nu - line.offset
-    sig1 = segments[:, 1, :] @ nu - line.offset
-    if float(np.minimum(np.abs(sig0), np.abs(sig1)).min()) <= EXCEPTIONAL_TOL:
-        raise ExceptionalLineError(
-            line.theta, line.offset,
-            "grid-segment endpoint within tolerance of the line "
-            "(caller must jitter)",
-        )
-    return int(np.sum(sig0 * sig1 < 0.0))
+
+def oracle_count(sset: SteinhausSet, line: Line) -> int:
+    """Geometric reference count: strict crossings with every clipped grid
+    segment.  Raises when a segment endpoint lies within EXCEPTIONAL_TOL of
+    the line, since a strict sign test is unreliable there."""
+    hits, near = segment_crossings(sset.grid_segments[0], [line.theta], [line.offset])
+    if near[0]:
+        raise ExceptionalLineError(line.theta, line.offset, "grid-segment endpoint "
+                                   "within tolerance of the line (caller must jitter)")
+    return int(hits[0])
 
 
 def oracle_padding_hits(sset: SteinhausSet, line: Line) -> int:
     """Strict crossings of the line with the padding segments."""
-    if sset.padding_count == 0:
-        return 0
-    nu = line.normal
-    sig0 = sset.padding[:, 0, :] @ nu - line.offset
-    sig1 = sset.padding[:, 1, :] @ nu - line.offset
-    return int(np.sum(sig0 * sig1 < 0.0))
+    return int(segment_crossings(sset.padding, [line.theta], [line.offset])[0][0])
 
 
 def endpoint_error(sset: SteinhausSet, x, y) -> float:

@@ -20,18 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .counting import (
-    Z_CHUNK,
-    ExceptionalLineError,
-    count_line,
-    endpoint_error,
-    jitter_delta,
-    oracle_count,
-    oracle_padding_hits,
-    z_samples,
-)
+# count_line and oracle_count are not called here: perfbench/tracing.py wraps these names
+from .counting import (Z_CHUNK, count_line, count_lines, endpoint_error, jitter_delta,
+                       oracle_count, segment_crossings, z_samples)
 from .discrepancy import SupConfig, estimate_sup
-from .geometry import ConvexBody, Line, ValidationError
+from .geometry import ConvexBody, ValidationError
 from .steinhaus import SteinhausSet, build_exact, check_lattice, family_length_many, total_length
 
 __all__ = [
@@ -459,7 +452,7 @@ class OracleCheck:
     comparisons: int
     agreements: int
     skipped: int
-    mismatches: tuple[tuple[float, float, int, int], ...]
+    mismatches: tuple[tuple[float, float, int, int], ...]  # theta, offset compared, totals
     max_family_deviation: float = 0.0
 
     @property
@@ -473,46 +466,41 @@ def run_oracle_check(sset: SteinhausSet, lines: int, seed: int = 0) -> OracleChe
 
     Both counters see the identical line: when either side screens a line as
     exceptional, the offset is jittered deterministically and both retry, so
-    every comparison is on a line both accept.  Grid totals and padding hits
-    must both agree.  A line still screened out after ORACLE_ATTEMPTS tries
+    every comparison is on a line both accept.  Each attempt handles every
+    line not yet resolved together, in KERNEL_CHUNK blocks on both sides.
+    Grid totals and padding hits must both agree; a mismatch records the
+    offset compared.  A line still screened out after ORACLE_ATTEMPTS tries
     is not compared; it is counted in ``skipped``.
     """
     if lines < 1:
         raise ValidationError("lines", "need at least one line")
-    stream = rng.stream(seed, "oracle")
-    u = stream.random((lines, 2))
+    u = rng.stream(seed, "oracle").random((lines, 2))
     thetas = math.pi * u[:, 0]
     lo, hi = sset.body.offset_extents(thetas)
     margin = 0.05 * sset.body.diameter
-    offsets = (lo - margin) + (hi - lo + 2 * margin) * u[:, 1]
-    agreements = 0
-    skipped = 0
-    max_family_deviation = 0.0
-    mismatches = []
-    for theta, offset in zip(thetas, offsets):
-        theta = float(theta)
-        offset = float(offset)
-        resolved = None
-        for attempt in range(ORACLE_ATTEMPTS):
-            delta = jitter_delta(theta, offset, sset.eps, attempt) if attempt else 0.0
-            line = Line(theta, offset + delta)
-            try:
-                fast = count_line(sset, line)
-                reference = oracle_count(sset, line)
-            except ExceptionalLineError:
-                continue
-            resolved = (fast, reference, oracle_padding_hits(sset, line))
-            break
-        if resolved is None:
-            skipped += 1
-            continue
-        fast, reference, pad_ref = resolved
-        max_family_deviation = max(max_family_deviation, fast.max_abs_dev)
-        if fast.total == reference and fast.padding_hits == pad_ref:
-            agreements += 1
-        else:
-            mismatches.append((theta, offset, fast.total, reference))
+    return _check_lines(sset, thetas, (lo - margin) + (hi - lo + 2 * margin) * u[:, 1])
+
+
+def _check_lines(sset: SteinhausSet, thetas: np.ndarray, offsets: np.ndarray) -> OracleCheck:
+    """run_oracle_check on the given lines."""
+    compared = np.full(len(thetas), np.nan)  # the offset each line was compared at
+    fast, reference, deviation, agree = np.zeros((4, len(thetas)))
+    todo, attempt = np.arange(len(thetas)), 0
+    while todo.size and attempt < ORACLE_ATTEMPTS:
+        th, base = thetas[todo], offsets[todo]
+        ps = base + (np.array([jitter_delta(t, p, sset.eps, attempt) for t, p in zip(th, base)])
+                     if attempt else 0.0)
+        batch, dev = count_lines(sset, th, ps)
+        hits, near = segment_crossings(sset.grid_segments[0], th, ps)
+        ok = ~(batch.exceptional | near)
+        pads = segment_crossings(sset.padding, th[ok], ps[ok])[0]
+        done = todo[ok]
+        compared[done], fast[done], reference[done], deviation[done] = (
+            ps[ok], batch.total[ok], hits[ok], dev[ok])
+        agree[done] = (batch.total[ok] == hits[ok]) & (batch.padding_hits[ok] == pads)
+        todo, attempt = todo[~ok], attempt + 1
     return OracleCheck(
-        comparisons=lines - skipped, agreements=agreements, skipped=skipped,
-        mismatches=tuple(mismatches),
-        max_family_deviation=max_family_deviation)
+        comparisons=len(thetas) - len(todo), agreements=int(agree.sum()), skipped=len(todo),
+        mismatches=tuple((float(thetas[i]), float(compared[i]), int(fast[i]), int(reference[i]))
+                         for i in np.flatnonzero(~np.isnan(compared) & (agree == 0))),
+        max_family_deviation=float(np.max(deviation, initial=0.0)))

@@ -59,6 +59,9 @@ __all__ = [
 # Absolute offset tolerance below which a chord endpoint counts as sitting on
 # a lattice value (see buffon.counting for the exceptional-line policy).
 EXCEPTIONAL_TOL = 1e-9
+# Elements per (lines x families) counting-kernel block and per (lines x edges)
+# clipping block: 0.5 MB per float64 temporary, so a block stays in cache.
+KERNEL_CHUNK = 65_536
 
 
 def directions(n: int) -> np.ndarray:
@@ -104,6 +107,13 @@ def check_lattice(n: int, eps: float) -> None:
         raise ValidationError("eps", f"pitch must be positive and finite, got {eps}")
 
 
+def _index_range(body: ConvexBody, dirs: np.ndarray, eps: float, shifts: np.ndarray):
+    """Per direction, the least and greatest q +- 1 with eps (q + u) in the support, over rows u."""
+    smin, smax = body.support_many(dirs)
+    return (np.min(np.ceil(smin / eps - shifts), axis=0) - 1,
+            np.max(np.floor(smax / eps - shifts), axis=0) + 1)
+
+
 @dataclass(eq=False)
 class SteinhausSet:
     """A built set: body, n families at pitch eps, shifts, padding segments.
@@ -138,10 +148,8 @@ class SteinhausSet:
     @cached_property
     def q_ranges(self) -> np.ndarray:
         """Per-family inclusive lattice index range, support extremes +- 1."""
-        smin, smax = self.body.support_many(self.directions)
-        lo = np.ceil(smin / self.eps - self.shifts).astype(np.int64) - 1
-        hi = np.floor(smax / self.eps - self.shifts).astype(np.int64) + 1
-        return np.column_stack([lo, hi])
+        lo, hi = _index_range(self.body, self.directions, self.eps, self.shifts[None, :])
+        return np.column_stack([lo, hi]).astype(np.int64)
 
     @property
     def padding_count(self) -> int:
@@ -165,20 +173,15 @@ class SteinhausSet:
 
         Only lattice lines that actually meet the body appear.
         """
-        segs = []
-        fams = []
-        for k, (lo, hi) in enumerate(self.q_ranges):
-            offs = self.eps * (np.arange(lo, hi + 1, dtype=float) + self.shifts[k])
-            theta = math.pi * k / self.n
-            start, end, _, valid = self.body.chord_batch(
-                np.full(offs.shape, theta), offs
-            )
-            if np.any(valid):
-                segs.append(np.stack([start[valid], end[valid]], axis=1))
-                fams.append(np.full(int(valid.sum()), k, dtype=np.int64))
-        if not segs:
-            return np.zeros((0, 2, 2)), np.zeros(0, dtype=np.int64)
-        return np.concatenate(segs, axis=0), np.concatenate(fams)
+        fams = np.repeat(np.arange(self.n), self.q_ranges[:, 1] - self.q_ranges[:, 0] + 1)
+        q = np.concatenate([np.arange(lo, hi + 1, dtype=float) for lo, hi in self.q_ranges])
+        thetas, offs = math.pi * fams / self.n, self.eps * (q + self.shifts[fams])
+        edges = 1 if self.body.vertices is None else len(self.body.vertices)
+        step = max(1, KERNEL_CHUNK // edges)  # chord_batch holds (lines x edges) temporaries
+        start, end, _, valid = (np.concatenate(part) for part in zip(*(
+            self.body.chord_batch(thetas[lo : lo + step], offs[lo : lo + step])
+            for lo in range(0, len(q), step))))
+        return np.stack([start[valid], end[valid]], axis=1), fams[valid]
 
     @cached_property
     def pinned_edges(self) -> list:
@@ -219,9 +222,7 @@ def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.n
     u = np.asarray(shifts, dtype=float)
     dirs = directions(u.shape[1])
     if body.kind == "disk":
-        smin, smax = body.support_many(dirs)  # one row: the set's q_ranges, bit for bit
-        lo = np.min(np.ceil(smin / eps - u), axis=0) - 1
-        hi = np.max(np.floor(smax / eps - u), axis=0) + 1
+        lo, hi = _index_range(body, dirs, eps, u)  # one row: the set's q_ranges
         lengths = np.empty(u.shape)
         for k, nu in enumerate(dirs):
             s = eps * (np.arange(lo[k], hi[k] + 1) + u[:, k, None])

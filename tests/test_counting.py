@@ -142,6 +142,25 @@ def test_per_family_error_below_one():
         assert bd.max_abs_dev <= 1.0 + 1e-9
 
 
+def test_family_deviation_is_one_lines_formula():
+    """count_lines' deviation of each line is max_k |N_k - (h/eps) |t . nu_k||
+    with t . nu_k from one matrix-vector product, as for the line alone, and
+    equals count_line's, bit for bit."""
+    rng = np.random.default_rng(23)
+    sset = sh.SteinhausSet(body=ConvexBody.disk((0.1, -0.05), 0.8), n=101, eps=0.003,
+                           shifts=rng.uniform(0, 1, 101))
+    thetas = rng.uniform(0, math.pi, 300)
+    ps = rng.uniform(-0.8, 0.8, 300)
+    batch, deviation = counting.count_lines(sset, thetas, ps)
+    ok = np.flatnonzero(batch.valid & ~batch.exceptional)
+    assert ok.size > 100
+    for i in ok:
+        line = Line(float(thetas[i]), float(ps[i]))
+        bd = count_line(sset, line)
+        mean_k = batch.h[i] / sset.eps * np.abs(sset.directions @ line.tangent)
+        assert deviation[i] == bd.max_abs_dev == np.max(np.abs(bd.per_family - mean_k))
+
+
 def test_oracle_agreement_smoke():
     """count_line vs geometric segment-crossing oracle, exact equality."""
     rng = np.random.default_rng(23)

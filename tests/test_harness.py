@@ -8,10 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buffon.geometry import ConvexBody, ValidationError, unit_square
+from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
+from buffon import counting
 from buffon import harness as hz
 from buffon import steinhaus as sh
+from buffon.counting import (ExceptionalLineError, count_line, jitter_delta, oracle_count,
+                             oracle_padding_hits)
 from buffon.discrepancy import SupConfig
+
+from test_geometry import random_polygon
 
 SMALL_CONFIG = SupConfig(
     theta_resolution=24, offset_resolution=24, refine_rounds=1, seed=0)
@@ -266,6 +271,137 @@ def test_oracle_check_zero_shift_square():
     assert check.all_agree
     with pytest.raises(ValidationError):
         hz.run_oracle_check(sset, 0)
+
+
+def per_line_check(sset, thetas, offsets):
+    """The oracle check one line at a time, as it was before batching (with
+    the compared offset recorded), and how many lines needed a retry."""
+    agreements = skipped = retried = 0
+    max_family_deviation = 0.0
+    mismatches = []
+    for theta, offset in zip(thetas, offsets):
+        theta, offset = float(theta), float(offset)
+        resolved = None
+        for attempt in range(hz.ORACLE_ATTEMPTS):
+            delta = jitter_delta(theta, offset, sset.eps, attempt) if attempt else 0.0
+            line = Line(theta, offset + delta)
+            try:
+                fast = count_line(sset, line)
+                reference = oracle_count(sset, line)
+            except ExceptionalLineError:
+                continue
+            resolved = (fast, reference, oracle_padding_hits(sset, line), line.offset)
+            retried += attempt > 0
+            break
+        if resolved is None:
+            skipped += 1
+            continue
+        fast, reference, pad_ref, compared = resolved
+        max_family_deviation = max(max_family_deviation, fast.max_abs_dev)
+        if fast.total == reference and fast.padding_hits == pad_ref:
+            agreements += 1
+        else:
+            mismatches.append((theta, compared, fast.total, reference))
+    return hz.OracleCheck(
+        comparisons=len(thetas) - skipped, agreements=agreements, skipped=skipped,
+        mismatches=tuple(mismatches),
+        max_family_deviation=max_family_deviation), retried
+
+
+def through_endpoints(points, gen):
+    """A line at a random angle through each point."""
+    thetas = gen.uniform(0.0, math.pi, len(points))
+    return thetas, points[:, 0] * np.cos(thetas) + points[:, 1] * np.sin(thetas)
+
+
+def oracle_case(name):
+    """A set and its lines: 120 random lines over the body's offset extents
+    +- 0.05, then lines through grid-segment and padding endpoints, which
+    are screened."""
+    gen = np.random.default_rng(31)
+    if name == "padded":
+        sset, _ = sh.build_exact(unit_square(), 3000.0, "shifted", 8)
+        assert sset.padding_count > 0
+    else:
+        body, n, eps, shifts = {
+            "polygon": (random_polygon(gen), 9, 0.02, None),
+            "polygon-fine": (random_polygon(gen), 3, 0.001, None),
+            "disk": (ConvexBody.disk((0.1, -0.05), 0.8), 7, 0.03, None),
+            "square-zero": (unit_square(), 4, 0.25, np.zeros(4)),
+        }[name]
+        sset = sh.SteinhausSet(body=body, n=n, eps=eps, shifts=(
+            sh.sample_shifts(n, 5) if shifts is None else shifts))
+    thetas = math.pi * gen.random(120)
+    lo, hi = sset.body.offset_extents(thetas)
+    offsets = gen.uniform(lo - 0.05, hi + 0.05)
+    segments, _ = sset.grid_segments
+    ends = segments[gen.choice(len(segments), 12, replace=False), gen.integers(0, 2, 12)]
+    pads = sset.padding.reshape(-1, 2)[:6]
+    extra = [through_endpoints(points, gen) for points in (ends, pads)]
+    return (sset, np.concatenate([thetas] + [t for t, _ in extra]),
+            np.concatenate([offsets] + [p for _, p in extra]))
+
+
+@pytest.mark.parametrize("name", ["polygon", "polygon-fine", "disk", "square-zero", "padded"])
+def test_batched_oracle_check_equals_per_line_loop(name):
+    sset, thetas, offsets = oracle_case(name)
+    check = hz._check_lines(sset, thetas, offsets)
+    reference, retried = per_line_check(sset, thetas, offsets)
+    assert check == reference
+    assert check.agreements == check.comparisons and check.mismatches == ()
+    endpoint_lines = len(thetas) - 120
+    if name == "polygon-fine":  # every jitter (<= 5e-7 eps) stays within tolerance
+        assert check.skipped == endpoint_lines and retried == 0
+    else:  # the endpoint lines are screened at first, then a jitter resolves them
+        assert check.skipped == 0 and retried >= endpoint_lines
+
+
+def test_batched_oracle_check_in_small_blocks(monkeypatch):
+    sset, thetas, offsets = oracle_case("padded")
+    expected = hz._check_lines(sset, thetas, offsets)
+    segments = len(sset.grid_segments[0])
+    monkeypatch.setattr(counting, "KERNEL_CHUNK", 7 * segments)
+    rows = counting.KERNEL_CHUNK // segments  # lines per oracle block
+    assert len(thetas) >= 3 * rows and len(thetas) % rows
+    assert hz._check_lines(sset, thetas, offsets) == expected
+
+
+def test_oracle_check_calls_do_not_grow_with_lines(monkeypatch):
+    sset = sh.SteinhausSet(body=unit_square(), n=7, eps=0.05, shifts=sh.sample_shifts(7, 2))
+    calls = {"kernel": 0, "sign test": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(counting, "_eval_arrays", counted("kernel", counting._eval_arrays))
+    monkeypatch.setattr(hz, "segment_crossings", counted("sign test", hz.segment_crossings))
+    for lines in (250, 1000):
+        calls.update({"kernel": 0, "sign test": 0})
+        check = hz.run_oracle_check(sset, lines, seed=3)
+        assert check.comparisons == lines
+        # one kernel block per attempt; one sign test for the grid, one for the padding
+        assert max(16, counting.KERNEL_CHUNK // sset.n) >= lines
+        assert calls["kernel"] <= hz.ORACLE_ATTEMPTS
+        assert calls["sign test"] <= 2 * hz.ORACLE_ATTEMPTS
+
+
+def test_oracle_mismatch_records_the_offset_compared(monkeypatch):
+    sset = sh.SteinhausSet(body=unit_square(), n=5, eps=0.05, shifts=sh.sample_shifts(5, 6))
+    theta, offset = through_endpoints(sset.grid_segments[0][[40], 0], np.random.default_rng(2))
+    with pytest.raises(ExceptionalLineError):
+        count_line(sset, Line(float(theta[0]), float(offset[0])))
+    crossings = hz.segment_crossings
+    monkeypatch.setattr(hz, "segment_crossings",
+                        lambda *args: (crossings(*args)[0] + 1, crossings(*args)[1]))
+    check = hz._check_lines(sset, theta, offset)
+    ((theta_m, offset_m, fast, reference),) = check.mismatches
+    assert theta_m == theta[0] and offset_m != offset[0]
+    assert any(offset_m == offset[0] + jitter_delta(theta[0], offset[0], sset.eps, attempt)
+               for attempt in range(1, hz.ORACLE_ATTEMPTS))
+    assert count_line(sset, Line(theta_m, offset_m)).total == fast == reference - 1
 
 
 def test_benchmark_shims_name_defined_attributes(monkeypatch):

@@ -239,6 +239,29 @@ def test_grid_segments_lie_on_their_lattice_lines():
             assert body.contains(pt, tol=1e-9)
 
 
+def test_grid_segments_clip_in_bounded_blocks(monkeypatch):
+    """grid_segments hands chord_batch at most KERNEL_CHUNK line-edge elements
+    per call, and the blocks give the segments one call gives."""
+    rng = np.random.default_rng(13)
+    for body in (random_polygon(rng), ConvexBody.disk((0.1, -0.05), 0.8)):
+        shifts = rng.uniform(0, 1, size=5)
+        whole = sh.SteinhausSet(body=body, n=5, eps=0.11, shifts=shifts).grid_segments
+        edges = 1 if body.vertices is None else len(body.vertices)
+        sizes = []
+        clip = ConvexBody.chord_batch
+
+        def counted(self, thetas, offsets):
+            sizes.append(len(thetas))
+            return clip(self, thetas, offsets)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sh, "KERNEL_CHUNK", 9 * edges)
+            patch.setattr(ConvexBody, "chord_batch", counted)
+            blocked = sh.SteinhausSet(body=body, n=5, eps=0.11, shifts=shifts).grid_segments
+        assert max(sizes) == 9 and len(sizes) >= 3 and 0 < sizes[-1] < 9
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
 def test_phi_golden_value():
     want = 10.0**1.2 * math.log(1e6) ** 0.4
     assert sh.phi(1e6) == pytest.approx(want, rel=1e-14)
