@@ -144,22 +144,32 @@ def _lattice_gap(x, eps, out=None):
     return out
 
 
-def _eval_arrays(sset: SteinhausSet, thetas, ps):
+def _workspace(sset: SteinhausSet, rows: int) -> tuple:
+    """Buffers for _eval_arrays blocks of up to rows lines: (lines x families)
+    floats and masks, then (lines x padding) floats and a mask."""
+    fams, pads = (rows, sset.n), (rows, sset.padding_count)
+    return (np.empty((7, *fams)), np.empty((2, *fams), dtype=bool),
+            np.empty((3, *pads)), np.empty(pads, dtype=bool))
+
+
+def _eval_arrays(sset: SteinhausSet, thetas, ps, work: tuple):
     """One kernel pass: the batch, with the counts of invalid and exceptional
-    lines zeroed, and the raw (lines x families) per-family counts."""
+    lines zeroed, and the raw (lines x families) per-family counts, a view
+    into the workspace (from _workspace) that the next pass overwrites."""
+    floats, masks, pad, pad_mask = (w[..., : len(thetas), :] for w in work)
+    proj_s, proj_e, alpha, beta, n_lo, n_hi, per_family = floats
     start, end, h, valid = sset.body.chord_batch(thetas, ps)
     dirs_t = sset.directions.T
-    proj_s = start @ dirs_t
-    proj_e = end @ dirs_t
-    a = np.minimum(proj_s, proj_e)
-    b = np.maximum(proj_s, proj_e)
-    # count_in_interval's formula, kept as alpha/beta: the screens need them
-    alpha = a / sset.eps
+    np.matmul(start, dirs_t, out=proj_s)
+    np.matmul(end, dirs_t, out=proj_e)
+    # count_in_interval's formula, kept as alpha/beta: the screens need them;
+    # every temporary is written with out=, and each element keeps its arithmetic
+    np.divide(np.minimum(proj_s, proj_e, out=alpha), sset.eps, out=alpha)
     alpha -= sset.shifts
-    beta = b / sset.eps
+    np.divide(np.maximum(proj_s, proj_e, out=beta), sset.eps, out=beta)
     beta -= sset.shifts
-    n_lo = np.ceil(alpha)
-    n_hi = np.ceil(beta)
+    np.ceil(alpha, out=n_lo)
+    np.ceil(beta, out=n_hi)
 
     # Chord endpoints sitting on a lattice-aligned boundary edge are pinned,
     # stable crossings (the lattice line there IS part of the set): include
@@ -181,27 +191,27 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
         s_is_min = proj_s <= proj_e
         pinned_a = np.where(s_is_min, pinned_s, pinned_e)
         pinned_b = np.where(s_is_min, pinned_e, pinned_s)
-        n_lo = np.where(pinned_a, np.rint(alpha), n_lo)
-        n_hi = np.where(pinned_b, np.rint(beta) + 1.0, n_hi)
+        np.copyto(n_lo, np.rint(alpha), where=pinned_a)
+        np.copyto(n_hi, np.rint(beta) + 1.0, where=pinned_b)
 
-    per_family = n_hi - n_lo
+    np.subtract(n_hi, n_lo, out=per_family)
     total = np.sum(per_family, axis=1)
     # mean term (h/eps) sum_k |t . nu_k| in closed form, t the line's tangent
     z = total - h / sset.eps * angular_sum(sset.n, thetas + math.pi / 2)
     mean_term = total - z
 
-    # dead temporaries are reused with out=; each element keeps its arithmetic
     # chord endpoint next to the point where a grid segment meets the boundary
-    near_a = _lattice_gap(alpha, sset.eps, out=n_lo) <= EXCEPTIONAL_TOL
-    near_b = _lattice_gap(beta, sset.eps, out=n_hi) <= EXCEPTIONAL_TOL
+    near_a, near_b = masks
+    np.less_equal(_lattice_gap(alpha, sset.eps, out=n_lo), EXCEPTIONAL_TOL, out=near_a)
+    np.less_equal(_lattice_gap(beta, sset.eps, out=n_hi), EXCEPTIONAL_TOL, out=near_b)
     if pinned_a is not None:
         near_a &= ~pinned_a
         near_b &= ~pinned_b
-    exceptional = np.any(near_a | near_b, axis=1)
+    exceptional = np.any(np.logical_or(near_a, near_b, out=near_a), axis=1)
 
     # parallel to a family and on one of its lattice lines (degenerate intervals)
-    width = np.multiply(np.subtract(beta, alpha, out=a), sset.eps, out=a)
-    at = np.flatnonzero(width <= EXCEPTIONAL_TOL)  # flat (line, family) indices
+    width = np.multiply(np.subtract(beta, alpha, out=proj_s), sset.eps, out=proj_s)
+    at = np.flatnonzero(np.less_equal(width, EXCEPTIONAL_TOL, out=near_a))  # flat indices
     mid = 0.5 * (alpha.take(at) + beta.take(at))
     coincident = _lattice_gap(mid, sset.eps) <= EXCEPTIONAL_TOL + 0.5 * width.take(at)
     exceptional[at[coincident] // width.shape[1]] = True
@@ -209,11 +219,15 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
     hits = np.zeros(len(h), dtype=np.int64)
     if sset.padding_count:
         nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        sig0 = nu @ sset.padding[:, 0, :].T - ps[:, None]
-        sig1 = nu @ sset.padding[:, 1, :].T - ps[:, None]
-        hits = np.sum(sig0 * sig1 < 0.0, axis=1, dtype=np.int64)
-        near_pad = np.minimum(np.abs(sig0), np.abs(sig1)) <= EXCEPTIONAL_TOL
-        exceptional |= np.any(near_pad, axis=1)
+        sig0, sig1, product = pad
+        np.matmul(nu, sset.padding[:, 0, :].T, out=sig0)
+        sig0 -= ps[:, None]
+        np.matmul(nu, sset.padding[:, 1, :].T, out=sig1)
+        sig1 -= ps[:, None]
+        crossing = np.less(np.multiply(sig0, sig1, out=product), 0.0, out=pad_mask)
+        hits = np.sum(crossing, axis=1, dtype=np.int64)
+        np.minimum(np.abs(sig0, out=sig0), np.abs(sig1, out=sig1), out=sig0)
+        exceptional |= np.any(np.less_equal(sig0, EXCEPTIONAL_TOL, out=pad_mask), axis=1)
 
     exceptional &= valid
     zero = ~valid | exceptional
@@ -233,12 +247,15 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps):
 
 
 def _eval_blocks(sset: SteinhausSet, thetas: np.ndarray, ps: np.ndarray):
-    """_eval_arrays in blocks of about KERNEL_CHUNK line-family elements (at
-    least 16 lines), so the working memory does not grow with the lines; one
-    block even for no lines, so an empty batch still has every field."""
-    chunk = max(16, KERNEL_CHUNK // max(sset.n, 1))
+    """_eval_arrays in blocks of about KERNEL_CHUNK line-family and line-padding
+    elements (at least 16 lines), all in one workspace, so the working memory
+    neither grows with the lines nor is allocated again per block; one block
+    even for no lines, so an empty batch still has every field.  A block's
+    per-family counts are valid until the next block is asked for."""
+    chunk = max(16, KERNEL_CHUNK // max(sset.n, sset.padding_count, 1))
+    work = _workspace(sset, min(chunk, len(thetas)))
     for lo in range(0, max(len(thetas), 1), chunk):
-        yield _eval_arrays(sset, thetas[lo : lo + chunk], ps[lo : lo + chunk])
+        yield _eval_arrays(sset, thetas[lo : lo + chunk], ps[lo : lo + chunk], work)
 
 
 def _joined(batches: list) -> LineBatch:
@@ -298,8 +315,8 @@ def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
     complement, both bit-equal to the line's row in evaluate_lines;
     max_abs_dev = max_k |per_family[k] - mean_k| is below one.
     """
-    batch, per_family = _eval_arrays(
-        sset, np.array([line.theta]), np.array([line.offset]))
+    batch, per_family = next(_eval_blocks(
+        sset, np.array([line.theta]), np.array([line.offset])))
     if batch.exceptional[0]:
         raise ExceptionalLineError(
             line.theta, line.offset, "line within tolerance of a grid-segment "

@@ -295,9 +295,12 @@ class ConvexBody:
         nu = unit_vector(nu)
         s = np.asarray(svals, dtype=float)
 
-        if self.kind == "disk":
-            h2 = self.radius**2 - (s - (nu @ self.center)[..., None]) ** 2
-            return 2.0 * np.sqrt(np.maximum(h2, 0.0))
+        if self.kind == "disk":  # 2 sqrt(max(r^2 - (s - c)^2, 0)), in one array
+            h = np.subtract(s, (nu @ self.center)[..., None])
+            np.subtract(self.radius**2, np.square(h, out=h), out=h)
+            np.sqrt(np.maximum(h, 0.0, out=h), out=h)
+            h *= 2.0
+            return h
 
         z = self.vertex_projections(nu)[..., None]  # (..., E, 1) against s (..., 1, m)
         w = self.vertex_projections(np.stack([-nu[..., 1], nu[..., 0]], axis=-1))[..., None]

@@ -224,8 +224,14 @@ def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.n
     if body.kind == "disk":
         lo, hi = _index_range(body, dirs, eps, u)  # one row: the set's q_ranges
         lengths = np.empty(u.shape)
+        steps = np.arange(np.max(hi - lo) + 1)
+        work = np.empty(len(u) * steps.size)  # every family's offsets, in turn
         for k, nu in enumerate(dirs):
-            s = eps * (np.arange(lo[k], hi[k] + 1) + u[:, k, None])
+            m = int(hi[k] - lo[k] + 1)
+            s = work[: len(u) * m].reshape(len(u), m)
+            np.add(steps[:m], lo[k], out=s)
+            s += u[:, k, None]
+            s *= eps  # eps (lo_k + i + u_k)
             lengths[:, k] = body.slice_lengths(nu, s.ravel()).reshape(s.shape).sum(axis=1)
         return lengths
     z = np.sort(body.vertex_projections(unit_vector(dirs)), axis=1)  # as slice_lengths has them

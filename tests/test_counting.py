@@ -2,9 +2,13 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,3 +391,116 @@ def test_evaluated_set_is_freed_after_del():
     del sset
     gc.collect()
     assert ref() is None
+
+
+def _padded_disk_set(n, eps, delta, seed):
+    rng = np.random.default_rng(seed)
+    body = ConvexBody.disk((0.1, -0.2), 0.8)
+    return sh.SteinhausSet(body=body, n=n, eps=eps, shifts=rng.uniform(0, 1, n),
+                           padding=sh.make_padding(body, n, delta))
+
+
+def _lines_through_endpoints(sset, rng, m, through):
+    """m random lines over the body, `through` of them through grid-segment
+    endpoints and `through` through padding-segment endpoints."""
+    thetas = rng.uniform(0, math.pi, m)
+    lo, hi = sset.body.offset_extents(thetas)
+    ps = lo - 0.1 + (hi - lo + 0.2) * rng.uniform(0, 1, m)
+    segments = sset.grid_segments[0].reshape(-1, 2)
+    points = [segments[rng.integers(0, len(segments), through)]]
+    if sset.padding_count:
+        points.append(sset.padding.reshape(-1, 2)[rng.integers(0, 2 * sset.padding_count, through)])
+    points = np.concatenate(points)
+    at = rng.choice(m, len(points), replace=False)
+    ps[at] = points[:, 0] * np.cos(thetas[at]) + points[:, 1] * np.sin(thetas[at])
+    return thetas, ps
+
+
+def test_kernel_blocks_count_padding_segments(monkeypatch):
+    """A block holds at most KERNEL_CHUNK elements of (lines x families) and
+    of (lines x padding segments), also when the padding outnumbers the
+    families."""
+    sset = _padded_disk_set(40, 0.01, 150.0, seed=51)
+    assert sset.padding_count > 5 * sset.n
+    shapes = []
+    eval_arrays = counting._eval_arrays
+    monkeypatch.setattr(counting, "_eval_arrays", lambda s, thetas, ps, work: (
+        shapes.append(len(thetas)) or eval_arrays(s, thetas, ps, work)))
+    thetas, ps = _lines_through_endpoints(sset, np.random.default_rng(52), 1000, 0)
+    batch = evaluate_lines(sset, thetas, ps)
+    assert batch.padding_hits.any()
+    assert len(shapes) > 3
+    assert max(shapes) * max(sset.n, sset.padding_count) <= counting.KERNEL_CHUNK
+
+
+@pytest.mark.parametrize("case", ["padded disk", "zero-shift square"])
+def test_reused_workspace_leaks_nothing_between_blocks(monkeypatch, case):
+    """In 16-line blocks over one workspace, every LineBatch field and every
+    count_lines deviation equals its block evaluated alone in a fresh
+    workspace poisoned with NaN and True, to the bit.  Lines pass through
+    grid-segment and padding endpoints; the square takes the pinned-edge
+    path."""
+    rng = np.random.default_rng(53)
+    if case == "padded disk":
+        sset = _padded_disk_set(60, 0.02, 3.0, seed=54)
+    else:
+        base = sh.SteinhausSet(body=unit_square(), n=4, eps=0.125, shifts=np.zeros(4))
+        sset = sh.adjust_length(base, sh.grid_length(base) + 1.3)
+        assert sset.pinned_edges
+    assert sset.padding_count
+    block = 16
+    monkeypatch.setattr(counting, "KERNEL_CHUNK", block * max(sset.n, sset.padding_count))
+    m = 6 * block + 5
+    thetas, ps = _lines_through_endpoints(sset, rng, m, 12)
+    batch, deviation = counting.count_lines(sset, thetas, ps)
+    assert batch.exceptional.any() and (batch.valid & ~batch.exceptional).sum() > m // 2
+    assert batch.padding_hits.any()
+    for lo in range(0, m, block):
+        part = slice(lo, lo + block)
+        work = counting._workspace(sset, len(thetas[part]))
+        for w in work:
+            w.fill(np.nan if w.dtype == float else True)
+        alone, per_family = counting._eval_arrays(sset, thetas[part], ps[part], work)
+        for f in fields(counting.LineBatch):
+            assert np.array_equal(getattr(batch, f.name)[part], getattr(alone, f.name)), f.name
+        want = counting.family_deviation(sset, alone, per_family)
+        assert np.array_equal(deviation[part], want)
+
+
+_FRESH_FAULTS_SCRIPT = """
+import math, resource
+import numpy as np
+from buffon import counting, steinhaus as sh
+from buffon.geometry import ConvexBody
+
+rng = np.random.default_rng(55)
+body = ConvexBody.disk((0.1, -0.2), 0.8)
+sset = sh.SteinhausSet(body=body, n=500, eps=0.004, shifts=rng.uniform(0, 1, 500),
+                       padding=sh.make_padding(body, 500, 600.0))
+chunk = counting.KERNEL_CHUNK // sset.padding_count
+thetas = rng.uniform(0, math.pi, 21 * chunk + 7)
+ps = rng.uniform(-0.5, 0.5, thetas.size)
+counting.evaluate_lines(sset, thetas, ps)  # warm: the set's caches, the allocator
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+counting.evaluate_lines(sset, thetas, ps)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, sset.padding_count,
+      sum(w.nbytes for w in counting._workspace(sset, chunk)) // resource.getpagesize())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page faults are counted in ru_minflt on Linux")
+def test_warm_kernel_blocks_take_no_page_faults():
+    """A warm evaluate_lines over 21 blocks of a padded disk set (n=500, and
+    3x as many padding segments, as in a zero-shift disk set) faults in at
+    most one workspace, not every block's temporaries again: a fault-count
+    guard that times nothing.  It runs in a fresh interpreter, so earlier
+    tests do not shape the allocator's state."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _FRESH_FAULTS_SCRIPT],
+                            capture_output=True, text=True, check=True, env=env)
+    faults, padding_count, pages = (int(v) for v in result.stdout.split())
+    assert padding_count > 2 * 500
+    assert faults < pages + 1_000, (faults, pages)

@@ -20,6 +20,7 @@ from buffon.geometry import (
     body_from_dict,
     body_to_dict,
     unit_square,
+    unit_vector,
 )
 
 
@@ -206,6 +207,27 @@ def test_slice_lengths_of_a_direction_stack_equal_single_calls():
         np.testing.assert_allclose(stacked, rows, rtol=0, atol=1e-12)
     with pytest.raises(ValidationError):
         unit_square().slice_lengths(np.vstack([dirs[:2], [0.0, 0.0]]), s[:3])
+
+
+def test_disk_slice_lengths_equal_the_closed_form_bit_for_bit():
+    """A disk's slices are 2 sqrt(max(r^2 - (s - c)^2, 0)) with c = nu . centre,
+    computed in place in one array: every bit equals the plain expression, for
+    one direction and for a stack, inside and outside the disk."""
+    rng = np.random.default_rng(5)
+    body = ConvexBody.disk((0.31, -0.17), 0.73)
+    dirs = np.column_stack([np.cos(np.arange(7) * 0.41), np.sin(np.arange(7) * 0.41)]) * 0.6
+    s = rng.uniform(-1.3, 1.3, size=(7, 500))
+
+    def closed_form(nu, svals):
+        nu = unit_vector(nu)
+        return 2.0 * np.sqrt(np.maximum(
+            body.radius**2 - (svals - (nu @ body.center)[..., None]) ** 2, 0.0))
+
+    stacked = body.slice_lengths(dirs, s)
+    assert np.array_equal(stacked, closed_form(dirs, s))
+    assert np.any(stacked == 0.0) and np.any(stacked > 0.0)
+    for nu, sk in zip(dirs, s):
+        assert np.array_equal(body.slice_lengths(nu, sk), closed_form(nu, sk))
 
 
 def test_area_diameter_bbox():
