@@ -33,7 +33,6 @@ from buffon.counting import (
     count_line,
     endpoint_error,
     evaluate_lines,
-    jitter_delta,
     oracle_count,
     oracle_padding_hits,
     z_samples,
@@ -131,7 +130,6 @@ __all__ = [
     "count_line",
     "endpoint_error",
     "evaluate_lines",
-    "jitter_delta",
     "oracle_count",
     "oracle_padding_hits",
     "z_samples",

@@ -241,7 +241,7 @@ def _cmd_oracle_check(ns) -> int:
                    if check.mismatches else "no compared line disagreed")
         raise AssertionError(
             f"{verdict}; {check.skipped} lines skipped as exceptional "
-            f"after {hz.ORACLE_ATTEMPTS} attempts")
+            f"(within rounding of a segment endpoint)")
     return 0
 
 

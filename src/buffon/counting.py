@@ -19,48 +19,37 @@ they do not depend on the batch the line is evaluated in.  The
 per-family deviation max_k |N_k - (b_k - a_k)/eps| is family_deviation,
 which count_line and count_lines report (a LineBatch does not carry it).
 
-A line is *exceptional* when its count is ambiguous under perturbation
-(a measure-zero set of line space).  Three conditions, all at
-EXCEPTIONAL_TOL absolute in offset units:
+A line is *exceptional* when float rounding could change its count (a
+measure-zero set of line space): ConvexBody.chord_bounds gives each
+chord endpoint a forward error bound c 2^-53 S (1 + kappa), S the body's
+coordinate scale and kappa the endpoint's conditioning, and a line is
+exceptional when an endpoint's lattice coordinate lies within that bound
+plus its own rounding, rounding_bound(sset.scale), of a lattice value (the
+line passes next to the point where that grid segment meets the boundary,
+or runs along it), when it runs along a boundary edge, or when it passes
+within rounding_bound(sset.scale) of a padding-segment endpoint.
+An endpoint on a boundary edge that lies on its family's lattice line
+(SteinhausSet.pinned_edges: an axis-aligned body under zero shifts) is a
+pinned crossing, stable under nearby lines: it is counted on either side,
+though the half-open convention would drop it on the max side.
 
-  1. parallel-and-coincident: the projection interval degenerates (width
-     below tolerance) on top of a lattice value — the line runs along a
-     grid line;
-  2. a chord endpoint projects within tolerance of a lattice value, i.e.
-     the line passes next to the point where that grid segment meets the
-     boundary, so the crossing may sit just outside the segment.  When the
-     boundary edge carrying the chord endpoint is itself collinear with
-     that family's lattice line (an axis-aligned body under zero shifts),
-     the crossing is pinned — it stays strictly inside the segment for
-     every nearby line — so this case is NOT exceptional; a pinned
-     crossing is counted exactly once (the min-side lattice value is
-     included despite float noise, and the max-side value that the
-     half-open convention would drop is added back);
-  3. the line passes within tolerance of a padding-segment endpoint.
-
-Exceptional lines are never counted: scalar entry points raise, and the
-batch evaluator retries with a deterministic offset jitter of
-+-(attempt * JITTER_SCALE * eps) for attempt = 1 .. JITTER_ATTEMPTS.  The
-oracle's segment_crossings flags a line that passes within tolerance of a
-grid-segment endpoint, and oracle_count then raises.
+Every other line is counted as exact arithmetic on the kernel's float
+inputs would count it; exceptional ones are not (count_line raises, batches
+zero their counts).  The oracle flags a line within a grid-segment
+endpoint's tolerance (its clipping bound plus the sign test's rounding).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import Line
-from .steinhaus import EXCEPTIONAL_TOL, KERNEL_CHUNK, SteinhausSet, angular_sum, directions
+from .geometry import Line, rounding_bound
+from .steinhaus import KERNEL_CHUNK, SteinhausSet, angular_sum, directions
 
 __all__ = [
-    "EXCEPTIONAL_TOL",
-    "JITTER_SCALE",
-    "JITTER_ATTEMPTS",
     "ExceptionalLineError",
     "count_in_interval",
     "CountBreakdown",
@@ -71,11 +60,8 @@ __all__ = [
     "oracle_padding_hits",
     "endpoint_error",
     "z_samples",
-    "jitter_delta",
 ]
 
-JITTER_SCALE = 1e-7
-JITTER_ATTEMPTS = 4  # jitters evaluate_lines tries before excluding a line
 # Elements per (shifts x families) z_samples block, as KERNEL_CHUNK per kernel block
 Z_CHUNK = 65_536
 
@@ -97,15 +83,6 @@ def count_in_interval(a, b, eps: float, u):
     return np.ceil(b / eps - u) - np.ceil(a / eps - u)
 
 
-def jitter_delta(theta: float, offset: float, eps: float, attempt: int) -> float:
-    """Deterministic jitter for an exceptional line, scaled by attempt."""
-    digest = hashlib.blake2b(
-        struct.pack("<ddq", theta, offset, attempt), digest_size=8
-    ).digest()
-    sign = 1.0 if digest[0] & 1 else -1.0
-    return sign * attempt * JITTER_SCALE * eps
-
-
 @dataclass(frozen=True, eq=False)
 class CountBreakdown:
     """Per-family counts with the exact decomposition total = mean_term + z:
@@ -122,7 +99,7 @@ class CountBreakdown:
 
 @dataclass(eq=False)
 class LineBatch:
-    """Vectorized evaluation results; offsets reflect any applied jitter."""
+    """Vectorized evaluation results; jittered is always False (no line moves)."""
 
     theta: np.ndarray
     offset: np.ndarray
@@ -148,7 +125,7 @@ def _workspace(sset: SteinhausSet, rows: int) -> tuple:
     """Buffers for _eval_arrays blocks of up to rows lines: (lines x families)
     floats and masks, then (lines x padding) floats and a mask."""
     fams, pads = (rows, sset.n), (rows, sset.padding_count)
-    return (np.empty((7, *fams)), np.empty((2, *fams), dtype=bool),
+    return (np.empty((5, *fams)), np.empty((2, *fams), dtype=bool),
             np.empty((3, *pads)), np.empty(pads, dtype=bool))
 
 
@@ -157,64 +134,44 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps, work: tuple):
     lines zeroed, and the raw (lines x families) per-family counts, a view
     into the workspace (from _workspace) that the next pass overwrites."""
     floats, masks, pad, pad_mask = (w[..., : len(thetas), :] for w in work)
-    proj_s, proj_e, alpha, beta, n_lo, n_hi, per_family = floats
-    start, end, h, valid = sset.body.chord_batch(thetas, ps)
+    at_s, at_e, n_lo, n_hi, per_family = floats
+    start, end, h, valid, tol_s, tol_e, edge_s, edge_e, along = sset.body.chord_bounds(thetas, ps)
+    # the screens' tolerance: an endpoint's bound plus its lattice coordinate's rounding
+    lattice = rounding_bound(sset.scale)
+    tol_s, tol_e = tol_s + lattice, tol_e + lattice
     dirs_t = sset.directions.T
-    np.matmul(start, dirs_t, out=proj_s)
-    np.matmul(end, dirs_t, out=proj_e)
-    # count_in_interval's formula, kept as alpha/beta: the screens need them;
-    # every temporary is written with out=, and each element keeps its arithmetic
-    np.divide(np.minimum(proj_s, proj_e, out=alpha), sset.eps, out=alpha)
-    alpha -= sset.shifts
-    np.divide(np.maximum(proj_s, proj_e, out=beta), sset.eps, out=beta)
-    beta -= sset.shifts
-    np.ceil(alpha, out=n_lo)
-    np.ceil(beta, out=n_hi)
+    # each endpoint's lattice coordinate x . nu_k / eps - U_k, every temporary
+    # written with out=; rounding is monotone, so their min and max are
+    # count_in_interval's a/eps - U_k and b/eps - U_k to the bit
+    for point, at in ((start, at_s), (end, at_e)):
+        np.matmul(point, dirs_t, out=at)
+        at /= sset.eps
+        at -= sset.shifts
+    np.ceil(np.minimum(at_s, at_e, out=n_lo), out=n_lo)
+    np.ceil(np.maximum(at_s, at_e, out=n_hi), out=n_hi)
 
-    # Chord endpoints sitting on a lattice-aligned boundary edge are pinned,
-    # stable crossings (the lattice line there IS part of the set): include
-    # the min-side value despite float noise around the lattice point, and
-    # include the max-side value that the half-open convention would drop.
-    pinned_a = pinned_b = None
-    if sset.pinned_edges:
-        pinned_s = np.zeros(proj_s.shape, dtype=bool)
-        pinned_e = np.zeros(proj_e.shape, dtype=bool)
-        for k, off, tau, span_lo, span_hi in sset.pinned_edges:
-            ts = start @ tau
-            te = end @ tau
-            pinned_s[:, k] |= (
-                (np.abs(proj_s[:, k] - off) <= EXCEPTIONAL_TOL)
-                & (ts >= span_lo) & (ts <= span_hi))
-            pinned_e[:, k] |= (
-                (np.abs(proj_e[:, k] - off) <= EXCEPTIONAL_TOL)
-                & (te >= span_lo) & (te <= span_hi))
-        s_is_min = proj_s <= proj_e
-        pinned_a = np.where(s_is_min, pinned_s, pinned_e)
-        pinned_b = np.where(s_is_min, pinned_e, pinned_s)
-        np.copyto(n_lo, np.rint(alpha), where=pinned_a)
-        np.copyto(n_hi, np.rint(beta) + 1.0, where=pinned_b)
+    # an endpoint next to the point where a grid segment meets the boundary
+    near_s, near_e = masks
+    np.less_equal(_lattice_gap(at_s, sset.eps, out=per_family), tol_s[:, None], out=near_s)
+    np.less_equal(_lattice_gap(at_e, sset.eps, out=per_family), tol_e[:, None], out=near_e)
+    # An endpoint whose binding edge lies on a lattice line is a pinned, stable
+    # crossing (the lattice line there IS part of the set): count the edge's
+    # lattice value on the min side, and on the max side, where the half-open
+    # convention would drop it.
+    for k, j, q in sset.pinned_edges:
+        on_s, on_e = edge_s == j, edge_e == j
+        near_s[:, k] &= ~on_s
+        near_e[:, k] &= ~on_e
+        s_is_min = at_s[:, k] <= at_e[:, k]
+        n_lo[:, k] = np.where(np.where(s_is_min, on_s, on_e), q, n_lo[:, k])
+        n_hi[:, k] = np.where(np.where(s_is_min, on_e, on_s), q + 1.0, n_hi[:, k])
+    exceptional = np.any(np.logical_or(near_s, near_e, out=near_s), axis=1) | along
 
     np.subtract(n_hi, n_lo, out=per_family)
     total = np.sum(per_family, axis=1)
     # mean term (h/eps) sum_k |t . nu_k| in closed form, t the line's tangent
     z = total - h / sset.eps * angular_sum(sset.n, thetas + math.pi / 2)
     mean_term = total - z
-
-    # chord endpoint next to the point where a grid segment meets the boundary
-    near_a, near_b = masks
-    np.less_equal(_lattice_gap(alpha, sset.eps, out=n_lo), EXCEPTIONAL_TOL, out=near_a)
-    np.less_equal(_lattice_gap(beta, sset.eps, out=n_hi), EXCEPTIONAL_TOL, out=near_b)
-    if pinned_a is not None:
-        near_a &= ~pinned_a
-        near_b &= ~pinned_b
-    exceptional = np.any(np.logical_or(near_a, near_b, out=near_a), axis=1)
-
-    # parallel to a family and on one of its lattice lines (degenerate intervals)
-    width = np.multiply(np.subtract(beta, alpha, out=proj_s), sset.eps, out=proj_s)
-    at = np.flatnonzero(np.less_equal(width, EXCEPTIONAL_TOL, out=near_a))  # flat indices
-    mid = 0.5 * (alpha.take(at) + beta.take(at))
-    coincident = _lattice_gap(mid, sset.eps) <= EXCEPTIONAL_TOL + 0.5 * width.take(at)
-    exceptional[at[coincident] // width.shape[1]] = True
 
     hits = np.zeros(len(h), dtype=np.int64)
     if sset.padding_count:
@@ -227,13 +184,14 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps, work: tuple):
         crossing = np.less(np.multiply(sig0, sig1, out=product), 0.0, out=pad_mask)
         hits = np.sum(crossing, axis=1, dtype=np.int64)
         np.minimum(np.abs(sig0, out=sig0), np.abs(sig1, out=sig1), out=sig0)
-        exceptional |= np.any(np.less_equal(sig0, EXCEPTIONAL_TOL, out=pad_mask), axis=1)
+        np.less_equal(sig0, lattice, out=pad_mask)
+        exceptional |= np.any(pad_mask, axis=1)
 
     exceptional &= valid
     zero = ~valid | exceptional
-    batch = LineBatch(  # copies of the inputs: a jitter retry writes into the batch
-        theta=np.array(thetas, dtype=float),
-        offset=np.array(ps, dtype=float),
+    batch = LineBatch(
+        theta=np.asarray(thetas, dtype=float),
+        offset=np.asarray(ps, dtype=float),
         valid=valid,
         h=h,
         total=np.where(zero, 0.0, total).astype(np.int64),
@@ -273,8 +231,7 @@ def family_deviation(sset: SteinhausSet, batch: LineBatch, per_family) -> np.nda
 
 
 def count_lines(sset: SteinhausSet, thetas, offsets) -> tuple[LineBatch, np.ndarray]:
-    """evaluate_lines with no jitter (exceptional lines keep zeroed counts),
-    and each line's family_deviation."""
+    """evaluate_lines, and each line's family_deviation."""
     parts = [(b, family_deviation(sset, b, per_family))
              for b, per_family in _eval_blocks(sset, thetas, offsets)]
     return _joined([b for b, _ in parts]), np.concatenate([d for _, d in parts])
@@ -283,27 +240,11 @@ def count_lines(sset: SteinhausSet, thetas, offsets) -> tuple[LineBatch, np.ndar
 def evaluate_lines(
     sset: SteinhausSet, thetas: np.ndarray, offsets: np.ndarray
 ) -> LineBatch:
-    """Count every line, jittering exceptional ones deterministically.
-
-    Lines still exceptional after JITTER_ATTEMPTS jitters keep
-    exceptional=True and zeroed counts; callers exclude them from suprema
-    (they form a null set of line space).  Each jitter attempt retries every
-    line still exceptional at once, in blocks like the first pass.
-    """
+    """Count every line in one kernel pass.  Exceptional lines keep zeroed
+    counts; callers exclude them from suprema (a null set of line space)."""
     thetas = np.asarray(thetas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    batch = _joined([b for b, _ in _eval_blocks(sset, thetas, offsets)])
-    for attempt in range(1, JITTER_ATTEMPTS + 1):
-        idx = np.flatnonzero(batch.exceptional)
-        if idx.size == 0:
-            break
-        ps = np.array([offsets[i] + jitter_delta(thetas[i], offsets[i], sset.eps, attempt)
-                       for i in idx])
-        retry = _joined([b for b, _ in _eval_blocks(sset, thetas[idx], ps)])
-        for f in fields(LineBatch):
-            getattr(batch, f.name)[idx] = getattr(retry, f.name)
-        batch.jittered[idx] = True
-    return batch
+    return _joined([b for b, _ in _eval_blocks(sset, thetas, offsets)])
 
 
 def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
@@ -319,10 +260,9 @@ def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
         sset, np.array([line.theta]), np.array([line.offset])))
     if batch.exceptional[0]:
         raise ExceptionalLineError(
-            line.theta, line.offset, "line within tolerance of a grid-segment "
-            "endpoint, parallel-coincident with a lattice line, or near a "
-            "padding endpoint; jitter the offset and retry"
-        )
+            line.theta, line.offset, "line within its rounding bound of a "
+            "grid-segment endpoint, along a grid line or boundary edge, or near "
+            "a padding endpoint")
     return CountBreakdown(
         per_family=np.where(batch.valid[0], per_family[0], 0.0).astype(np.int64),
         total=int(batch.total[0]),
@@ -333,16 +273,20 @@ def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
     )
 
 
-def segment_crossings(segments: np.ndarray, thetas, offsets) -> tuple[np.ndarray, np.ndarray]:
+def segment_crossings(segments: np.ndarray, thetas, offsets,
+                      tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Strict sign-change crossings of each line with the (S, 2, 2) segments, and
-    whether a segment endpoint lies within EXCEPTIONAL_TOL of it; no arithmetic
-    shared with count_in_interval.  Lines go in blocks of at most KERNEL_CHUNK
-    line-segment elements; a line's signs do not depend on its block."""
+    whether a segment endpoint lies within its tolerance of it (a scalar, or
+    (S, 2) per endpoint); no arithmetic shared with count_in_interval.  Lines go
+    in blocks of at most KERNEL_CHUNK line-segment elements; a line's signs do
+    not depend on its block."""
     offsets = np.asarray(offsets, dtype=float)
     normals = np.column_stack([np.cos(thetas), np.sin(thetas)])
     hits, near = np.zeros(len(thetas), dtype=np.int64), np.zeros(len(thetas), dtype=bool)
     rows = max(1, KERNEL_CHUNK // max(len(segments), 1))
     ends = np.ascontiguousarray(np.transpose(segments, (1, 2, 0)))  # (endpoint, x|y, S)
+    tolerance = np.broadcast_to(tolerance, (len(segments), 2)).T  # (endpoint, S)
+    widest = np.max(tolerance, initial=0.0)
     # one workspace for every block: fresh arrays this size are page-faulted in again
     work = np.empty((min(rows, len(thetas)), 3, len(segments)))
     for lo in range(0, len(thetas) if len(segments) else 0, rows):
@@ -352,24 +296,28 @@ def segment_crossings(segments: np.ndarray, thetas, offsets) -> tuple[np.ndarray
         sig -= offsets[lo : lo + rows, None, None]
         crossing = np.multiply(sig[:, 0], sig[:, 1], out=product) < 0.0
         hits[lo : lo + rows] = [np.count_nonzero(c) for c in crossing]
-        near[lo : lo + rows] = np.abs(sig, out=sig).min(axis=(1, 2)) <= EXCEPTIONAL_TOL
+        # only a line within the widest tolerance of some endpoint needs the full test
+        close = lo + np.flatnonzero(np.abs(sig, out=sig).min(axis=(1, 2)) <= widest)
+        near[close] = (sig[close - lo] <= tolerance).any(axis=(1, 2))
     return hits, near
 
 
 def oracle_count(sset: SteinhausSet, line: Line) -> int:
     """Geometric reference count: strict crossings with every clipped grid
-    segment.  Raises when a segment endpoint lies within EXCEPTIONAL_TOL of
+    segment.  Raises when a segment endpoint lies within its tolerance of
     the line, since a strict sign test is unreliable there."""
-    hits, near = segment_crossings(sset.grid_segments[0], [line.theta], [line.offset])
+    segments, _, tolerance = sset.grid_segments
+    hits, near = segment_crossings(segments, [line.theta], [line.offset], tolerance)
     if near[0]:
         raise ExceptionalLineError(line.theta, line.offset, "grid-segment endpoint "
-                                   "within tolerance of the line (caller must jitter)")
+                                   "within its rounding bound of the line")
     return int(hits[0])
 
 
 def oracle_padding_hits(sset: SteinhausSet, line: Line) -> int:
     """Strict crossings of the line with the padding segments."""
-    return int(segment_crossings(sset.padding, [line.theta], [line.offset])[0][0])
+    return int(segment_crossings(sset.padding, [line.theta], [line.offset],
+                                 rounding_bound(sset.scale))[0][0])
 
 
 def endpoint_error(sset: SteinhausSet, x, y) -> float:

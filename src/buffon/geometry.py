@@ -9,7 +9,8 @@ nu(theta) = (cos theta, sin theta).  The pairs (theta + pi, -p) and
 A convex body is either a strictly convex polygon with counter-clockwise
 vertices or a disk.  All chord and slice computations clip against the
 closed body; chords shorter than ``TANGENCY_CUTOFF * diameter`` are treated
-as absent (tangency).
+as absent (tangency).  ``ConvexBody.chord_bounds`` bounds the rounding
+error of every chord endpoint (see ``rounding_bound``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "TANGENCY_CUTOFF",
+    "rounding_bound",
     "ValidationError",
     "as_float_array",
     "unit_vector",
@@ -40,6 +42,19 @@ __all__ = [
 
 # Chords shorter than this fraction of the diameter count as tangencies.
 TANGENCY_CUTOFF = 1e-12
+# c 2^-53 in rounding_bound.  To first order chord_batch's endpoints are off
+# by at most about 24 ulps of S (1 + kappa): alpha and beta carry 13 ulps of S
+# and 3 (relative to the edge), which the clip -alpha/beta divides by sin, and
+# the sums forming start and end 5 more; a disk's half-chord sqrt(r^2 - d^2)
+# carries 15 ulps of S^2 over 2 half.  A dot product and a lattice coordinate
+# carry 4 ulps of S, which rounding_bound(S) covers on its own.
+ROUNDING = 64 * 2.0**-53
+
+
+def rounding_bound(scale, kappa=0.0):
+    """The forward error bound c 2^-53 S (1 + kappa): S bounds every coordinate
+    and offset in the computation and kappa is its conditioning."""
+    return ROUNDING * scale * (1.0 + kappa)
 
 
 class ValidationError(ValueError):
@@ -188,6 +203,13 @@ class ConvexBody:
         return math.sqrt(float(np.max(d2)))
 
     @cached_property
+    def scale(self) -> float:
+        """max |x| over the body, the coordinate scale of its chords."""
+        if self.kind == "disk":
+            return math.hypot(*self.center) + self.radius
+        return float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
+
+    @cached_property
     def _edge_data(self):
         """Per-edge start point, edge vector, and length (polygon only)."""
         v = self.vertices
@@ -228,6 +250,23 @@ class ConvexBody:
         invalid lines are zero.  A line is invalid when it misses the body or
         meets it in a chord shorter than the tangency cutoff.
         """
+        return self.chord_bounds(thetas, offsets)[:4]
+
+    def chord_bounds(self, thetas: np.ndarray, offsets: np.ndarray):
+        """chord_batch's four arrays, then forward error bounds of the chord
+        endpoints: bound_start, bound_end, edge_start, edge_end and along,
+        meaningless on invalid lines.
+
+        Each endpoint lies within its bound, rounding_bound(self.scale, kappa),
+        of the exact one of the line x . (c, s) = p, with c and s the computed
+        cos and sin of theta.  On a disk kappa is scale / half-chord and there
+        are no edges (-1).  On a polygon kappa is 1/|sin| of the angle between
+        the line and the endpoint's binding edge; where other clips lie within
+        the bounds of it (near a vertex) the largest kappa counts and the edge
+        is -1, undecided.  along marks a line within rounding of an edge taken
+        as parallel: the exact line may leave the body there, unless it lies
+        on the edge.
+        """
         thetas = np.asarray(thetas, dtype=float)
         offsets = np.asarray(offsets, dtype=float)
         nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
@@ -245,22 +284,44 @@ class ConvexBody:
             start = foot - half[:, None] * tangent
             end = foot + half[:, None] * tangent
             length = 2.0 * half
+            bound_s = bound_e = rounding_bound(self.scale, np.divide(
+                self.scale, half, out=np.full(len(half), np.inf), where=valid))
+            edge_s = edge_e = np.full(len(thetas), -1)
+            along = np.zeros(len(thetas), dtype=bool)
         else:
+            # per edge (v, e) and line, as (edges, lines) arrays so that reductions
+            # over the edges run along whole rows: base + t tangent is inside
+            # where alpha + t beta >= 0; |beta| <= 1e-14 |e| counts as parallel
             v, e, elen = self._edge_data
-            # constraint per edge: cross(e, base + t*tangent - v) >= 0
-            rel = base[:, None, :] - v[None, :, :]  # (N, E, 2)
-            alpha = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-            beta = e[:, 0][None, :] * tangent[:, 1][:, None] - e[:, 1][None, :] * tangent[:, 0][:, None]
-            tiny = 1e-14 * elen[None, :]
-            pos = beta > tiny
-            neg = beta < -tiny
-            safe = np.where(pos | neg, beta, 1.0)
-            bound = -alpha / safe
-            t_lo = np.max(np.where(pos, bound, -np.inf), axis=1)
-            t_hi = np.min(np.where(neg, bound, np.inf), axis=1)
-            feasible = ~np.any(~(pos | neg) & (alpha < -1e-12 * elen[None, :] * self.diameter), axis=1)
+            elen = elen[:, None]
+            alpha = (e[:, 0, None] * (base[:, 1] - v[:, 1, None])
+                     - e[:, 1, None] * (base[:, 0] - v[:, 0, None]))
+            beta = e[:, 0, None] * tangent[:, 1] - e[:, 1, None] * tangent[:, 0]
+            pos = beta > 1e-14 * elen
+            neg = beta < -1e-14 * elen
+            crossing = pos | neg
+            clip = -alpha / np.where(crossing, beta, 1.0)
+            t_lo = np.max(np.where(pos, clip, -np.inf), axis=0)  # the chord's ends
+            t_hi = np.min(np.where(neg, clip, np.inf), axis=0)
+            feasible = ~np.any(~crossing & (alpha < -1e-12 * elen * self.diameter), axis=0)
             length = t_hi - t_lo
             valid = feasible & np.isfinite(length) & (length > cutoff)
+            kappa = np.divide(elen, np.abs(beta), out=np.full(beta.shape, np.inf), where=crossing)
+            err = rounding_bound(self.scale, kappa)  # per edge and line, its clip's
+            index = np.arange(len(elen))[:, None]
+            bounds, edges = [], []
+            for side, t in ((pos, t_lo), (neg, t_hi)):
+                err_b = np.max(np.where(side & (clip == t), err, 0.0), axis=0)  # the binding clip's
+                near = side & (np.abs(clip - t) <= err + err_b)
+                bounds.append(np.max(np.where(near, err, 0.0), axis=0))
+                edges.append(np.where(np.count_nonzero(near, axis=0) == 1,
+                                      np.max(np.where(near, index, -1), axis=0), -1))
+            (bound_s, bound_e), (edge_s, edge_e) = bounds, edges
+            # a parallel edge's constraint alpha + t beta >= 0 holds over the chord
+            # unless alpha is within its rounding plus |beta| times the chord's reach
+            reach = np.nan_to_num(np.maximum(np.abs(t_lo), np.abs(t_hi)), posinf=0.0)
+            along = np.any(~crossing & (alpha <= elen * rounding_bound(self.scale)
+                                        + np.abs(beta) * reach), axis=0)
             t_lo = np.where(valid, t_lo, 0.0)
             length = np.where(valid, length, 0.0)
             start = base + t_lo[:, None] * tangent
@@ -268,7 +329,8 @@ class ConvexBody:
 
         start = np.where(valid[:, None], start, 0.0)
         end = np.where(valid[:, None], end, 0.0)
-        return start, end, np.where(valid, length, 0.0), valid
+        return (start, end, np.where(valid, length, 0.0), valid,
+                bound_s, bound_e, edge_s, edge_e, along)
 
     def chord(self, line: Line) -> Optional[Chord]:
         """The chord cut by ``line``, or None for a miss/tangency."""

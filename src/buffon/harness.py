@@ -21,10 +21,10 @@ import numpy as np
 
 from . import rng
 # count_line and oracle_count are not called here: perfbench/tracing.py wraps these names
-from .counting import (Z_CHUNK, count_line, count_lines, endpoint_error, jitter_delta,
-                       oracle_count, segment_crossings, z_samples)
+from .counting import (Z_CHUNK, count_line, count_lines, endpoint_error, oracle_count,
+                       segment_crossings, z_samples)
 from .discrepancy import SupConfig, estimate_sup
-from .geometry import ConvexBody, ValidationError
+from .geometry import ConvexBody, ValidationError, rounding_bound
 from .steinhaus import SteinhausSet, build_exact, check_lattice, family_length_many, total_length
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
 MIN_FIT_POINTS = 4
 MIN_ASYMPTOTIC_N = 8
 PROBE_FAN = 17  # rays in the coherence probe's fan
-ORACLE_ATTEMPTS = 6  # the line itself, then up to 5 jitters
 
 
 @dataclass(frozen=True)
@@ -452,7 +451,7 @@ class OracleCheck:
     comparisons: int
     agreements: int
     skipped: int
-    mismatches: tuple[tuple[float, float, int, int], ...]  # theta, offset compared, totals
+    mismatches: tuple[tuple[float, float, int, int], ...]  # theta, offset, totals
     max_family_deviation: float = 0.0
 
     @property
@@ -464,13 +463,10 @@ def run_oracle_check(sset: SteinhausSet, lines: int, seed: int = 0) -> OracleChe
     """Compare the lattice counter against the geometric crossing oracle on
     random lines.
 
-    Both counters see the identical line: when either side screens a line as
-    exceptional, the offset is jittered deterministically and both retry, so
-    every comparison is on a line both accept.  Each attempt handles every
-    line not yet resolved together, in KERNEL_CHUNK blocks on both sides.
-    Grid totals and padding hits must both agree; a mismatch records the
-    offset compared.  A line still screened out after ORACLE_ATTEMPTS tries
-    is not compared; it is counted in ``skipped``.
+    Both see the same lines, in one kernel pass and one pass of the oracle's
+    strict sign test, each in KERNEL_CHUNK blocks.  Grid totals and padding
+    hits must both agree; a mismatch records the line.  A line either side
+    screens out as exceptional is not compared but counted in ``skipped``.
     """
     if lines < 1:
         raise ValidationError("lines", "need at least one line")
@@ -483,24 +479,15 @@ def run_oracle_check(sset: SteinhausSet, lines: int, seed: int = 0) -> OracleChe
 
 def _check_lines(sset: SteinhausSet, thetas: np.ndarray, offsets: np.ndarray) -> OracleCheck:
     """run_oracle_check on the given lines."""
-    compared = np.full(len(thetas), np.nan)  # the offset each line was compared at
-    fast, reference, deviation, agree = np.zeros((4, len(thetas)))
-    todo, attempt = np.arange(len(thetas)), 0
-    while todo.size and attempt < ORACLE_ATTEMPTS:
-        th, base = thetas[todo], offsets[todo]
-        ps = base + (np.array([jitter_delta(t, p, sset.eps, attempt) for t, p in zip(th, base)])
-                     if attempt else 0.0)
-        batch, dev = count_lines(sset, th, ps)
-        hits, near = segment_crossings(sset.grid_segments[0], th, ps)
-        ok = ~(batch.exceptional | near)
-        pads = segment_crossings(sset.padding, th[ok], ps[ok])[0]
-        done = todo[ok]
-        compared[done], fast[done], reference[done], deviation[done] = (
-            ps[ok], batch.total[ok], hits[ok], dev[ok])
-        agree[done] = (batch.total[ok] == hits[ok]) & (batch.padding_hits[ok] == pads)
-        todo, attempt = todo[~ok], attempt + 1
+    batch, deviation = count_lines(sset, thetas, offsets)
+    segments, _, tolerance = sset.grid_segments
+    hits, near = segment_crossings(segments, thetas, offsets, tolerance)
+    ok = ~(batch.exceptional | near)
+    pads = segment_crossings(sset.padding, thetas[ok], offsets[ok],
+                             rounding_bound(sset.scale))[0]
+    agree = (batch.total[ok] == hits[ok]) & (batch.padding_hits[ok] == pads)
     return OracleCheck(
-        comparisons=len(thetas) - len(todo), agreements=int(agree.sum()), skipped=len(todo),
-        mismatches=tuple((float(thetas[i]), float(compared[i]), int(fast[i]), int(reference[i]))
-                         for i in np.flatnonzero(~np.isnan(compared) & (agree == 0))),
-        max_family_deviation=float(np.max(deviation, initial=0.0)))
+        comparisons=int(ok.sum()), agreements=int(agree.sum()), skipped=int((~ok).sum()),
+        mismatches=tuple((float(thetas[i]), float(offsets[i]), int(batch.total[i]), int(hits[i]))
+                         for i in np.flatnonzero(ok)[~agree]),
+        max_family_deviation=float(np.max(deviation[ok], initial=0.0)))

@@ -26,11 +26,10 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (ConvexBody, ValidationError, as_float_array, body_from_dict,
-                       body_to_dict, unit_vector)
+                       body_to_dict, rounding_bound, unit_vector)
 from .rng import stream
 
 __all__ = [
-    "EXCEPTIONAL_TOL",
     "directions",
     "angular_sum",
     "sample_shifts",
@@ -56,9 +55,6 @@ __all__ = [
     "load_manifest",
 ]
 
-# Absolute offset tolerance below which a chord endpoint counts as sitting on
-# a lattice value (see buffon.counting for the exceptional-line policy).
-EXCEPTIONAL_TOL = 1e-9
 # Elements per (lines x families) counting-kernel block and per (lines x edges)
 # clipping block: 0.5 MB per float64 temporary, so a block stays in cache.
 KERNEL_CHUNK = 65_536
@@ -134,11 +130,13 @@ class SteinhausSet:
         self.shifts = np.asarray(self.shifts, dtype=float)
         if self.shifts.shape != (self.n,):
             raise ValidationError("shifts", f"need exactly n={self.n} shifts")
-        if np.any((self.shifts < 0.0) | (self.shifts >= 1.0)):
+        if not np.all((self.shifts >= 0.0) & (self.shifts < 1.0)):  # NaN fails too
             raise ValidationError("shifts", "shifts must lie in [0, 1)")
         self.padding = np.asarray(self.padding, dtype=float)
         if self.padding.size % 4:
             raise ValidationError("padding", "need segments [[x0, y0], [x1, y1]]")
+        if not np.all(np.isfinite(self.padding)):
+            raise ValidationError("padding", "padding coordinates must be finite")
         self.padding = self.padding.reshape(-1, 2, 2)
 
     @cached_property
@@ -168,46 +166,44 @@ class SteinhausSet:
         return grid_length(self)
 
     @cached_property
-    def grid_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """All clipped lattice segments: (segments (S,2,2), family index (S,)).
+    def scale(self) -> float:
+        """The coordinate scale S of the set's rounding bounds: the body's plus
+        one pitch, which bounds each lattice offset of a line meeting the body."""
+        return self.body.scale + self.eps
 
-        Only lattice lines that actually meet the body appear.
-        """
+    @cached_property
+    def grid_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The clipped lattice segments that meet the body: (segments (S,2,2),
+        family index (S,), tolerance (S,2)), how near a line may pass each end
+        before a sign test cannot tell its side (clipping plus test rounding)."""
         fams = np.repeat(np.arange(self.n), self.q_ranges[:, 1] - self.q_ranges[:, 0] + 1)
         q = np.concatenate([np.arange(lo, hi + 1, dtype=float) for lo, hi in self.q_ranges])
         thetas, offs = math.pi * fams / self.n, self.eps * (q + self.shifts[fams])
         edges = 1 if self.body.vertices is None else len(self.body.vertices)
-        step = max(1, KERNEL_CHUNK // edges)  # chord_batch holds (lines x edges) temporaries
-        start, end, _, valid = (np.concatenate(part) for part in zip(*(
-            self.body.chord_batch(thetas[lo : lo + step], offs[lo : lo + step])
-            for lo in range(0, len(q), step))))
-        return np.stack([start[valid], end[valid]], axis=1), fams[valid]
+        step = max(1, KERNEL_CHUNK // edges)  # clipping holds (lines x edges) temporaries
+        start, end, _, valid, bound_s, bound_e, _, _, along = (np.concatenate(part) for part in zip(
+            *(self.body.chord_bounds(thetas[lo : lo + step], offs[lo : lo + step])
+              for lo in range(0, len(q), step))))
+        # a lattice line along a pinned edge is that edge; along another, unknown
+        for k, _, q_edge in self.pinned_edges:
+            along &= (fams != k) | (q != q_edge)
+        tolerance = np.column_stack([bound_s, bound_e]) + rounding_bound(self.scale)
+        tolerance[along] = np.inf
+        return np.stack([start[valid], end[valid]], axis=1), fams[valid], tolerance[valid]
 
     @cached_property
-    def pinned_edges(self) -> list:
-        """Boundary edges collinear with (and sitting on) a family's lattice line.
-
-        A list of (family k, offset, edge tangent, span lo, span hi) for every
-        polygon edge whose direction is perpendicular to nu_k and whose offset
-        along nu_k is itself a lattice value: chord endpoints on such an edge
-        are pinned crossings, not exceptional ones.
-        """
-        pairs = []
-        if self.body.kind == "polygon":
-            v, e, elen = self.body._edge_data
-            tau = e / elen[:, None]
-            dots = self.directions @ tau.T  # (n families, E edges)
-            for k, j in zip(*np.nonzero(np.abs(dots) <= 1e-12)):
-                off = float(self.directions[k] @ v[j])
-                frac = off / self.eps - self.shifts[k]
-                if abs(frac - round(frac)) * self.eps <= EXCEPTIONAL_TOL:
-                    t0 = float(tau[j] @ v[j])
-                    t1 = t0 + float(elen[j])
-                    pairs.append((
-                        int(k), off, tau[j].copy(),
-                        min(t0, t1) - EXCEPTIONAL_TOL, max(t0, t1) + EXCEPTIONAL_TOL,
-                    ))
-        return pairs
+    def pinned_edges(self) -> list[tuple[int, int, float]]:
+        """(family k, edge j, lattice index q) for every polygon edge whose two
+        vertices project within rounding_bound(scale) of eps (q + U_k) along
+        nu_k: a chord endpoint whose binding edge is j is a pinned crossing of
+        that lattice line, not an exceptional one."""
+        if self.body.kind != "polygon":
+            return []
+        at = self.body.vertex_projections(self.directions) / self.eps - self.shifts[:, None]
+        q = np.rint(at)
+        on = np.abs(at - q) * self.eps <= rounding_bound(self.scale)  # (families, vertices)
+        edge = on & np.roll(on, -1, axis=1) & (q == np.roll(q, -1, axis=1))
+        return [(int(k), int(j), float(q[k, j])) for k, j in zip(*np.nonzero(edge))]
 
 
 def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.ndarray:
@@ -536,8 +532,10 @@ def set_from_manifest(manifest: dict) -> SteinhausSet:
         seed=seed,
     )
     stored = float(as_float_array(manifest["total_length"], "total_length", ndim=0))
+    if not math.isfinite(stored):
+        raise ValidationError("total_length", f"need a finite length, got {stored!r}")
     actual = total_length(sset)
-    if abs(actual - stored) > 1e-9 * max(abs(stored), 1.0):
+    if not abs(actual - stored) <= 1e-9 * max(abs(stored), 1.0):
         raise ValidationError(
             "total_length",
             f"manifest states {stored!r} but the set measures {actual!r}",

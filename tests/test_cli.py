@@ -80,6 +80,17 @@ def test_oracle_check_reports_agreement(body_path, capsys):
     assert "500/500 agree" in capsys.readouterr().out
 
 
+def test_oracle_check_compares_every_line_near_a_fine_grid(tmp_path, capsys):
+    """On an off-centre disk at eps=0.001 a line passing within 1e-9 of a
+    grid-segment endpoint was once skipped (exit 2); now each is compared."""
+    path = tmp_path / "disk.json"
+    path.write_text('{"disk": {"center": [0.1, -0.05], "radius": 0.8}}')
+    assert main(["oracle-check", "--body", str(path), "--n", "40", "--eps", "0.001",
+                 "--lines", "2000", "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    assert "2000/2000 agree" in captured.out and captured.err == ""
+
+
 def test_oracle_check_mismatch_exits_2(body_path, capsys, monkeypatch):
     fake = hz.OracleCheck(
         comparisons=2, agreements=1, skipped=0,
@@ -105,6 +116,19 @@ def test_oracle_check_skip_only_exits_2_without_blaming_agreement(
     assert "no compared line disagreed" in captured.err
     assert "1 lines skipped as exceptional" in captured.err
     assert "disagreement" not in captured.err
+
+
+def test_disc_refuses_a_manifest_with_a_nan_shift(tmp_path, body_path, capsys):
+    set_path = tmp_path / "set.json"
+    assert main(["build", "--body", body_path, "--length", "2000", "--seed", "1",
+                 "--out", str(set_path)]) == 0
+    manifest = json.loads(set_path.read_text())
+    manifest["shifts"][0] = float("nan")
+    set_path.write_text(json.dumps(manifest))  # json writes and reads NaN
+    capsys.readouterr()
+    assert main(["disc", "--set", str(set_path), "--theta-res", "8",
+                 "--offset-res", "8"]) == 1
+    assert "error: shifts" in capsys.readouterr().err
 
 
 def test_sweep_and_plot_are_byte_deterministic(tmp_path, body_path, capsys):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buffon.geometry import ConvexBody, Line, unit_square
+from buffon.geometry import TANGENCY_CUTOFF, ConvexBody, Line, unit_square
 from buffon import steinhaus as sh
 from buffon import counting
 from buffon.counting import (
@@ -266,22 +266,33 @@ def test_z_samples_vectorization_matches_scalar():
     assert np.all(np.abs(zs) <= n)
 
 
-def test_evaluate_lines_deterministic_jitter():
+def test_evaluate_lines_flags_exactly_grid_lines_and_endpoints():
+    """With zero shifts on the square, the lines flagged exceptional are
+    exactly those along a grid line (the edges among them) and those through
+    a grid-segment endpoint.  The lines halfway between grid lines end on
+    pinned edges and are counted, like random lines; a second evaluation
+    gives the same batch, and count_line agrees on every counted line."""
     rng = np.random.default_rng(28)
-    sset = sh.SteinhausSet(
-        body=unit_square(), n=4, eps=0.125, shifts=np.zeros(4)
-    )
-    # axis-aligned grid through lattice values: plenty of exceptional hits
-    thetas = np.concatenate([np.zeros(9), np.full(9, math.pi / 2)])
-    ps = np.tile(np.arange(1, 10) * 0.125, 2)
+    sset = sh.SteinhausSet(body=unit_square(), n=4, eps=0.125, shifts=np.zeros(4))
+    # axis-aligned: x, y = q/8 for q = 1..9 (8 is an edge, 9 misses), then halfway
+    on = np.arange(1, 10) * 0.125
+    axis = np.concatenate([on, on - 0.0625])
+    along = np.concatenate([on <= 1.0, np.zeros(9, dtype=bool)])
+    ends = sset.grid_segments[0].reshape(-1, 2)[rng.choice(2 * len(sset.grid_segments[0]), 20)]
+    through = rng.uniform(0, math.pi, 20)
+    random = rng.uniform(0, math.pi, 40)
+    lo, hi = sset.body.offset_extents(random)
+    thetas = np.concatenate([np.zeros(18), np.full(18, math.pi / 2), through, random])
+    ps = np.concatenate([axis, axis, ends[:, 0] * np.cos(through) + ends[:, 1] * np.sin(through),
+                         rng.uniform(lo, hi)])
+    expect = np.concatenate([along, along, np.ones(20, dtype=bool), np.zeros(40, dtype=bool)])
     b1 = evaluate_lines(sset, thetas, ps)
     b2 = evaluate_lines(sset, thetas, ps)
-    assert np.array_equal(b1.offset, b2.offset)
-    assert np.array_equal(b1.total, b2.total)
-    assert np.any(b1.jittered)
-    # jittered lines are no longer exceptional and count consistently
-    ok = b1.valid & ~b1.exceptional
-    for i in np.where(ok & b1.jittered)[0]:
+    for f in fields(counting.LineBatch):
+        assert np.array_equal(getattr(b1, f.name), getattr(b2, f.name)), f.name
+    assert np.array_equal(b1.offset, ps) and not b1.jittered.any()
+    assert np.array_equal(b1.exceptional, expect)
+    for i in np.flatnonzero(b1.valid & ~b1.exceptional):
         line = Line(float(b1.theta[i]), float(b1.offset[i]))
         assert int(b1.total[i]) == count_line(sset, line).total  # raises if exceptional
 
@@ -291,8 +302,7 @@ def test_evaluate_lines_across_chunks_matches_line_by_line():
     the last block partial, and 37 blocks and one line on an off-centre
     padded disk.  Every field of a line, z and mean_term too, is the same to
     the bit in a one-line evaluation and in count_line.  Lines through
-    grid-segment endpoints in a later block are exceptional; at eps=0.001
-    the jitter (at most 4e-10) rescues only some of them."""
+    grid-segment endpoints in a later block are exceptional."""
     rng = np.random.default_rng(31)
     n = 8000
     block = max(16, counting.KERNEL_CHUNK // n)  # evaluate_lines' block length
@@ -318,7 +328,6 @@ def test_evaluate_lines_across_chunks_matches_line_by_line():
         ps[tail] = start[:, 0] * np.cos(thetas[tail]) + start[:, 1] * np.sin(thetas[tail])
         batch = evaluate_lines(sset, thetas, ps)
         assert batch.exceptional[tail].any()
-        assert (batch.jittered & ~batch.exceptional)[later:].any()
         assert batch.padding_hits.any()
 
         one = [evaluate_lines(sset, thetas[i:i + 1], ps[i:i + 1]) for i in range(m)]
@@ -337,7 +346,7 @@ def test_parallel_coincident_lines_in_a_batch(monkeypatch, n, eps, zero_shifts):
     """Lines at a family's angle are exceptional exactly when they lie on one
     of its lattice lines, wherever they sit in a multi-block batch.  With two
     families and zero shifts the lines along the square's edges are flagged
-    by the parallel-coincident screen alone (their endpoints are pinned)."""
+    as lines along a boundary edge (their endpoints are pinned)."""
     monkeypatch.setattr(counting, "KERNEL_CHUNK", 16 * n)  # 16-line blocks
     rng = np.random.default_rng(41)
     shifts = np.zeros(n) if zero_shifts else rng.uniform(0, 1, n)
@@ -360,7 +369,7 @@ def test_parallel_coincident_lines_in_a_batch(monkeypatch, n, eps, zero_shifts):
     thetas, ps, expect = (np.concatenate(v)[order] for v in (thetas, ps, expect))
     assert thetas.size > 3 * 16 and thetas.size % 16
     batch = evaluate_lines(sset, thetas, ps)
-    flagged = batch.jittered | batch.exceptional
+    flagged = batch.exceptional
     assert np.array_equal(flagged, expect)
     for t, p, want in zip(thetas, ps, expect):
         if want:
@@ -504,3 +513,179 @@ def test_warm_kernel_blocks_take_no_page_faults():
     faults, padding_count, pages = (int(v) for v in result.stdout.split())
     assert padding_count > 2 * 500
     assert faults < pages + 1_000, (faults, pages)
+
+
+# -- exact reference for the rounding bound -------------------------------------
+
+
+def _sign_sqrt(x, y, d):
+    """Sign of x + y sqrt(d) for rationals x, y and d >= 0."""
+    sx, sy = (x > 0) - (x < 0), ((y > 0) - (y < 0)) if d else 0
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    diff = x * x - y * y * d
+    return sx * ((diff > 0) - (diff < 0))
+
+
+def _ceil_lattice(a, w, d, eps, u, guess):
+    """Least integer m with eps (m + u) >= a + w sqrt(d), searched from guess."""
+    m = int(guess)
+    while _sign_sqrt(eps * (m + u) - a, -w, d) < 0:
+        m += 1
+    while _sign_sqrt(eps * (m - 1 + u) - a, -w, d) >= 0:
+        m -= 1
+    return m
+
+
+def exact_counts(sset, theta, p):
+    """Per-family counts and padding hits of the line {x : x . (c, s) = p} in
+    exact rationals on the kernel's float inputs: c and s as numpy computes
+    them, p, the vertices or centre and radius, the family normals, eps, the
+    shifts and the padding.  Counts follow the kernel's conventions: half-open
+    intervals, and a chord endpoint on a pinned edge counts that edge's
+    lattice value on either side.  A disk's endpoints F -+ sqrt(D) tangent
+    are placed against lattice values by squaring with sign cases.  Returns
+    (counts, padding hits, squared chord length)."""
+    F = Fraction
+    c, s = (F(float(v[0])) for v in (np.cos([theta]), np.sin([theta])))
+    p, eps, norm2 = F(float(p)), F(sset.eps), c * c + s * s
+    tangent = (-s, c)
+    body = sset.body
+    if body.kind == "disk":
+        cx, cy = (F(float(v)) for v in body.center)
+        d = c * cx + s * cy - p
+        disc = (F(body.radius) ** 2 * norm2 - d * d) / (norm2 * norm2)  # half-chord^2 / |tangent|^2
+        foot = (cx - d * c / norm2, cy - d * s / norm2)
+        ends = None if disc <= 0 else [(foot, -1, disc), (foot, 1, disc)]
+        binding, length2 = (None, None), max(4 * disc * norm2, 0)
+    else:
+        verts = [tuple(F(float(x)) for x in v) for v in body.vertices]
+        base = (p * c / norm2, p * s / norm2)
+        lo, hi, feasible, rows = None, None, True, []
+        for j, v in enumerate(verts):
+            w = verts[(j + 1) % len(verts)]
+            e = (w[0] - v[0], w[1] - v[1])
+            a = e[0] * (base[1] - v[1]) - e[1] * (base[0] - v[0])
+            b = e[0] * tangent[1] - e[1] * tangent[0]
+            rows.append((a, b))
+            if b == 0:
+                feasible &= a >= 0
+            elif b > 0:
+                lo = -a / b if lo is None else max(lo, -a / b)
+            else:
+                hi = -a / b if hi is None else min(hi, -a / b)
+        ends = None if not feasible or lo >= hi else [
+            ((base[0] + t * tangent[0], base[1] + t * tangent[1]), 0, 0) for t in (lo, hi)]
+        binding = (None, None) if ends is None else tuple(
+            {j for j, (a, b) in enumerate(rows) if a + t * b == 0} for t in (lo, hi))
+        length2 = 0 if ends is None else (hi - lo) ** 2 * norm2
+    counts = []
+    for k, (nx, ny) in enumerate(sset.directions):
+        if ends is None:
+            counts.append(0)
+            continue
+        nx, ny, u = F(float(nx)), F(float(ny)), F(float(sset.shifts[k]))
+        w = tangent[0] * nx + tangent[1] * ny
+        side = []
+        for (point, sign, disc), edges in zip(ends, binding):
+            a = point[0] * nx + point[1] * ny
+            pinned = [q for kk, j, q in sset.pinned_edges if kk == k and edges and j in edges]
+            approx = float(a) + sign * float(w) * math.sqrt(float(disc))
+            side.append((approx, a, sign * w, disc, pinned))
+        if _sign_sqrt(side[0][1] - side[1][1], side[0][2] - side[1][2], side[0][3]) > 0:
+            side.reverse()  # min side first: the disk's ends share one sqrt(disc)
+        (g0, a0, w0, d0, pin0), (g1, a1, w1, d1, pin1) = side
+        lo_q = int(pin0[0]) if pin0 else _ceil_lattice(a0, w0, d0, eps, u, math.ceil(g0 / sset.eps - float(u)))
+        hi_q = int(pin1[0]) + 1 if pin1 else _ceil_lattice(a1, w1, d1, eps, u, math.ceil(g1 / sset.eps - float(u)))
+        counts.append(hi_q - lo_q)
+    hits = 0
+    for seg in sset.padding:
+        sides = [c * F(float(x)) + s * F(float(y)) - p for x, y in seg]
+        hits += sides[0] * sides[1] < 0
+    return counts, hits, length2
+
+
+def _stress_lines(sset, rng, m):
+    """m random lines over the body; lines through 12 grid-segment endpoints
+    and, if padded, 6 padding endpoints, each offset by 0, +-1, +-4 and +-64
+    ulps; on a polygon, lines through 24 points where a lattice line meets
+    an edge, tilted 2^-10 .. 2^-30 off the edge."""
+    thetas = rng.uniform(0, math.pi, m)
+    lo, hi = sset.body.offset_extents(thetas)
+    lines = [(thetas, rng.uniform(lo - 0.05, hi + 0.05))]
+    segments = sset.grid_segments[0].reshape(-1, 2)
+    points = [segments[rng.choice(len(segments), 12, replace=False)]]
+    if sset.padding_count:
+        points.append(sset.padding.reshape(-1, 2)[rng.choice(2 * sset.padding_count, 6)])
+    points = np.concatenate(points)
+    through = rng.uniform(0, math.pi, len(points))
+    ps = points[:, 0] * np.cos(through) + points[:, 1] * np.sin(through)
+    for ulps in (0, 1, -1, 4, -4, 64, -64):
+        lines.append((through, ps + ulps * np.spacing(ps)))
+    if sset.body.kind == "polygon":
+        v, e, _ = sset.body._edge_data
+        # a grid-segment endpoint X on edge j: cross(e_j, X - v_j) ~ 0
+        dist = np.abs(e[None, :, 0] * (segments[:, None, 1] - v[None, :, 1])
+                      - e[None, :, 1] * (segments[:, None, 0] - v[None, :, 0]))
+        on_edge = np.flatnonzero(dist.min(axis=1) <= 1e-12)
+        pick = rng.choice(on_edge, 24)
+        edge = np.argmin(dist[pick], axis=1)
+        tilt = np.exp2(-rng.uniform(10, 30, 24)) * rng.choice([-1.0, 1.0], 24)
+        theta = np.arctan2(e[edge, 1], e[edge, 0]) + math.pi / 2 + tilt
+        x = segments[pick]
+        lines.append(Line.normalize_many(theta, x[:, 0] * np.cos(theta) + x[:, 1] * np.sin(theta)))
+    return tuple(np.concatenate(v) for v in zip(*lines))
+
+
+@pytest.mark.parametrize("case", ["polygon", "disk", "zero-shift square", "padded square"])
+def test_unflagged_lines_count_as_exact_arithmetic(case):
+    """The rounding bound is sound: every valid line the kernel does not flag
+    has the per-family counts and padding hits of exact rational arithmetic
+    on the kernel's float inputs, also on lines that pass a few ulps from a
+    grid-segment or padding endpoint and lines nearly along an edge.  An
+    invalid line's exact chord is at most about the tangency cutoff."""
+    rng = np.random.default_rng(61)
+    if case == "polygon":
+        sset = sh.SteinhausSet(body=random_polygon(rng), n=9, eps=0.02,
+                               shifts=rng.uniform(0, 1, 9))
+    elif case == "disk":
+        sset = _padded_disk_set(7, 0.03, 1.5, seed=62)
+    elif case == "zero-shift square":
+        sset = sh.SteinhausSet(body=unit_square(), n=4, eps=0.125, shifts=np.zeros(4))
+        assert sset.pinned_edges
+    else:
+        base = sh.SteinhausSet(body=unit_square(), n=5, eps=0.05, shifts=rng.uniform(0, 1, 5))
+        sset = sh.adjust_length(base, sh.grid_length(base) + 2.5)
+        assert sset.padding_count
+    thetas, ps = _stress_lines(sset, rng, 150)
+    batch, per_family = next(counting._eval_blocks(sset, thetas, ps))  # one block
+    assert len(batch.total) == len(thetas)
+    compared = 0
+    cutoff = TANGENCY_CUTOFF * sset.body.diameter
+    for i in np.flatnonzero(~batch.exceptional):
+        counts, hits, length2 = exact_counts(sset, thetas[i], ps[i])
+        if not batch.valid[i]:
+            assert length2 <= (2 * cutoff) ** 2, (thetas[i], ps[i])
+            continue
+        assert list(per_family[i]) == counts, (thetas[i], ps[i])
+        assert batch.padding_hits[i] == hits, (thetas[i], ps[i])
+        compared += 1
+    assert batch.exceptional.any() and compared > 100
+
+
+@pytest.mark.parametrize("body", [unit_square(), ConvexBody.disk((0.0, 0.0), 1 / math.sqrt(math.pi))],
+                         ids=["square", "disk"])
+def test_random_lines_at_large_length_are_counted(body):
+    """At M=3e8 (n=1357, eps=1357/3e8 on a unit-area body) at most 0.1 % of
+    20,000 random lines are flagged; an absolute 1e-9 screen flagged 70 %.
+    The set is built directly, so no grid length is summed."""
+    n = 1357
+    sset = sh.SteinhausSet(body=body, n=n, eps=n * body.area / 3e8, shifts=sh.sample_shifts(n, 7))
+    rng = np.random.default_rng(71)
+    thetas = rng.uniform(0, math.pi, 20_000)
+    lo, hi = body.offset_extents(thetas)
+    batch = evaluate_lines(sset, thetas, rng.uniform(lo, hi))
+    assert batch.valid.all()
+    assert batch.exceptional.sum() <= 20

@@ -12,7 +12,7 @@ from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
 from buffon import counting
 from buffon import harness as hz
 from buffon import steinhaus as sh
-from buffon.counting import (ExceptionalLineError, count_line, jitter_delta, oracle_count,
+from buffon.counting import (ExceptionalLineError, count_line, oracle_count,
                              oracle_padding_hits)
 from buffon.discrepancy import SupConfig
 
@@ -274,38 +274,27 @@ def test_oracle_check_zero_shift_square():
 
 
 def per_line_check(sset, thetas, offsets):
-    """The oracle check one line at a time, as it was before batching (with
-    the compared offset recorded), and how many lines needed a retry."""
-    agreements = skipped = retried = 0
+    """The oracle check one line at a time, as it was before batching: each
+    line is compared once, unless either side screens it out."""
+    agreements = skipped = 0
     max_family_deviation = 0.0
     mismatches = []
     for theta, offset in zip(thetas, offsets):
-        theta, offset = float(theta), float(offset)
-        resolved = None
-        for attempt in range(hz.ORACLE_ATTEMPTS):
-            delta = jitter_delta(theta, offset, sset.eps, attempt) if attempt else 0.0
-            line = Line(theta, offset + delta)
-            try:
-                fast = count_line(sset, line)
-                reference = oracle_count(sset, line)
-            except ExceptionalLineError:
-                continue
-            resolved = (fast, reference, oracle_padding_hits(sset, line), line.offset)
-            retried += attempt > 0
-            break
-        if resolved is None:
+        line = Line(float(theta), float(offset))
+        try:
+            fast = count_line(sset, line)
+            reference = oracle_count(sset, line)
+        except ExceptionalLineError:
             skipped += 1
             continue
-        fast, reference, pad_ref, compared = resolved
         max_family_deviation = max(max_family_deviation, fast.max_abs_dev)
-        if fast.total == reference and fast.padding_hits == pad_ref:
+        if fast.total == reference and fast.padding_hits == oracle_padding_hits(sset, line):
             agreements += 1
         else:
-            mismatches.append((theta, compared, fast.total, reference))
+            mismatches.append((line.theta, line.offset, fast.total, reference))
     return hz.OracleCheck(
         comparisons=len(thetas) - skipped, agreements=agreements, skipped=skipped,
-        mismatches=tuple(mismatches),
-        max_family_deviation=max_family_deviation), retried
+        mismatches=tuple(mismatches), max_family_deviation=max_family_deviation)
 
 
 def through_endpoints(points, gen):
@@ -334,7 +323,7 @@ def oracle_case(name):
     thetas = math.pi * gen.random(120)
     lo, hi = sset.body.offset_extents(thetas)
     offsets = gen.uniform(lo - 0.05, hi + 0.05)
-    segments, _ = sset.grid_segments
+    segments, _, _ = sset.grid_segments
     ends = segments[gen.choice(len(segments), 12, replace=False), gen.integers(0, 2, 12)]
     pads = sset.padding.reshape(-1, 2)[:6]
     extra = [through_endpoints(points, gen) for points in (ends, pads)]
@@ -346,14 +335,10 @@ def oracle_case(name):
 def test_batched_oracle_check_equals_per_line_loop(name):
     sset, thetas, offsets = oracle_case(name)
     check = hz._check_lines(sset, thetas, offsets)
-    reference, retried = per_line_check(sset, thetas, offsets)
-    assert check == reference
+    assert check == per_line_check(sset, thetas, offsets)
     assert check.agreements == check.comparisons and check.mismatches == ()
-    endpoint_lines = len(thetas) - 120
-    if name == "polygon-fine":  # every jitter (<= 5e-7 eps) stays within tolerance
-        assert check.skipped == endpoint_lines and retried == 0
-    else:  # the endpoint lines are screened at first, then a jitter resolves them
-        assert check.skipped == 0 and retried >= endpoint_lines
+    # the random lines are all compared; the lines through endpoints are screened
+    assert check.skipped == len(thetas) - 120
 
 
 def test_batched_oracle_check_in_small_blocks(monkeypatch):
@@ -382,10 +367,10 @@ def test_oracle_check_calls_do_not_grow_with_lines(monkeypatch):
         calls.update({"kernel": 0, "sign test": 0})
         check = hz.run_oracle_check(sset, lines, seed=3)
         assert check.comparisons == lines
-        # one kernel block per attempt; one sign test for the grid, one for the padding
+        # one kernel block; one sign test for the grid, one for the padding
         assert max(16, counting.KERNEL_CHUNK // sset.n) >= lines
-        assert calls["kernel"] <= hz.ORACLE_ATTEMPTS
-        assert calls["sign test"] <= 2 * hz.ORACLE_ATTEMPTS
+        assert calls["kernel"] == 1
+        assert calls["sign test"] <= 2
 
 
 def test_oracle_mismatch_records_the_offset_compared(monkeypatch):
@@ -397,10 +382,11 @@ def test_oracle_mismatch_records_the_offset_compared(monkeypatch):
     monkeypatch.setattr(hz, "segment_crossings",
                         lambda *args: (crossings(*args)[0] + 1, crossings(*args)[1]))
     check = hz._check_lines(sset, theta, offset)
+    assert check.skipped == 1 and check.mismatches == ()  # the endpoint line
+    theta, offset = np.append(theta, 0.7), np.append(offset, 0.4)  # an ordinary line
+    check = hz._check_lines(sset, theta, offset)
     ((theta_m, offset_m, fast, reference),) = check.mismatches
-    assert theta_m == theta[0] and offset_m != offset[0]
-    assert any(offset_m == offset[0] + jitter_delta(theta[0], offset[0], sset.eps, attempt)
-               for attempt in range(1, hz.ORACLE_ATTEMPTS))
+    assert theta_m == theta[1] and offset_m == offset[1]  # the offset drawn, unmoved
     assert count_line(sset, Line(theta_m, offset_m)).total == fast == reference - 1
 
 

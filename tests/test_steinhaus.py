@@ -99,7 +99,7 @@ def test_family_length_matches_chord_clipping_oracle():
         sset = sh.SteinhausSet(
             body=body, n=n, eps=eps, shifts=rng.uniform(0, 1, size=n)
         )
-        segments, fams = sset.grid_segments
+        segments, fams, _ = sset.grid_segments
         d = segments[:, 1] - segments[:, 0]
         seg_lengths = np.hypot(d[:, 0], d[:, 1])
         lengths = sh.family_length_many(body, eps, sset.shifts[None, :])[0]
@@ -230,7 +230,7 @@ def test_grid_segments_lie_on_their_lattice_lines():
     sset = sh.SteinhausSet(
         body=body, n=5, eps=0.11, shifts=rng.uniform(0, 1, size=5)
     )
-    segments, fams = sset.grid_segments
+    segments, fams, _ = sset.grid_segments
     for seg, k in zip(segments, fams):
         nu = sset.directions[k]
         for pt in seg:
@@ -240,7 +240,7 @@ def test_grid_segments_lie_on_their_lattice_lines():
 
 
 def test_grid_segments_clip_in_bounded_blocks(monkeypatch):
-    """grid_segments hands chord_batch at most KERNEL_CHUNK line-edge elements
+    """grid_segments hands chord_bounds at most KERNEL_CHUNK line-edge elements
     per call, and the blocks give the segments one call gives."""
     rng = np.random.default_rng(13)
     for body in (random_polygon(rng), ConvexBody.disk((0.1, -0.05), 0.8)):
@@ -248,7 +248,7 @@ def test_grid_segments_clip_in_bounded_blocks(monkeypatch):
         whole = sh.SteinhausSet(body=body, n=5, eps=0.11, shifts=shifts).grid_segments
         edges = 1 if body.vertices is None else len(body.vertices)
         sizes = []
-        clip = ConvexBody.chord_batch
+        clip = ConvexBody.chord_bounds
 
         def counted(self, thetas, offsets):
             sizes.append(len(thetas))
@@ -256,7 +256,7 @@ def test_grid_segments_clip_in_bounded_blocks(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(sh, "KERNEL_CHUNK", 9 * edges)
-            patch.setattr(ConvexBody, "chord_batch", counted)
+            patch.setattr(ConvexBody, "chord_bounds", counted)
             blocked = sh.SteinhausSet(body=body, n=5, eps=0.11, shifts=shifts).grid_segments
         assert max(sizes) == 9 and len(sizes) >= 3 and 0 < sizes[-1] < 9
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
@@ -473,6 +473,22 @@ def test_manifest_round_trip_and_strictness(tmp_path):
     manifest["total_length"] = manifest["total_length"] * 1.001
     with pytest.raises(ValidationError, match="total_length"):
         sh.set_from_manifest(manifest)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shifts", [math.nan]), ("padding", [[[0.2, 0.2], [math.inf, 0.3]]]),
+    ("padding", [[[0.2, math.nan], [0.3, 0.3]]]), ("total_length", math.nan),
+    ("total_length", math.inf)])
+def test_manifest_refuses_non_finite_values(field, value):
+    """json reads NaN and Infinity; each such value is refused, naming its
+    field, where a NaN shift once dropped its family from the grid length."""
+    sset = sh.SteinhausSet(body=unit_square(), n=3, eps=0.1, shifts=np.array([0.1, 0.5, 0.7]))
+    manifest = sh.set_to_manifest(sset)
+    if field == "shifts":
+        value = value + manifest["shifts"][1:]
+    manifest[field] = value
+    with pytest.raises(ValidationError, match=f"^{field}:"):
+        sh.set_from_manifest(json.loads(json.dumps(manifest)))
 
 
 def test_set_validation():
