@@ -87,7 +87,6 @@ from buffon.steinhaus import (
     build_set,
     directions,
     load_manifest,
-    phi,
     plan_build,
     plan_build_zero,
     sample_shifts,
@@ -116,7 +115,6 @@ __all__ = [
     "build_set",
     "directions",
     "load_manifest",
-    "phi",
     "plan_build",
     "plan_build_zero",
     "sample_shifts",

@@ -25,7 +25,6 @@ from .steinhaus import SteinhausSet, angular_sum
 from .counting import count_line, evaluate_lines
 from . import rng as rng_mod
 
-GOLDEN_FRACTION = 0.6180339887498949  # for deterministic in-row resampling
 DELTA_LOG2_MIN = -40.0  # targeted points sit 2^-40 .. 2^-3 lattice units away
 DELTA_LOG2_MAX = -3.0
 TOP_CANDIDATES = 100

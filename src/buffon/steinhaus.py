@@ -7,11 +7,12 @@ uniform on [0, 1) (all zero for the unshifted baseline).  An optional set of
 pairwise disjoint padding segments inside an inscribed disk tops the total
 length up to an exact target.
 
-Parameter planning follows the balance that makes the Buffon discrepancy of
-the shifted construction scale like Phi(L) = L^(1/5) (log L)^(2/5): reserve a
-margin below the target length, take n ~ M^(2/5) (log M)^(-1/5) directions,
-and couple the lattice pitch through eps = n |Omega| / M so the expected
-total grid length is exactly M.
+Parameter planning reserves a slack of one body diameter below the target
+length L, aims the grid at M = L - diam, takes n ~ M^(2/5) (log M)^(-1/5)
+directions (n = floor(L^(1/3)) for the unshifted baseline), and couples the
+lattice pitch through eps = n |Omega| / M so the expected total grid length
+is exactly M.  The pitch is fixed before the shifts are drawn; only a grid
+that overshoots L (rare) is rebuilt with a doubled slack.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "family_length_many",
     "grid_length",
     "total_length",
-    "phi",
     "BuildPlan",
     "plan_build",
     "plan_build_zero",
@@ -262,45 +262,21 @@ def total_length(sset: SteinhausSet) -> float:
 # -- parameter planning ------------------------------------------------------
 
 
-def phi(length: float) -> float:
-    """The shifted-construction discrepancy scale L^(1/5) (log L)^(2/5)."""
-    if length <= 1.0:
-        raise ValidationError("L", "phi(L) needs L > 1")
-    return length ** 0.2 * math.log(length) ** 0.4
-
-
 @dataclass(frozen=True)
 class BuildPlan:
-    """Planned parameters: grid aims at expected length M <= target L."""
+    """Planned parameters: the grid aims at expected length M = L - s < L,
+    s a slack of one body diameter (more after an overshoot)."""
 
     target_length: float
     expected_length: float
     n: int
     eps: float
-    k0: float
 
     def __post_init__(self):
         if self.expected_length <= 0 or self.expected_length > self.target_length:
             raise ValidationError("plan", "need 0 < M <= L")
         if self.n < 1:
             raise ValidationError("plan", "need n >= 1")
-
-
-def _minimal_admissible_length(margin, lo: float = math.e) -> float:
-    """Smallest L with L - margin(L) > e, by bisection on a bracket."""
-    hi = max(4.0 * lo, 8.0)
-    while hi - margin(hi) <= math.e:
-        hi *= 2.0
-        if hi > 1e18:  # pragma: no cover
-            return hi
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid - margin(mid) > math.e:
-            b = mid
-        else:
-            a = mid
-    return b
 
 
 def _cube_root_floor(length: float) -> int:
@@ -313,18 +289,28 @@ def _cube_root_floor(length: float) -> int:
     return n
 
 
-def _plan(body: ConvexBody, target_length: float, k0: float, margin, families) -> BuildPlan:
-    """M = L - margin(L), n = families(L, M) and eps = n |Omega| / M."""
+def _shifted_families(_, m_expected: float) -> int:
+    return int(m_expected**0.4 / math.log(m_expected) ** 0.2)
+
+
+def _zero_families(length: float, _) -> int:
+    return _cube_root_floor(length)
+
+
+_FAMILIES = {"shifted": _shifted_families, "zero": _zero_families}
+
+
+def _plan(body: ConvexBody, target_length: float, slack: float, families) -> BuildPlan:
+    """M = L - slack, n = families(L, M) and eps = n |Omega| / M."""
     if not (math.isfinite(target_length) and target_length > 1.0):
         raise ValidationError("L", "target length must be finite and > 1")
-    m_expected = target_length - margin(target_length)
+    m_expected = target_length - slack
     if m_expected <= math.e:
-        minimal = _minimal_admissible_length(margin)
         raise ValidationError(
             "L",
-            f"target length {target_length} too small for k0={k0}: expected grid "
-            f"length M={m_expected:.6g} must exceed e; minimal admissible L is "
-            f"about {minimal:.6g}",
+            f"target length {target_length} too small: expected grid length "
+            f"M = L - {slack:.6g} must exceed e, so L must exceed e + {slack:.6g} "
+            f"= {math.e + slack:.6g}",
         )
     n = families(target_length, m_expected)
     eps = n * body.area / m_expected
@@ -339,27 +325,19 @@ def _plan(body: ConvexBody, target_length: float, k0: float, margin, families) -
         expected_length=float(m_expected),
         n=n,
         eps=float(eps),
-        k0=float(k0),
     )
 
 
-def plan_build(body: ConvexBody, target_length: float, k0: float) -> BuildPlan:
-    """Shifted-mode parameters: M = L - k0 Phi(L), n = floor(M^(2/5) / (log M)^(1/5)),
+def plan_build(body: ConvexBody, target_length: float) -> BuildPlan:
+    """Shifted-mode parameters: M = L - diam, n = floor(M^(2/5) / (log M)^(1/5)),
     eps = n |Omega| / M."""
-    margin = lambda length: k0 * phi(length) if length > 1.0 else 0.0
-    return _plan(body, target_length, k0, margin,
-                 lambda _, m: int(m**0.4 / math.log(m) ** 0.2))
+    return _plan(body, target_length, body.diameter, _shifted_families)
 
 
-def plan_build_zero(body: ConvexBody, target_length: float, k0: float) -> BuildPlan:
-    """Unshifted-baseline parameters: n = floor(L^(1/3)), margin k0 * n * diam.
-
-    The zero-shift grid length deviates deterministically by O(n diam) from
-    n |Omega| / eps, so the reserved margin scales with n rather than Phi(L).
-    """
-    margin = lambda length: k0 * _cube_root_floor(length) * body.diameter
-    return _plan(body, target_length, k0, margin,
-                 lambda length, _: _cube_root_floor(length))
+def plan_build_zero(body: ConvexBody, target_length: float) -> BuildPlan:
+    """Unshifted-baseline parameters: M = L - diam, n = floor(L^(1/3)),
+    eps = n |Omega| / M."""
+    return _plan(body, target_length, body.diameter, _zero_families)
 
 
 def build_set(
@@ -430,7 +408,7 @@ def adjust_length(sset: SteinhausSet, target_length: float) -> SteinhausSet:
     """Top the set up to exactly target_length with padding segments.
 
     Replaces any existing padding.  Errors if the grid alone already exceeds
-    the target beyond tolerance (rebuild with a larger margin instead).
+    the target beyond tolerance.
     """
     base = sset.measured_grid_length
     delta = target_length - base
@@ -438,8 +416,7 @@ def adjust_length(sset: SteinhausSet, target_length: float) -> SteinhausSet:
     if delta < -tol:
         raise ValidationError(
             "target_length",
-            f"grid length {base:.6g} already exceeds target {target_length:.6g}; "
-            f"rebuild with a larger margin (k0)",
+            f"grid length {base:.6g} already exceeds target {target_length:.6g}",
         )
     padding = make_padding(sset.body, sset.n, delta) if delta > tol else np.zeros((0, 2, 2))
     padded = SteinhausSet(
@@ -455,37 +432,26 @@ def adjust_length(sset: SteinhausSet, target_length: float) -> SteinhausSet:
 
 
 def build_exact(
-    body: ConvexBody,
-    target_length: float,
-    mode: str,
-    seed: int,
-    k0: float = 0.5,
-    max_retries: int = 8,
+    body: ConvexBody, target_length: float, mode: str, seed: int
 ) -> tuple[SteinhausSet, BuildPlan]:
     """Plan, build, and pad to the exact target length.
 
-    If the realized grid overshoots the target (the reserved margin was too
-    small for the sampled shifts), the margin coefficient doubles and the
-    build retries; after max_retries doublings the last error propagates.
+    The plan reserves a slack s of one body diameter below the target; the
+    padding tops up what the grid falls short of L.  Should the grid still
+    overshoot L, s doubles and the set is rebuilt.  Each family lies within
+    2 diam of |Omega| / eps, so s >= 2 n diam cannot overshoot, and the
+    planner refuses once L - s <= e: the doubling ends either way.
     """
-    planner = plan_build if mode == "shifted" else plan_build_zero
-    if mode not in ("shifted", "zero"):
+    families = _FAMILIES.get(mode)
+    if families is None:
         raise ValidationError("mode", f"expected 'shifted' or 'zero', got {mode!r}")
-    k = k0
-    last_exc: Exception = AssertionError("unreachable")
-    for _ in range(max_retries + 1):
-        plan = planner(body, target_length, k)
+    slack = body.diameter
+    while True:
+        plan = _plan(body, target_length, slack, families)
         sset = build_set(body, plan, seed, mode)
-        try:
+        if sset.measured_grid_length <= target_length:
             return adjust_length(sset, target_length), plan
-        except ValidationError as exc:
-            last_exc = exc
-            k = 2.0 * k if k > 0 else 0.25
-    raise ValidationError(
-        "k0",
-        f"could not reach target length {target_length} within {max_retries} margin "
-        f"doublings (last: {last_exc})",
-    )
+        slack *= 2.0
 
 
 # -- manifests ---------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_validation_exit_codes(tmp_path, body_path, capsys):
     capsys.readouterr()
 
 
+def test_build_refuses_length_below_e_plus_diameter(tmp_path, body_path, capsys):
+    """The planner reserves one diameter, so the square needs L > e + sqrt(2)."""
+    out = tmp_path / "set.json"
+    assert main(["build", "--body", body_path, "--length", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: L: ") and "4.1325" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", [
     ["length-study", "--n", "16", "--trials", "1000"],

@@ -218,7 +218,7 @@ def test_grid_length_requests_at_most_n_e_slices(monkeypatch):
     monkeypatch.setattr(ConvexBody, "slice_lengths", lambda self, nu, s: (
         requested.append(np.size(s)) or slice_lengths(self, nu, s)))
     body = ConvexBody.polygon([(0, 0), (1, 0), (1.2, 0.7), (0.4, 1.1), (-0.1, 0.6)])
-    plan = sh.plan_build(body, 3e7, 0.5)
+    plan = sh.plan_build(body, 3e7)
     sset = sh.build_set(body, plan, seed=3)
     sh.grid_length(sset)
     assert 0 < sum(requested) <= sset.n * len(body.vertices)
@@ -262,17 +262,11 @@ def test_grid_segments_clip_in_bounded_blocks(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
 
-def test_phi_golden_value():
-    want = 10.0**1.2 * math.log(1e6) ** 0.4
-    assert sh.phi(1e6) == pytest.approx(want, rel=1e-14)
-    assert sh.phi(1e6) == pytest.approx(45.3083, rel=1e-4)
-
-
 def test_plan_build_golden_n_for_unit_area():
-    plan = sh.plan_build(unit_square(), 1e6, k0=0.0)
-    assert plan.expected_length == 1e6
-    assert plan.n == 148  # floor(1e6^(2/5) / (ln 1e6)^(1/5))
-    assert plan.eps == pytest.approx(148 / 1e6, rel=1e-12)
+    plan = sh.plan_build(unit_square(), 1e6)
+    assert plan.expected_length == 1e6 - math.sqrt(2.0)
+    assert plan.n == 148  # floor(M^(2/5) / (ln M)^(1/5)), M = 1e6 - sqrt(2)
+    assert plan.eps == pytest.approx(148 / plan.expected_length, rel=1e-12)
     # the coupling n / eps = M / |Omega| is exact by construction
     assert plan.n * unit_square().area / plan.eps == pytest.approx(
         plan.expected_length, rel=1e-12
@@ -280,34 +274,36 @@ def test_plan_build_golden_n_for_unit_area():
 
 
 def test_plan_build_margin_and_errors():
-    body = unit_square()
-    plan = sh.plan_build(body, 1e6, k0=2.0)
-    assert plan.expected_length == pytest.approx(1e6 - 2.0 * sh.phi(1e6))
-    with pytest.raises(ValidationError, match="minimal admissible"):
-        sh.plan_build(body, 2.5, k0=3.0)
+    """Both planners reserve one body diameter below the target."""
+    disk = ConvexBody.disk((0.4, -0.3), 0.25)
+    for planner in (sh.plan_build, sh.plan_build_zero):
+        assert planner(disk, 1e6).expected_length == 1e6 - 0.5
+    with pytest.raises(ValidationError, match="^L:"):
+        sh.plan_build(unit_square(), 2.5)
     big = ConvexBody.polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
     with pytest.raises(ValidationError, match="eps"):
-        sh.plan_build(big, 30.0, k0=0.0)
+        sh.plan_build(big, 30.0)
 
 
 def test_plan_build_zero_exact_cube_root():
     body = unit_square()
-    plan = sh.plan_build_zero(body, 1e6, k0=0.0)
+    plan = sh.plan_build_zero(body, 1e6)
     assert plan.n == 100  # floor((10^6)^(1/3)) exactly, despite float cube roots
-    assert sh.plan_build_zero(body, 999.0, k0=0.0).n == 9
-    assert sh.plan_build_zero(body, 1000.0, k0=0.0).n == 10
+    assert sh.plan_build_zero(body, 999.0).n == 9
+    assert sh.plan_build_zero(body, 1000.0).n == 10
 
 
 def test_plan_build_zero_too_small_names_minimal_length():
     body = unit_square()
-    with pytest.raises(ValidationError, match="minimal admissible") as info:
-        sh.plan_build_zero(body, 3.0, k0=0.5)
-    minimal = float(str(info.value).rsplit("about ", 1)[1])
-    assert minimal == pytest.approx(math.e + 0.5 * body.diameter, rel=1e-5)
-    plan = sh.plan_build_zero(body, minimal * (1 + 1e-5), k0=0.5)
+    minimal = math.e + body.diameter
+    for planner in (sh.plan_build, sh.plan_build_zero):
+        with pytest.raises(ValidationError, match="^L:") as info:
+            planner(body, 3.0)
+        assert float(str(info.value).rsplit("= ", 1)[1]) == pytest.approx(minimal, rel=1e-5)
+        with pytest.raises(ValidationError, match="^L:"):
+            planner(body, minimal * (1 - 1e-5))
+    plan = sh.plan_build_zero(body, minimal * (1 + 1e-5))
     assert plan.n == 1 and plan.expected_length > math.e
-    with pytest.raises(ValidationError, match="minimal admissible"):
-        sh.plan_build_zero(body, minimal * (1 - 1e-5), k0=0.5)
 
 
 def test_padding_direction_never_parallel_to_families():
@@ -370,30 +366,38 @@ def test_adjust_length_exact_and_errors():
 
 
 def test_build_exact_hits_target_both_modes():
-    body = unit_square()
-    for mode in ("shifted", "zero"):
-        for L in (2000.0, 35000.0):
-            sset, plan = sh.build_exact(body, L, mode, seed=5)
-            actual = sh.total_length(sset)
-            assert abs(actual - L) <= 1e-9 * L, (mode, L)
-            assert plan.expected_length <= L
-            if mode == "zero":
-                assert np.all(sset.shifts == 0.0)
-            # padding segment count stays within the layout bound
-            _, rho = sh.padding_disk(body)
-            delta = actual - sh.grid_length(sset)
-            assert sset.padding_count <= math.ceil(max(delta, 0.0) / rho) + 1
+    """Exact length, and padding of less than two diameters: the plan
+    reserves one diameter, and the grid strays from M by O(1)."""
+    rng = np.random.default_rng(12)
+    bodies = (unit_square(), ConvexBody.disk((0.3, -0.2), 0.6), random_polygon(rng))
+    for body in bodies:
+        for mode in ("shifted", "zero"):
+            for L in (1e3, 2000.0, 35000.0, 1e5, 1e7):
+                sset, plan = sh.build_exact(body, L, mode, seed=5)
+                actual = sh.total_length(sset)
+                assert abs(actual - L) <= 1e-9 * L, (mode, L)
+                assert plan.expected_length == L - body.diameter
+                assert sset.padding_length < 2 * body.diameter, (body.kind, mode, L)
+                if mode == "zero":
+                    assert np.all(sset.shifts == 0.0)
+                # padding segment count stays within the layout bound
+                _, rho = sh.padding_disk(body)
+                delta = actual - sh.grid_length(sset)
+                assert sset.padding_count <= math.ceil(max(delta, 0.0) / rho) + 1
 
 
-def test_build_exact_retries_with_tiny_margin():
-    """A margin too small for zero-shift overshoot forces k0 doubling."""
-    body = unit_square()
-    sset, plan = sh.build_exact(body, 5000.0, "zero", seed=1, k0=0.004)
-    assert abs(sh.total_length(sset) - 5000.0) <= 1e-9 * 5000.0
-    assert plan.k0 > 0.004  # at least one doubling happened
-    # an unrecoverable margin within the retry budget errors out, per contract
-    with pytest.raises(ValidationError, match="k0"):
-        sh.build_exact(body, 5000.0, "zero", seed=1, k0=1e-9, max_retries=3)
+def test_build_exact_doubles_slack_on_overshoot(monkeypatch):
+    """At L=1e8 seed 1 the square's grid exceeds M = L - sqrt(2) by 1.66, and
+    so exceeds L: the slack doubles, and each build measures its grid once."""
+    calls, attempts = [], []
+    measure, build_set = sh.grid_length, sh.build_set
+    monkeypatch.setattr(sh, "grid_length", lambda sset: calls.append(sset) or measure(sset))
+    monkeypatch.setattr(sh, "build_set", lambda *a: attempts.append(a) or build_set(*a))
+    sset, plan = sh.build_exact(unit_square(), 1e8, "shifted", seed=1)
+    assert len(attempts) == 2 and len(calls) == 2
+    assert [a[1].expected_length for a in attempts] == [1e8 - math.sqrt(2), plan.expected_length]
+    assert plan.expected_length == 1e8 - 2 * math.sqrt(2)
+    assert sh.total_length(sset) == 1e8
 
 
 _FRESH_BUILD_SCRIPT = """
@@ -436,13 +440,6 @@ def test_grid_length_measured_once_per_set(monkeypatch, tmp_path):
     calls.clear()
     sh.total_length(sh.load_manifest(path))
     assert len(calls) == 1
-    calls.clear()
-    attempts = []
-    build_set = sh.build_set
-    monkeypatch.setattr(sh, "build_set", lambda *a: attempts.append(a) or build_set(*a))
-    sset, _ = sh.build_exact(body, 5000.0, "zero", seed=1, k0=0.004)  # retries
-    sh.total_length(sset)
-    assert len(attempts) >= 2 and len(calls) == len(attempts)
 
 
 def test_manifest_round_trip_and_strictness(tmp_path):
