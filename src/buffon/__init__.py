@@ -84,11 +84,8 @@ from buffon.steinhaus import (
     adjust_length,
     angular_sum,
     build_exact,
-    build_set,
     directions,
     load_manifest,
-    plan_build,
-    plan_build_zero,
     sample_shifts,
     save_manifest,
     total_length,
@@ -112,11 +109,8 @@ __all__ = [
     "SteinhausSet",
     "adjust_length",
     "build_exact",
-    "build_set",
     "directions",
     "load_manifest",
-    "plan_build",
-    "plan_build_zero",
     "sample_shifts",
     "save_manifest",
     "total_length",

@@ -56,7 +56,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p = sub("build", "build a set at an exact target length, save a manifest")
     p.add_argument("--body", help="body JSON file")
     p.add_argument("--length", type=float, help="target total length L")
-    p.add_argument("--mode", choices=("shifted", "zero"), default="shifted")
+    p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
     p.add_argument("--out", help="manifest output path")
 
     p = sub("disc", "estimate the discrepancy sup of a saved set")
@@ -68,7 +68,7 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     p = sub("sweep", "scaling sweep over a geometric grid of target lengths")
     p.add_argument("--body", help="body JSON file")
-    p.add_argument("--mode", choices=("shifted", "zero"), default="shifted")
+    p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
     p.add_argument("--l-min", type=float)
     p.add_argument("--l-max", type=float)
     p.add_argument("--points", type=int, default=8)
@@ -103,7 +103,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--body", help="body JSON file")
     p.add_argument("--n", type=int)
     p.add_argument("--eps", type=float)
-    p.add_argument("--mode", choices=("shifted", "zero"), default="shifted")
+    p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
     p.add_argument("--lines", type=int, default=10_000)
 
     p = sub("plot", "emit a gnuplot data+script pair from a sweep CSV")

@@ -32,13 +32,14 @@ LOCAL_GRID = 11  # 11 x 11 refinement stencil per candidate
 EQUALITY_TOL = 1e-9
 
 
-def crofton_target(length: float, area: float, h: float) -> float:
-    """Expected crossing count of a chord of length h: 2 * length * h / (pi * area)."""
-    if not (length >= 0.0):
+def crofton_target(length: float, area: float, h):
+    """Expected crossing count of a chord of length h: 2 * length * h / (pi * area),
+    elementwise in h."""
+    if not np.all(length >= 0.0):
         raise ValidationError("length", f"length must be >= 0, got {length}")
-    if not (area > 0.0):
+    if not np.all(area > 0.0):
         raise ValidationError("area", f"area must be > 0, got {area}")
-    if not (h >= 0.0):
+    if not np.all(h >= 0.0):
         raise ValidationError("h", f"chord length must be >= 0, got {h}")
     return 2.0 * length * h / (math.pi * area)
 
@@ -49,6 +50,16 @@ def max_quadrature_deviation(n: int, thetas: np.ndarray) -> float:
     return float(dev.max(initial=0.0))
 
 
+def _terms(sset: SteinhausSet, length: float, total, padding_hits, mean_term, h):
+    """(quadrature term, length normalization term, Crofton target, signed
+    error), elementwise over lines."""
+    area = sset.body.area
+    quad = mean_term - (2.0 * sset.n / math.pi) * (h / sset.eps)
+    norm = (2.0 * h / (math.pi * area)) * (sset.n * area / sset.eps - length)
+    crof = crofton_target(length, area, h)
+    return quad, norm, crof, total + padding_hits - crof
+
+
 def decompose(sset: SteinhausSet, line: Line, length: float) -> dict:
     """Exact decomposition terms of the signed error at one line.
 
@@ -57,11 +68,8 @@ def decompose(sset: SteinhausSet, line: Line, length: float) -> dict:
     bd = count_line(sset, line)
     ch = sset.body.chord(line)
     h = ch.length if ch is not None else 0.0
-    area = sset.body.area
-    quad = bd.mean_term - (2.0 * sset.n / math.pi) * (h / sset.eps)
-    norm = (2.0 * h / (math.pi * area)) * (sset.n * area / sset.eps - length)
-    crof = crofton_target(length, area, h)
-    signed = bd.total + bd.padding_hits - crof
+    quad, norm, crof, signed = _terms(
+        sset, length, bd.total, bd.padding_hits, bd.mean_term, h)
     return {
         "quadrature_term": quad,
         "z_term": bd.z,
@@ -268,9 +276,6 @@ class _Accumulator:
     def __init__(self, sset: SteinhausSet, length: float):
         self.sset = sset
         self.length = length
-        self.coef = 2.0 * length / (math.pi * sset.body.area)
-        self.norm_factor = (
-            sset.n * sset.body.area / sset.eps - length) * 2.0 / (math.pi * sset.body.area)
         self.samples = 0
         self.excluded = 0
         self.max_abs_z = 0.0
@@ -286,16 +291,12 @@ class _Accumulator:
             return
         batch = evaluate_lines(self.sset, thetas, offsets)
         include = batch.valid & ~batch.exceptional
-        signed = batch.total + batch.padding_hits - self.coef * batch.h
+        quad, norm, crof, signed = _terms(self.sset, self.length, batch.total,
+                                          batch.padding_hits, batch.mean_term, batch.h)
         signed[~include] = 0.0
         local = np.abs(signed)
-
-        quad = batch.mean_term - (2.0 * self.sset.n / math.pi) * (
-            batch.h / self.sset.eps)
-        norm = self.norm_factor * batch.h
         # slack: 1e-9 absolute plus a few ulps of the large cancelling terms
-        slack = EQUALITY_TOL + 1e-13 * (
-            np.abs(self.coef * batch.h) + np.abs(batch.mean_term))
+        slack = EQUALITY_TOL + 1e-13 * (np.abs(crof) + np.abs(batch.mean_term))
         envelope = (np.abs(quad) + np.abs(batch.z) + batch.padding_hits
                     + np.abs(norm) + slack)
         bad = include & (local > envelope)

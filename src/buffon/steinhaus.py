@@ -8,11 +8,13 @@ pairwise disjoint padding segments inside an inscribed disk tops the total
 length up to an exact target.
 
 Parameter planning reserves a slack of one body diameter below the target
-length L, aims the grid at M = L - diam, takes n ~ M^(2/5) (log M)^(-1/5)
-directions (n = floor(L^(1/3)) for the unshifted baseline), and couples the
-lattice pitch through eps = n |Omega| / M so the expected total grid length
-is exactly M.  The pitch is fixed before the shifts are drawn; only a grid
-that overshoots L (rare) is rebuilt with a doubled slack.
+length L, aims the grid at M = L - diam, and couples the lattice pitch
+through eps = n |Omega| / M so the expected total grid length is exactly M.
+A build mode is the pair of rules in MODES, the only place a mode is looked
+up: "shifted" takes n ~ M^(2/5) (log M)^(-1/5) directions and samples the
+shifts, "zero" (the unshifted baseline) takes n = floor(L^(1/3)) and zero
+shifts.  The pitch is fixed before the shifts are drawn; only a grid that
+overshoots L (rare) is rebuilt with a doubled slack.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ __all__ = [
     "grid_length",
     "total_length",
     "BuildPlan",
-    "plan_build",
-    "plan_build_zero",
-    "build_set",
+    "MODES",
     "padding_direction",
     "padding_disk",
     "make_padding",
@@ -88,11 +88,7 @@ def sample_shifts(n: int, seed: int) -> np.ndarray:
 
 def mode_shifts(mode: str, n: int, seed: int) -> np.ndarray:
     """The shifts of a build mode: sampled ("shifted") or all zero ("zero")."""
-    if mode == "shifted":
-        return sample_shifts(n, seed)
-    if mode == "zero":
-        return np.zeros(n)
-    raise ValidationError("mode", f"expected 'shifted' or 'zero', got {mode!r}")
+    return MODES[_check_mode(mode)][1](n, seed)
 
 
 def check_lattice(n: int, eps: float) -> None:
@@ -289,19 +285,21 @@ def _cube_root_floor(length: float) -> int:
     return n
 
 
-def _shifted_families(_, m_expected: float) -> int:
-    return int(m_expected**0.4 / math.log(m_expected) ** 0.2)
+MODES = {
+    # mode: (n from (L, M), shifts from (n, seed))
+    "shifted": (lambda length, m: int(m**0.4 / math.log(m) ** 0.2), sample_shifts),
+    "zero": (lambda length, m: _cube_root_floor(length), lambda n, seed: np.zeros(n)),
+}
 
 
-def _zero_families(length: float, _) -> int:
-    return _cube_root_floor(length)
+def _check_mode(mode: str) -> str:
+    if not (isinstance(mode, str) and mode in MODES):
+        raise ValidationError("mode", f"expected one of {sorted(MODES)}, got {mode!r}")
+    return mode
 
 
-_FAMILIES = {"shifted": _shifted_families, "zero": _zero_families}
-
-
-def _plan(body: ConvexBody, target_length: float, slack: float, families) -> BuildPlan:
-    """M = L - slack, n = families(L, M) and eps = n |Omega| / M."""
+def _plan(body: ConvexBody, target_length: float, mode: str, slack: float) -> BuildPlan:
+    """M = L - slack, n from the mode's rule and eps = n |Omega| / M."""
     if not (math.isfinite(target_length) and target_length > 1.0):
         raise ValidationError("L", "target length must be finite and > 1")
     m_expected = target_length - slack
@@ -312,7 +310,7 @@ def _plan(body: ConvexBody, target_length: float, slack: float, families) -> Bui
             f"M = L - {slack:.6g} must exceed e, so L must exceed e + {slack:.6g} "
             f"= {math.e + slack:.6g}",
         )
-    n = families(target_length, m_expected)
+    n = MODES[mode][0](target_length, m_expected)
     eps = n * body.area / m_expected
     if eps > 1.0:
         raise ValidationError(
@@ -320,32 +318,8 @@ def _plan(body: ConvexBody, target_length: float, slack: float, families) -> Bui
             f"target length {target_length} gives lattice pitch eps={eps:.3g} > 1 for "
             f"this body; increase L or shrink the body",
         )
-    return BuildPlan(
-        target_length=float(target_length),
-        expected_length=float(m_expected),
-        n=n,
-        eps=float(eps),
-    )
-
-
-def plan_build(body: ConvexBody, target_length: float) -> BuildPlan:
-    """Shifted-mode parameters: M = L - diam, n = floor(M^(2/5) / (log M)^(1/5)),
-    eps = n |Omega| / M."""
-    return _plan(body, target_length, body.diameter, _shifted_families)
-
-
-def plan_build_zero(body: ConvexBody, target_length: float) -> BuildPlan:
-    """Unshifted-baseline parameters: M = L - diam, n = floor(L^(1/3)),
-    eps = n |Omega| / M."""
-    return _plan(body, target_length, body.diameter, _zero_families)
-
-
-def build_set(
-    body: ConvexBody, plan: BuildPlan, seed: int, mode: str = "shifted"
-) -> SteinhausSet:
-    """Realize a plan: sample shifts (or zeros) — no padding yet."""
-    return SteinhausSet(body=body, n=plan.n, eps=plan.eps,
-                        shifts=mode_shifts(mode, plan.n, seed), seed=seed)
+    return BuildPlan(target_length=float(target_length), expected_length=float(m_expected),
+                     n=n, eps=float(eps))
 
 
 # -- exact-length padding ---------------------------------------------------
@@ -442,13 +416,12 @@ def build_exact(
     2 diam of |Omega| / eps, so s >= 2 n diam cannot overshoot, and the
     planner refuses once L - s <= e: the doubling ends either way.
     """
-    families = _FAMILIES.get(mode)
-    if families is None:
-        raise ValidationError("mode", f"expected 'shifted' or 'zero', got {mode!r}")
+    _check_mode(mode)
     slack = body.diameter
     while True:
-        plan = _plan(body, target_length, slack, families)
-        sset = build_set(body, plan, seed, mode)
+        plan = _plan(body, target_length, mode, slack)
+        sset = SteinhausSet(body=body, n=plan.n, eps=plan.eps,
+                            shifts=mode_shifts(mode, plan.n, seed), seed=seed)
         if sset.measured_grid_length <= target_length:
             return adjust_length(sset, target_length), plan
         slack *= 2.0

@@ -38,6 +38,12 @@ def test_crofton_target_goldens():
     for bad in [(-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -0.1)]:
         with pytest.raises(ValidationError):
             crofton_target(*bad)
+    # elementwise in h, with the scalar bits at each element
+    h = np.array([0.0, 0.5, 0.7])
+    assert crofton_target(100.0, 1.0, h).tolist() == [
+        crofton_target(100.0, 1.0, float(x)) for x in h]
+    with pytest.raises(ValidationError, match="^h:"):
+        crofton_target(1.0, 1.0, np.array([0.5, -0.1]))
 
 
 def test_angular_sum_goldens():
@@ -267,6 +273,20 @@ def test_estimate_sup_handles_single_family():
     # between lattice lines, crossing none while the target stays ~5.1
     assert report.sup_estimate >= 5.0
     assert report.witness_total == 0
+
+
+def test_estimate_sup_without_admissible_lines_reports_a_miss():
+    """At a pitch far below the chords' rounding every valid line is
+    exceptional, so the refine rounds have no candidate and the witness is a
+    line that misses the body.  (total_length is never asked for: the disk's
+    slice sum would run over about 2e14 lattice lines.)"""
+    sset = sh.SteinhausSet(body=ConvexBody.disk((0, 0), 1), n=1, eps=1e-14,
+                           shifts=[0.5])
+    report = estimate_sup(sset, 40.0, SupConfig(8, 8, 1, 0))
+    assert report.samples_evaluated == 8 * 8 + 8 and report.excluded_lines == 64
+    assert report.sup_estimate == 0.0
+    assert (report.witness_theta, report.witness_offset) == (0.0, -4.0)
+    assert report.witness_total == 0 and report.witness_chord_length == 0.0
 
 
 def test_report_round_trip_and_strict_keys(tmp_path, small_set):

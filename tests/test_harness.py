@@ -34,7 +34,7 @@ def test_sweep_rows_complete_and_consistent(small_sweep):
     for row in small_sweep:
         assert row.error is None
         assert abs(row.L_actual - row.L_target) <= 1e-9 * row.L_target
-        plan = sh.plan_build(unit_square(), row.L_target)
+        plan = sh._plan(unit_square(), row.L_target, "shifted", unit_square().diameter)
         assert row.n == plan.n
         assert row.eps == pytest.approx(plan.eps, rel=1e-12)
         assert row.sup_estimate > 0
@@ -60,7 +60,7 @@ def test_sweep_zero_mode_probe_reaches_coherent_z():
         unit_square(), [1000.0], "zero", SMALL_CONFIG, seed=1)
     (row,) = rows
     assert row.error is None
-    assert row.n == sh.plan_build_zero(unit_square(), 1000.0).n
+    assert row.n == sh._plan(unit_square(), 1000.0, "zero", unit_square().diameter).n
     assert row.n / 4 <= row.max_abs_z <= row.n
 
 

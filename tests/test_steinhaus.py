@@ -213,13 +213,12 @@ def test_family_length_many_disk_sums_each_set_range():
 
 def test_grid_length_requests_at_most_n_e_slices(monkeypatch):
     """A polygon's grid length asks for one slice per family and vertex."""
+    body = ConvexBody.polygon([(0, 0), (1, 0), (1.2, 0.7), (0.4, 1.1), (-0.1, 0.6)])
+    sset, _ = sh.build_exact(body, 3e7, "shifted", seed=3)
     requested = []
     slice_lengths = ConvexBody.slice_lengths
     monkeypatch.setattr(ConvexBody, "slice_lengths", lambda self, nu, s: (
         requested.append(np.size(s)) or slice_lengths(self, nu, s)))
-    body = ConvexBody.polygon([(0, 0), (1, 0), (1.2, 0.7), (0.4, 1.1), (-0.1, 0.6)])
-    plan = sh.plan_build(body, 3e7)
-    sset = sh.build_set(body, plan, seed=3)
     sh.grid_length(sset)
     assert 0 < sum(requested) <= sset.n * len(body.vertices)
 
@@ -262,8 +261,13 @@ def test_grid_segments_clip_in_bounded_blocks(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
 
+def _plan(body, length, mode="shifted"):
+    """The first build attempt's plan: a slack of one body diameter."""
+    return sh._plan(body, length, mode, body.diameter)
+
+
 def test_plan_build_golden_n_for_unit_area():
-    plan = sh.plan_build(unit_square(), 1e6)
+    plan = _plan(unit_square(), 1e6)
     assert plan.expected_length == 1e6 - math.sqrt(2.0)
     assert plan.n == 148  # floor(M^(2/5) / (ln M)^(1/5)), M = 1e6 - sqrt(2)
     assert plan.eps == pytest.approx(148 / plan.expected_length, rel=1e-12)
@@ -274,36 +278,45 @@ def test_plan_build_golden_n_for_unit_area():
 
 
 def test_plan_build_margin_and_errors():
-    """Both planners reserve one body diameter below the target."""
+    """Both modes reserve one body diameter below the target."""
     disk = ConvexBody.disk((0.4, -0.3), 0.25)
-    for planner in (sh.plan_build, sh.plan_build_zero):
-        assert planner(disk, 1e6).expected_length == 1e6 - 0.5
+    for mode in sh.MODES:
+        assert sh.build_exact(disk, 1e6, mode, seed=0)[1].expected_length == 1e6 - 0.5
     with pytest.raises(ValidationError, match="^L:"):
-        sh.plan_build(unit_square(), 2.5)
+        sh.build_exact(unit_square(), 2.5, "shifted", seed=0)
     big = ConvexBody.polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
     with pytest.raises(ValidationError, match="eps"):
-        sh.plan_build(big, 30.0)
+        sh.build_exact(big, 30.0, "shifted", seed=0)
 
 
 def test_plan_build_zero_exact_cube_root():
     body = unit_square()
-    plan = sh.plan_build_zero(body, 1e6)
-    assert plan.n == 100  # floor((10^6)^(1/3)) exactly, despite float cube roots
-    assert sh.plan_build_zero(body, 999.0).n == 9
-    assert sh.plan_build_zero(body, 1000.0).n == 10
+    # floor((10^6)^(1/3)) exactly, despite float cube roots
+    assert _plan(body, 1e6, "zero").n == 100
+    assert _plan(body, 999.0, "zero").n == 9
+    assert _plan(body, 1000.0, "zero").n == 10
 
 
 def test_plan_build_zero_too_small_names_minimal_length():
     body = unit_square()
     minimal = math.e + body.diameter
-    for planner in (sh.plan_build, sh.plan_build_zero):
+    for mode in sh.MODES:
         with pytest.raises(ValidationError, match="^L:") as info:
-            planner(body, 3.0)
+            sh.build_exact(body, 3.0, mode, seed=0)
         assert float(str(info.value).rsplit("= ", 1)[1]) == pytest.approx(minimal, rel=1e-5)
         with pytest.raises(ValidationError, match="^L:"):
-            planner(body, minimal * (1 - 1e-5))
-    plan = sh.plan_build_zero(body, minimal * (1 + 1e-5))
+            sh.build_exact(body, minimal * (1 - 1e-5), mode, seed=0)
+    plan = _plan(body, minimal * (1 + 1e-5), "zero")
     assert plan.n == 1 and plan.expected_length > math.e
+
+
+def test_unknown_mode_is_refused_naming_mode():
+    """A bad mode is named before the length is looked at (2.5 is too short)."""
+    with pytest.raises(ValidationError, match="^mode:"):
+        sh.build_exact(unit_square(), 2.5, "bogus", 0)
+    for mode in ("bogus", ["zero"]):
+        with pytest.raises(ValidationError, match="^mode:"):
+            sh.mode_shifts(mode, 3, 0)
 
 
 def test_padding_direction_never_parallel_to_families():
@@ -390,12 +403,12 @@ def test_build_exact_doubles_slack_on_overshoot(monkeypatch):
     """At L=1e8 seed 1 the square's grid exceeds M = L - sqrt(2) by 1.66, and
     so exceeds L: the slack doubles, and each build measures its grid once."""
     calls, attempts = [], []
-    measure, build_set = sh.grid_length, sh.build_set
+    measure, plan_attempt = sh.grid_length, sh._plan
     monkeypatch.setattr(sh, "grid_length", lambda sset: calls.append(sset) or measure(sset))
-    monkeypatch.setattr(sh, "build_set", lambda *a: attempts.append(a) or build_set(*a))
+    monkeypatch.setattr(sh, "_plan", lambda *a: attempts.append(plan_attempt(*a)) or attempts[-1])
     sset, plan = sh.build_exact(unit_square(), 1e8, "shifted", seed=1)
     assert len(attempts) == 2 and len(calls) == 2
-    assert [a[1].expected_length for a in attempts] == [1e8 - math.sqrt(2), plan.expected_length]
+    assert [p.expected_length for p in attempts] == [1e8 - math.sqrt(2), plan.expected_length]
     assert plan.expected_length == 1e8 - 2 * math.sqrt(2)
     assert sh.total_length(sset) == 1e8
 
