@@ -50,7 +50,6 @@ from buffon.discrepancy import (
     save_report,
 )
 from buffon.geometry import (
-    Chord,
     ConvexBody,
     Line,
     ValidationError,
@@ -95,7 +94,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     # geometry
-    "Chord",
     "ConvexBody",
     "Line",
     "ValidationError",

@@ -3,9 +3,10 @@ oracle-check / plot.
 
 Every subcommand is a thin adapter over the library modules; no numeric
 logic lives here.  Exit codes: 0 success, 1 validation error (message names
-the offending field), 2 internal assertion failure (full counterexample
-printed).  A --config JSON file supplies defaults for any flag of its
-subcommand (unknown keys rejected); explicit flags win.
+the offending field), I/O error or an allocation refused for want of
+memory, 2 internal assertion failure (full counterexample printed).  A
+--config JSON file supplies defaults for any flag of its subcommand
+(unknown keys rejected); explicit flags win.
 """
 
 from __future__ import annotations
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a pitch so fine the lattice cannot be held
+        print(f"error: memory: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)

@@ -86,14 +86,16 @@ def count_in_interval(a, b, eps: float, u):
 @dataclass(frozen=True, eq=False)
 class CountBreakdown:
     """Per-family counts with the exact decomposition total = mean_term + z:
-    mean_term is the closed form, z its complement, and max_abs_dev the
-    largest per-family |N_k - mean_k| (a batch does not carry it)."""
+    mean_term is the closed form, z its complement, chord_length the clipped
+    chord's (0 for a miss), and max_abs_dev the largest per-family
+    |N_k - mean_k| (a batch does not carry it)."""
 
     per_family: np.ndarray
     total: int
     mean_term: float
     z: float
     padding_hits: int
+    chord_length: float
     max_abs_dev: float
 
 
@@ -269,6 +271,7 @@ def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
         mean_term=float(batch.mean_term[0]),
         z=float(batch.z[0]),
         padding_hits=int(batch.padding_hits[0]),
+        chord_length=float(batch.h[0]),
         max_abs_dev=float(family_deviation(sset, batch, per_family)[0]),
     )
 

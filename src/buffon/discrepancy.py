@@ -66,8 +66,7 @@ def decompose(sset: SteinhausSet, line: Line, length: float) -> dict:
     Raises on exceptional lines (propagated from the counting kernel).
     """
     bd = count_line(sset, line)
-    ch = sset.body.chord(line)
-    h = ch.length if ch is not None else 0.0
+    h = bd.chord_length
     quad, norm, crof, signed = _terms(
         sset, length, bd.total, bd.padding_hits, bd.mean_term, h)
     return {
@@ -381,8 +380,7 @@ def estimate_sup(
         witness = Line(float(wth[0]), float(wpo[0]))
     terms = decompose(sset, witness, length)
     sup_value = abs(terms["signed_error"])
-    recheck_tol = EQUALITY_TOL + 1e-13 * abs(terms["crofton"])
-    if wth.size and abs(sup_value - wlv[0]) > recheck_tol:
+    if wth.size and sup_value != wlv[0]:  # the same kernel row, so the same bits
         raise AssertionError(
             "witness recomputation mismatch: "
             f"search={float(wlv[0])!r} recomputed={sup_value!r} "

@@ -7,10 +7,13 @@ nu(theta) = (cos theta, sin theta).  The pairs (theta + pi, -p) and
 [0, pi).
 
 A convex body is either a strictly convex polygon with counter-clockwise
-vertices or a disk.  All chord and slice computations clip against the
-closed body; chords shorter than ``TANGENCY_CUTOFF * diameter`` are treated
-as absent (tangency).  ``ConvexBody.chord_bounds`` bounds the rounding
-error of every chord endpoint (see ``rounding_bound``).
+vertices or a disk.  A polygon has one clip, behind ConvexBody.chord_bounds:
+chords, grid segments and slice lengths all come from it, so a line within
+1e-14 of an edge's direction is parallel to it for all three, and one along
+the edge has the edge as its chord.  A disk's slices have their own closed
+form.  Chords shorter than ``TANGENCY_CUTOFF * diameter`` are treated as
+absent (tangency).  ``chord_bounds`` bounds the rounding error of every
+chord endpoint (see ``rounding_bound``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "as_float_array",
     "unit_vector",
     "Line",
-    "Chord",
     "ConvexBody",
     "unit_square",
     "body_from_dict",
@@ -99,18 +101,6 @@ class Line:
     @property
     def tangent(self) -> np.ndarray:
         return np.array([-math.sin(self.theta), math.cos(self.theta)])
-
-
-@dataclass(frozen=True, eq=False)
-class Chord:
-    """The closed segment (line intersect body), with precomputed length."""
-
-    start: np.ndarray
-    end: np.ndarray
-
-    @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.end - self.start)))
 
 
 def as_float_array(value, field: str, ndim: Optional[int] = None) -> np.ndarray:
@@ -268,8 +258,12 @@ class ConvexBody:
         on the edge.
         """
         thetas = np.asarray(thetas, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
         nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
+        return self._clip(nu, np.asarray(offsets, dtype=float))
+
+    def _clip(self, nu: np.ndarray, offsets: np.ndarray):
+        """chord_bounds of the lines x . nu = offset, nu one unit normal per row:
+        the one clip of lines against the body, slices included."""
         tangent = np.column_stack([-nu[:, 1], nu[:, 0]])
         base = offsets[:, None] * nu
         cutoff = TANGENCY_CUTOFF * self.diameter
@@ -286,8 +280,8 @@ class ConvexBody:
             length = 2.0 * half
             bound_s = bound_e = rounding_bound(self.scale, np.divide(
                 self.scale, half, out=np.full(len(half), np.inf), where=valid))
-            edge_s = edge_e = np.full(len(thetas), -1)
-            along = np.zeros(len(thetas), dtype=bool)
+            edge_s = edge_e = np.full(len(offsets), -1)
+            along = np.zeros(len(offsets), dtype=bool)
         else:
             # per edge (v, e) and line, as (edges, lines) arrays so that reductions
             # over the edges run along whole rows: base + t tangent is inside
@@ -332,15 +326,6 @@ class ConvexBody:
         return (start, end, np.where(valid, length, 0.0), valid,
                 bound_s, bound_e, edge_s, edge_e, along)
 
-    def chord(self, line: Line) -> Optional[Chord]:
-        """The chord cut by ``line``, or None for a miss/tangency."""
-        start, end, _, valid = self.chord_batch(
-            np.array([line.theta]), np.array([line.offset])
-        )
-        if not valid[0]:
-            return None
-        return Chord(start=start[0], end=end[0])
-
     # -- slices --------------------------------------------------------------
 
     def vertex_projections(self, nu) -> np.ndarray:
@@ -351,8 +336,9 @@ class ConvexBody:
     def slice_lengths(self, nu, svals: np.ndarray) -> np.ndarray:
         """Lengths of the slices {x . nu = s} intersect body, vectorized in s;
         a (K, 2) stack of directions takes (K, m) offsets, and on a polygon its
-        rows equal single-direction calls bit for bit.  A polygon edge inside a
-        slice line counts in full (unshifted grids aligned with the boundary).
+        rows equal single-direction calls bit for bit.  A polygon slice is the
+        chord chord_bounds clips, so a slice line along a polygon edge has the
+        edge's full length (unshifted grids aligned with the boundary).
         """
         nu = unit_vector(nu)
         s = np.asarray(svals, dtype=float)
@@ -364,25 +350,9 @@ class ConvexBody:
             h *= 2.0
             return h
 
-        z = self.vertex_projections(nu)[..., None]  # (..., E, 1) against s (..., 1, m)
-        w = self.vertex_projections(np.stack([-nu[..., 1], nu[..., 0]], axis=-1))[..., None]
-        zj = np.roll(z, -1, axis=-2)
-        wj = np.roll(w, -1, axis=-2)
-        sb = s[..., None, :]
-        crossed = (sb >= np.minimum(z, zj)) & (sb <= np.maximum(z, zj))
-        dz = zj - z
-        degenerate = dz == 0.0
-        t = (sb - z) / np.where(degenerate, 1.0, dz)
-        wcut = w + t * (wj - w)
-        cand_a = np.where(degenerate, w, wcut)
-        cand_b = np.where(degenerate, wj, wcut)
-        wmin = np.minimum(
-            np.where(crossed, cand_a, np.inf), np.where(crossed, cand_b, np.inf)
-        ).min(axis=-2)
-        wmax = np.maximum(
-            np.where(crossed, cand_a, -np.inf), np.where(crossed, cand_b, -np.inf)
-        ).max(axis=-2)
-        return np.where(np.any(crossed, axis=-2), np.maximum(wmax - wmin, 0.0), 0.0)
+        # one line per offset, each with its own row's direction
+        normals = np.broadcast_to(nu[..., None, :], s.shape + (2,)).reshape(-1, 2)
+        return self._clip(normals, s.ravel())[2].reshape(s.shape)
 
     # -- inscribed disk ------------------------------------------------------
 

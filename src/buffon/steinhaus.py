@@ -205,11 +205,13 @@ class SteinhausSet:
 def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.ndarray:
     """Each family's length in the body, (trials, n) for (trials, n) shifts.
 
-    On a polygon the slice length g is linear between sorted vertex
-    projections z, so the lattice offsets eps (q + u) of a half-open piece
-    sum to count * g(mean offset), and the top z adds g when it is a lattice
-    value: O(E) per (row, family), with each offset placed against z by the
-    slice sum's own float test.  A disk sums every slice that can meet it.
+    On a polygon the slice length g (the clipped chord's, as slice_lengths
+    gives it) is linear between sorted vertex projections z, so the lattice
+    offsets eps (q + u) of a half-open piece [z_i, z_i+1) sum to count *
+    g(mean offset); a lattice value within rounding outside z_min or at or
+    past z_max adds that extreme's g, which is an edge's length where the
+    edge lies along the lattice line: O(E) per (row, family).  A disk sums
+    every slice that can meet it.
     """
     u = np.asarray(shifts, dtype=float)
     dirs = directions(u.shape[1])
@@ -235,14 +237,18 @@ def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.n
         return q + (eps * (q + u) < zk)
 
     lengths = np.zeros(u.shape)
-    lo = first(z[:, 0])
+    lo = bottom = first(z[:, 0])
     for i in range(1, z.shape[1]):
         hi = first(z[:, i])
         width = np.where(z[:, i] > z[:, i - 1], z[:, i] - z[:, i - 1], 1.0)
         t = (eps * (0.5 * (lo + hi - 1.0) + u) - z[:, i - 1]) / width
         lengths += np.where(hi > lo, (hi - lo) * (g[:, i - 1] + t * (g[:, i] - g[:, i - 1])), 0.0)
         lo = hi
-    return lengths + np.where(eps * (lo + u) == z[:, -1], g[:, -1], 0.0)
+    # the lattice values next outside [z_min, z_max) add that extreme's slice
+    # when within rounding of it, as SteinhausSet.pinned_edges pins them
+    tol = rounding_bound(body.scale + eps)
+    lengths += np.where(z[:, 0] - eps * (bottom - 1.0 + u) <= tol, g[:, 0], 0.0)
+    return lengths + np.where(eps * (lo + u) - z[:, -1] <= tol, g[:, -1], 0.0)
 
 
 def grid_length(sset: SteinhausSet) -> float:

@@ -1,6 +1,7 @@
 """CLI adapters: pipelines, exit codes, strict config, byte determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from buffon import harness as hz
 from buffon import steinhaus as sh
 from buffon.cli import main
 from buffon.discrepancy import load_report, local_discrepancy
-from buffon.geometry import Line, dump_body, unit_square
+from buffon.geometry import ConvexBody, Line, dump_body, unit_square
 
 
 @pytest.fixture()
@@ -37,8 +38,7 @@ def test_build_then_disc_pipeline(tmp_path, body_path, capsys):
     report = load_report(report_path)
     sset = sh.load_manifest(set_path)
     witness = Line(report.witness_theta, report.witness_offset)
-    value = local_discrepancy(sset, witness, sh.total_length(sset))
-    assert value == pytest.approx(report.sup_estimate, abs=1e-9)
+    assert local_discrepancy(sset, witness, sh.total_length(sset)) == report.sup_estimate
 
 
 _FRESH_WITNESS_SCRIPT = """
@@ -71,7 +71,7 @@ def test_witness_reproducible_in_fresh_process(tmp_path, body_path, capsys):
         [sys.executable, "-c", _FRESH_WITNESS_SCRIPT, set_path, report_path],
         capture_output=True, text=True, check=True, env=env)
     fresh = float(result.stdout.strip())
-    assert fresh == pytest.approx(report.sup_estimate, abs=1e-9)
+    assert fresh == report.sup_estimate
 
 
 def test_oracle_check_reports_agreement(body_path, capsys):
@@ -209,6 +209,19 @@ def test_studies_refuse_a_non_finite_or_negative_eps(body_path, capsys, command,
     assert main([*command, "--body", body_path, "--eps", eps]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: eps: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["length-study", "--trials", "1000"],
+                                     ["oracle-check", "--lines", "1"]])
+def test_a_lattice_too_large_to_allocate_exits_1(tmp_path, capsys, command):
+    """A unit-area disk at pitch 1e-14 has about 1e14 lattice lines: numpy
+    refuses their array at once (it exceeds the address space), and the
+    command says so in an error line, not a traceback."""
+    path = tmp_path / "disk.json"
+    dump_body(ConvexBody.disk((0.0, 0.0), 1.0 / math.sqrt(math.pi)), path)
+    assert main([*command, "--body", str(path), "--n", "1", "--eps", "1e-14"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: memory: ") and "Traceback" not in captured.err
 
 
 def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):

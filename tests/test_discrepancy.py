@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
 from buffon import steinhaus as sh
 from buffon.rng import stream
-from buffon.counting import ExceptionalLineError, count_line, endpoint_error
+from buffon.counting import ExceptionalLineError, count_line, endpoint_error, evaluate_lines
 from buffon.discrepancy import (
     DiscrepancyReport,
     _Accumulator,
+    _terms,
     SupConfig,
     angular_sum,
     crofton_target,
@@ -232,9 +233,14 @@ def test_estimate_sup_witness_recomputes_and_is_deterministic(small_set):
     r1 = estimate_sup(sset, length, config)
     r2 = estimate_sup(sset, length, config)
     assert r1.to_dict() == r2.to_dict()
+    # the witness re-attains the estimate bit for bit, in its own kernel row
+    # and in the search's batch
     witness = Line(r1.witness_theta, r1.witness_offset)
-    assert local_discrepancy(sset, witness, length) == pytest.approx(
-        r1.sup_estimate, abs=1e-9)
+    assert local_discrepancy(sset, witness, length) == r1.sup_estimate
+    batch = evaluate_lines(sset, np.array([witness.theta]), np.array([witness.offset]))
+    assert batch.h[0] == r1.witness_chord_length
+    signed = _terms(sset, length, batch.total, batch.padding_hits, batch.mean_term, batch.h)[3]
+    assert abs(signed[0]) == r1.sup_estimate
     assert r1.samples_evaluated >= 32 * 32 + (32 * 32) // 8
     assert r1.max_abs_z >= abs(r1.witness_z_term) - 1e-9
     assert r1.envelope_upper >= r1.sup_estimate - 1e-9

@@ -1,8 +1,8 @@
 """Geometry oracles: brute-force clipping against the vectorized chord path.
 
 The reference oracle intersects a line with every polygon edge *segment*
-independently (no interval clipping), so agreement with ``chord`` is a real
-cross-check, not a tautology.
+independently (no interval clipping), so agreement with ``chord_batch`` is a
+real cross-check, not a tautology.
 """
 
 import itertools
@@ -74,6 +74,14 @@ def oracle_chord(body, line):
     return base + lo * t, base + hi * t
 
 
+def chord_of(body, line):
+    """(start, end, length) of the line's chord from chord_batch, or None for a
+    miss or tangency."""
+    start, end, length, valid = body.chord_batch(np.array([line.theta]),
+                                                 np.array([line.offset]))
+    return (start[0], end[0], float(length[0])) if valid[0] else None
+
+
 BODIES = None
 
 
@@ -95,15 +103,15 @@ def test_chord_matches_bruteforce_oracle():
         hi = box_hi.max() + 0.2
         for _ in range(400):
             line = Line(rng.uniform(0, math.pi), rng.uniform(lo, hi))
-            got = body.chord(line)
+            got = chord_of(body, line)
             want = oracle_chord(body, line)
             if want is None:
-                assert got is None or got.length <= 1e-9 * body.diameter
+                assert got is None or got[2] <= 1e-9 * body.diameter
                 continue
             assert got is not None, (body.kind, line)
-            w0, w1 = want
-            d_direct = np.hypot(*(got.start - w0)) + np.hypot(*(got.end - w1))
-            d_swap = np.hypot(*(got.start - w1)) + np.hypot(*(got.end - w0))
+            (g0, g1, _), (w0, w1) = got, want
+            d_direct = np.hypot(*(g0 - w0)) + np.hypot(*(g1 - w1))
+            d_swap = np.hypot(*(g0 - w1)) + np.hypot(*(g1 - w0))
             assert min(d_direct, d_swap) < 1e-9 * (1 + body.diameter)
 
 
@@ -112,14 +120,16 @@ def test_chord_endpoints_on_line_and_boundary():
     for body in get_bodies():
         for _ in range(100):
             line = Line(rng.uniform(0, math.pi), rng.uniform(-1.5, 1.5))
-            ch = body.chord(line)
+            ch = chord_of(body, line)
             if ch is None:
                 continue
+            start, end, length = ch
             nu = line.normal
-            assert abs(float(ch.start @ nu) - line.offset) < 1e-9
-            assert abs(float(ch.end @ nu) - line.offset) < 1e-9
-            assert body.contains(ch.start, tol=1e-9)
-            assert body.contains(ch.end, tol=1e-9)
+            assert abs(float(start @ nu) - line.offset) < 1e-9
+            assert abs(float(end @ nu) - line.offset) < 1e-9
+            assert body.contains(start, tol=1e-9)
+            assert body.contains(end, tol=1e-9)
+            assert length == pytest.approx(float(np.hypot(*(end - start))), rel=1e-12)
 
 
 def test_line_normalization_identifies_theta_plus_pi(monkeypatch):
@@ -149,11 +159,11 @@ def test_line_normalization_identifies_theta_plus_pi(monkeypatch):
     assert Line(1.0, -0.3).offset == -0.3 and Line(0.0, 2.0).theta == 0.0
     # and they cut identical chords
     body = get_bodies()[0]
-    c1, c2 = body.chord(line), body.chord(same)
+    c1, c2 = chord_of(body, line), chord_of(body, same)
     if c1 is not None:
         assert c2 is not None
-        assert np.allclose(c1.start, c2.start, atol=1e-12) or np.allclose(
-            c1.start, c2.end, atol=1e-12
+        assert np.allclose(c1[0], c2[0], atol=1e-12) or np.allclose(
+            c1[0], c2[1], atol=1e-12
         )
 
 
@@ -163,8 +173,8 @@ def test_slice_matches_chord_length(s, theta):
     body = get_bodies()[2]
     nu = (math.cos(theta), math.sin(theta))
     (g,) = body.slice_lengths(nu, np.array([s]))
-    ch = body.chord(Line(theta, s))
-    want = ch.length if ch is not None else 0.0
+    ch = chord_of(body, Line(theta, s))
+    want = ch[2] if ch is not None else 0.0
     assert g == pytest.approx(want, abs=1e-9)
 
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buffon.geometry import ConvexBody, ValidationError, unit_square
+from buffon.counting import count_line
+from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
 from buffon import steinhaus as sh
 
 from test_geometry import random_polygon
@@ -89,6 +90,19 @@ def test_family_length_unit_square_zero_shift_counts_boundary():
     assert abs(5.0 - 1.0 / 0.25) <= 2.0 * body.diameter
 
 
+def assert_grid_length_is_the_clipped_length(sset):
+    """Each family length, and the grid length, is the fsum of the lengths of
+    the grid segments chord_bounds clips, to 1e-12 relative."""
+    segments, fams, _ = sset.grid_segments
+    d = segments[:, 1] - segments[:, 0]
+    seg_lengths = np.hypot(d[:, 0], d[:, 1])
+    lengths = sh.family_length_many(sset.body, sset.eps, sset.shifts[None, :])[0]
+    for k in range(sset.n):
+        want = math.fsum(seg_lengths[fams == k])
+        assert lengths[k] == pytest.approx(want, rel=1e-12, abs=1e-12), k
+    assert sh.grid_length(sset) == pytest.approx(math.fsum(seg_lengths), rel=1e-12)
+
+
 def test_family_length_matches_chord_clipping_oracle():
     rng = np.random.default_rng(11)
     bodies = [random_polygon(rng) for _ in range(3)]
@@ -96,19 +110,20 @@ def test_family_length_matches_chord_clipping_oracle():
     for body in bodies:
         n = int(rng.integers(1, 9))
         eps = float(rng.uniform(0.05, 0.3))
-        sset = sh.SteinhausSet(
-            body=body, n=n, eps=eps, shifts=rng.uniform(0, 1, size=n)
-        )
-        segments, fams, _ = sset.grid_segments
-        d = segments[:, 1] - segments[:, 0]
-        seg_lengths = np.hypot(d[:, 0], d[:, 1])
-        lengths = sh.family_length_many(body, eps, sset.shifts[None, :])[0]
-        for k in range(n):
-            want = float(seg_lengths[fams == k].sum())
-            assert lengths[k] == pytest.approx(want, rel=1e-9, abs=1e-9)
-        assert sh.grid_length(sset) == pytest.approx(
-            float(seg_lengths.sum()), rel=1e-9
-        )
+        assert_grid_length_is_the_clipped_length(sh.SteinhausSet(
+            body=body, n=n, eps=eps, shifts=rng.uniform(0, 1, size=n)))
+    # unshifted grids with edges along lattice lines: regular polygons with n
+    # a multiple of their symmetry, and the zero-mode squares at L = 1e5 and
+    # 1e6, whose family n/2 (normal (6.1e-17, 1)) has a lattice line along
+    # the bottom edge
+    for body, n in ((regular_polygon(6), 12), (regular_polygon(8), 24)):
+        assert_grid_length_is_the_clipped_length(
+            sh.SteinhausSet(body=body, n=n, eps=0.05, shifts=np.zeros(n)))
+    for length, n in ((1e5, 46), (1e6, 100)):
+        plan = _plan(unit_square(), length, "zero")
+        assert plan.n == n
+        assert_grid_length_is_the_clipped_length(sh.SteinhausSet(
+            body=unit_square(), n=n, eps=plan.eps, shifts=np.zeros(n)))
 
 
 def test_family_length_mean_and_deviation_bound():
@@ -171,28 +186,33 @@ EDGES_ON_LATTICE = [(0.0625, 0), (0.9375, 0), (0.9375, 2), (0.0625, 2)]
 @pytest.mark.parametrize("vertices, eps, u, slices", [
     # zero-shift unit square: x = 0, 0.25, ..., 1, both edges on lattice lines
     (SQUARE, 0.25, 0.0, 5),
-    # one ulp more pitch puts 4 eps just past x = 1
-    (SQUARE, np.nextafter(0.25, 1.0), 0.0, 4),
-    # 0.1 * 1 == 0.1 is on the bottom edge; 0.1 * 7 rounds above 0.7, so
-    # the top edge is one ulp below the nearest lattice value
-    ([(0.1, 0), (0.7, 0), (0.7, 0.5), (0.1, 0.5)], 0.1, 0.0, 6),
+    # one ulp more pitch puts 4 eps one rounding past the edge x = 1
+    (SQUARE, np.nextafter(0.25, 1.0), 0.0, 5),
+    # 0.1 * 1 == 0.1 is on the left edge; 0.1 * 7 rounds one ulp past the
+    # right edge at 0.7
+    ([(0.1, 0), (0.7, 0), (0.7, 0.5), (0.1, 0.5)], 0.1, 0.0, 7),
     # shifted lattice exactly through both edges: 0.125 (q + 0.5), q = 0..7
     (EDGES_ON_LATTICE, 0.125, 0.5, 8),
-    # one ulp less pitch: q = 0 falls just below the bottom edge, q = 7 inside
-    (EDGES_ON_LATTICE, np.nextafter(0.125, 0.0), 0.5, 7),
-    # 0.45 / 0.09 rounds to 5, but 0.09 * 5 is just below the bottom edge
-    ([(0.45, 0), (0.8, 0), (0.8, 1), (0.45, 1)], 0.09, 0.0, 3),
-    # 0.07 / 0.01 rounds above 7, but 0.01 * 7 == 0.07 is on the bottom edge
+    # one ulp less pitch: q = 0 falls one rounding short of the left edge
+    (EDGES_ON_LATTICE, np.nextafter(0.125, 0.0), 0.5, 8),
+    # 0.45 / 0.09 rounds to 5, but 0.09 * 5 is one ulp short of the left edge
+    ([(0.45, 0), (0.8, 0), (0.8, 1), (0.45, 1)], 0.09, 0.0, 4),
+    # 0.07 / 0.01 rounds above 7, but 0.01 * 7 == 0.07 is on the left edge
     ([(0.07, 0), (0.5, 0), (0.5, 1), (0.07, 1)], 0.01, 0.0, 44),
 ])
 def test_family_length_many_lattice_on_breakpoints(vertices, eps, u, slices):
-    """A lattice value on a bottom or top vertex projection z counts exactly
-    when the slice sum's own float test on eps (q + u) against z passes."""
+    """A lattice line within rounding of an edge of a rectangle is a line of
+    the set: the family length, the slice sum, the clipped grid segments and
+    the kernel's count of a line across the family all take it."""
     body = ConvexBody.polygon(vertices)
-    height = body.vertices[2, 1] - body.vertices[1, 1]
-    shifts = np.full((1, 1), u)
-    got = sh.family_length_many(body, float(eps), shifts)[0, 0]
-    assert got == slice_sum(body, float(eps), shifts)[0, 0] == slices * height
+    (_, y0), (_, y1) = body.vertices[0], body.vertices[2]
+    sset = sh.SteinhausSet(body=body, n=1, eps=float(eps), shifts=[u])
+    shifts = sset.shifts[None, :]
+    got = sh.family_length_many(body, sset.eps, shifts)[0, 0]
+    assert got == slice_sum(body, sset.eps, shifts)[0, 0] == slices * (y1 - y0)
+    assert sh.grid_length(sset) == got
+    assert count_line(sset, Line(math.pi / 2, 0.5 * (y0 + y1))).total == slices
+    assert_grid_length_is_the_clipped_length(sset)
 
 
 def test_family_length_many_disk_sums_each_set_range():
