@@ -26,12 +26,12 @@ coordinate scale and kappa the endpoint's conditioning, and a line is
 exceptional when an endpoint's lattice coordinate lies within that bound
 plus its own rounding, rounding_bound(sset.scale), of a lattice value (the
 line passes next to the point where that grid segment meets the boundary,
-or runs along it), when it runs along a boundary edge, or when it passes
-within rounding_bound(sset.scale) of a padding-segment endpoint.
-An endpoint on a boundary edge that lies on its family's lattice line
-(SteinhausSet.pinned_edges: an axis-aligned body under zero shifts) is a
-pinned crossing, stable under nearby lines: it is counted on either side,
-though the half-open convention would drop it on the max side.
+or runs along it), when the clip finds it along a boundary edge, or when it
+passes within rounding_bound(sset.scale) of a padding-segment endpoint.
+An endpoint on an edge that the clip finds a lattice line along (pinned,
+SteinhausSet.pinned_edges: e.g. an axis-aligned body under zero shifts) is
+a stable crossing: it is counted on either side, though the half-open
+convention would drop it on the max side.
 
 Every other line is counted as exact arithmetic on the kernel's float
 inputs would count it; exceptional ones are not (count_line raises, batches
@@ -167,7 +167,7 @@ def _eval_arrays(sset: SteinhausSet, thetas, ps, work: tuple):
         s_is_min = at_s[:, k] <= at_e[:, k]
         n_lo[:, k] = np.where(np.where(s_is_min, on_s, on_e), q, n_lo[:, k])
         n_hi[:, k] = np.where(np.where(s_is_min, on_e, on_s), q + 1.0, n_hi[:, k])
-    exceptional = np.any(np.logical_or(near_s, near_e, out=near_s), axis=1) | along
+    exceptional = np.any(np.logical_or(near_s, near_e, out=near_s), axis=1) | (along >= 0)
 
     np.subtract(n_hi, n_lo, out=per_family)
     total = np.sum(per_family, axis=1)

@@ -135,6 +135,8 @@ class DiscrepancyReport:
 
     @staticmethod
     def from_dict(data: dict) -> "DiscrepancyReport":
+        if not isinstance(data, dict):
+            raise ValidationError("report", "must be a JSON object")
         names = {f.name for f in fields(DiscrepancyReport)}
         unknown = set(data) - names
         if unknown:
@@ -165,7 +167,11 @@ def save_report(report: DiscrepancyReport, path) -> None:
 
 def load_report(path) -> DiscrepancyReport:
     with open(path, "r", encoding="utf-8") as fh:
-        return DiscrepancyReport.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError("report", f"invalid JSON in {path}: {exc}") from exc
+    return DiscrepancyReport.from_dict(data)
 
 
 def _targeted_lines(sset: SteinhausSet, count: int, seed: int):

@@ -7,13 +7,14 @@ nu(theta) = (cos theta, sin theta).  The pairs (theta + pi, -p) and
 [0, pi).
 
 A convex body is either a strictly convex polygon with counter-clockwise
-vertices or a disk.  A polygon has one clip, behind ConvexBody.chord_bounds:
-chords, grid segments and slice lengths all come from it, so a line within
-1e-14 of an edge's direction is parallel to it for all three, and one along
-the edge has the edge as its chord.  A disk's slices have their own closed
-form.  Chords shorter than ``TANGENCY_CUTOFF * diameter`` are treated as
-absent (tangency).  ``chord_bounds`` bounds the rounding error of every
-chord endpoint (see ``rounding_bound``).
+vertices or a disk.  A polygon has one clip, ConvexBody._clip: chords, grid
+segments and slice lengths all come from it, so a line within 1e-14 of an
+edge's direction is parallel to it for all three, and the clip alone decides
+whether it runs along the edge (within its rounding band; the edge is then
+its chord) or outside the body.  A disk's slices have their own closed form.
+Chords shorter than ``TANGENCY_CUTOFF * diameter`` are treated as absent
+(tangency).  ``chord_bounds`` bounds the rounding error of every chord
+endpoint (see ``rounding_bound``); slices skip it.
 """
 
 from __future__ import annotations
@@ -244,8 +245,8 @@ class ConvexBody:
 
     def chord_bounds(self, thetas: np.ndarray, offsets: np.ndarray):
         """chord_batch's four arrays, then forward error bounds of the chord
-        endpoints: bound_start, bound_end, edge_start, edge_end and along,
-        meaningless on invalid lines.
+        endpoints: bound_start, bound_end, edge_start, edge_end (meaningless on
+        invalid lines) and along.
 
         Each endpoint lies within its bound, rounding_bound(self.scale, kappa),
         of the exact one of the line x . (c, s) = p, with c and s the computed
@@ -253,17 +254,36 @@ class ConvexBody:
         are no edges (-1).  On a polygon kappa is 1/|sin| of the angle between
         the line and the endpoint's binding edge; where other clips lie within
         the bounds of it (near a vertex) the largest kappa counts and the edge
-        is -1, undecided.  along marks a line within rounding of an edge taken
-        as parallel: the exact line may leave the body there, unless it lies
-        on the edge.
+        is -1, undecided.  along is the edge taken as parallel that the clip
+        finds the line along, within its rounding band (-1 for none): the exact
+        line may leave the body there, unless it lies on the edge.
         """
         thetas = np.asarray(thetas, dtype=float)
         nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        return self._clip(nu, np.asarray(offsets, dtype=float))
+        start, end, length, valid, along, clips = self._clip(nu, np.asarray(offsets, dtype=float))
+        if clips is None:  # a disk: kappa = scale / half-chord, no edges
+            edge_s = edge_e = np.full(len(length), -1)
+            bound_s = bound_e = rounding_bound(self.scale, np.divide(
+                self.scale, 0.5 * length, out=np.full(len(length), np.inf), where=valid))
+        else:
+            pos, neg, clip, beta, t_lo, t_hi = clips
+            elen = self._edge_data[2][:, None]
+            err = rounding_bound(self.scale, np.divide(  # per edge and line, its clip's
+                elen, np.abs(beta), out=np.full(beta.shape, np.inf), where=pos | neg))
+            bounds, edges = [], []
+            for side, t in ((pos, t_lo), (neg, t_hi)):
+                err_b = np.max(np.where(side & (clip == t), err, 0.0), axis=0)  # the binding clip's
+                near = side & (np.abs(clip - t) <= err + err_b)
+                bounds.append(np.max(np.where(near, err, 0.0), axis=0))
+                edges.append(np.where(np.count_nonzero(near, axis=0) == 1,
+                                      np.argmax(near, axis=0), -1))
+            (bound_s, bound_e), (edge_s, edge_e) = bounds, edges
+        return start, end, length, valid, bound_s, bound_e, edge_s, edge_e, along
 
     def _clip(self, nu: np.ndarray, offsets: np.ndarray):
-        """chord_bounds of the lines x . nu = offset, nu one unit normal per row:
-        the one clip of lines against the body, slices included."""
+        """The one clip of the lines x . nu = offset, nu one unit normal per row,
+        slices included: chord_bounds' start, end, length, valid and along,
+        then a polygon's per-edge clips for its bounds (None on a disk)."""
         tangent = np.column_stack([-nu[:, 1], nu[:, 0]])
         base = offsets[:, None] * nu
         cutoff = TANGENCY_CUTOFF * self.diameter
@@ -278,10 +298,7 @@ class ConvexBody:
             start = foot - half[:, None] * tangent
             end = foot + half[:, None] * tangent
             length = 2.0 * half
-            bound_s = bound_e = rounding_bound(self.scale, np.divide(
-                self.scale, half, out=np.full(len(half), np.inf), where=valid))
-            edge_s = edge_e = np.full(len(offsets), -1)
-            along = np.zeros(len(offsets), dtype=bool)
+            along, clips = np.full(len(offsets), -1), None
         else:
             # per edge (v, e) and line, as (edges, lines) arrays so that reductions
             # over the edges run along whole rows: base + t tangent is inside
@@ -297,25 +314,16 @@ class ConvexBody:
             clip = -alpha / np.where(crossing, beta, 1.0)
             t_lo = np.max(np.where(pos, clip, -np.inf), axis=0)  # the chord's ends
             t_hi = np.min(np.where(neg, clip, np.inf), axis=0)
-            feasible = ~np.any(~crossing & (alpha < -1e-12 * elen * self.diameter), axis=0)
-            length = t_hi - t_lo
-            valid = feasible & np.isfinite(length) & (length > cutoff)
-            kappa = np.divide(elen, np.abs(beta), out=np.full(beta.shape, np.inf), where=crossing)
-            err = rounding_bound(self.scale, kappa)  # per edge and line, its clip's
-            index = np.arange(len(elen))[:, None]
-            bounds, edges = [], []
-            for side, t in ((pos, t_lo), (neg, t_hi)):
-                err_b = np.max(np.where(side & (clip == t), err, 0.0), axis=0)  # the binding clip's
-                near = side & (np.abs(clip - t) <= err + err_b)
-                bounds.append(np.max(np.where(near, err, 0.0), axis=0))
-                edges.append(np.where(np.count_nonzero(near, axis=0) == 1,
-                                      np.max(np.where(near, index, -1), axis=0), -1))
-            (bound_s, bound_e), (edge_s, edge_e) = bounds, edges
-            # a parallel edge's constraint alpha + t beta >= 0 holds over the chord
-            # unless alpha is within its rounding plus |beta| times the chord's reach
+            clips = pos, neg, clip, beta, t_lo, t_hi
+            # a parallel edge's alpha + t beta keeps its sign over the chord beyond a
+            # band, its rounding plus |beta| times the chord's reach: outside below it
             reach = np.nan_to_num(np.maximum(np.abs(t_lo), np.abs(t_hi)), posinf=0.0)
-            along = np.any(~crossing & (alpha <= elen * rounding_bound(self.scale)
-                                        + np.abs(beta) * reach), axis=0)
+            band = elen * rounding_bound(self.scale) + np.abs(beta) * reach
+            on = ~crossing & (np.abs(alpha) <= band)  # along the edge
+            along = np.where(np.any(on, axis=0), np.argmax(on, axis=0), -1)
+            length = t_hi - t_lo
+            valid = (~np.any(~crossing & (alpha < -band), axis=0)
+                     & np.isfinite(length) & (length > cutoff))
             t_lo = np.where(valid, t_lo, 0.0)
             length = np.where(valid, length, 0.0)
             start = base + t_lo[:, None] * tangent
@@ -323,8 +331,7 @@ class ConvexBody:
 
         start = np.where(valid[:, None], start, 0.0)
         end = np.where(valid[:, None], end, 0.0)
-        return (start, end, np.where(valid, length, 0.0), valid,
-                bound_s, bound_e, edge_s, edge_e, along)
+        return start, end, length, valid, along, clips
 
     # -- slices --------------------------------------------------------------
 

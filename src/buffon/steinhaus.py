@@ -167,6 +167,14 @@ class SteinhausSet:
         one pitch, which bounds each lattice offset of a line meeting the body."""
         return self.body.scale + self.eps
 
+    def _clip_lattice(self, fams: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+        """chord_bounds of the lattice lines eps (q + U_k) of families fams."""
+        thetas, offs = math.pi * fams / self.n, self.eps * (q + self.shifts[fams])
+        edges = 1 if self.body.vertices is None else len(self.body.vertices)
+        step = max(1, KERNEL_CHUNK // edges)  # clipping holds (lines x edges) temporaries
+        return [np.concatenate(part) for part in zip(*(self.body.chord_bounds(
+            thetas[lo : lo + step], offs[lo : lo + step]) for lo in range(0, len(q), step)))]
+
     @cached_property
     def grid_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The clipped lattice segments that meet the body: (segments (S,2,2),
@@ -174,32 +182,21 @@ class SteinhausSet:
         before a sign test cannot tell its side (clipping plus test rounding)."""
         fams = np.repeat(np.arange(self.n), self.q_ranges[:, 1] - self.q_ranges[:, 0] + 1)
         q = np.concatenate([np.arange(lo, hi + 1, dtype=float) for lo, hi in self.q_ranges])
-        thetas, offs = math.pi * fams / self.n, self.eps * (q + self.shifts[fams])
-        edges = 1 if self.body.vertices is None else len(self.body.vertices)
-        step = max(1, KERNEL_CHUNK // edges)  # clipping holds (lines x edges) temporaries
-        start, end, _, valid, bound_s, bound_e, _, _, along = (np.concatenate(part) for part in zip(
-            *(self.body.chord_bounds(thetas[lo : lo + step], offs[lo : lo + step])
-              for lo in range(0, len(q), step))))
-        # a lattice line along a pinned edge is that edge; along another, unknown
-        for k, _, q_edge in self.pinned_edges:
-            along &= (fams != k) | (q != q_edge)
+        start, end, _, valid, bound_s, bound_e, _, _, _ = self._clip_lattice(fams, q)
         tolerance = np.column_stack([bound_s, bound_e]) + rounding_bound(self.scale)
-        tolerance[along] = np.inf
         return np.stack([start[valid], end[valid]], axis=1), fams[valid], tolerance[valid]
 
     @cached_property
     def pinned_edges(self) -> list[tuple[int, int, float]]:
-        """(family k, edge j, lattice index q) for every polygon edge whose two
-        vertices project within rounding_bound(scale) of eps (q + U_k) along
-        nu_k: a chord endpoint whose binding edge is j is a pinned crossing of
-        that lattice line, not an exceptional one."""
-        if self.body.kind != "polygon":
-            return []
-        at = self.body.vertex_projections(self.directions) / self.eps - self.shifts[:, None]
-        q = np.rint(at)
-        on = np.abs(at - q) * self.eps <= rounding_bound(self.scale)  # (families, vertices)
-        edge = on & np.roll(on, -1, axis=1) & (q == np.roll(q, -1, axis=1))
-        return [(int(k), int(j), float(q[k, j])) for k, j in zip(*np.nonzero(edge))]
+        """(family k, edge j, lattice index q) for every lattice line that the
+        clip finds along a polygon edge j; only the lines nearest each family's
+        support extremes can be.  A chord endpoint whose binding edge is j is a
+        pinned crossing of that lattice line, not an exceptional one."""
+        smin, smax = self.body.support_many(self.directions)
+        q = np.rint(np.column_stack([smin, smax]) / self.eps - self.shifts[:, None]).ravel()
+        fams = np.repeat(np.arange(self.n), 2)
+        along = self._clip_lattice(fams, q)[-1]
+        return sorted({(int(k), int(j), float(q_k)) for k, j, q_k in zip(fams, along, q) if j >= 0})
 
 
 def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.ndarray:
@@ -208,10 +205,10 @@ def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.n
     On a polygon the slice length g (the clipped chord's, as slice_lengths
     gives it) is linear between sorted vertex projections z, so the lattice
     offsets eps (q + u) of a half-open piece [z_i, z_i+1) sum to count *
-    g(mean offset); a lattice value within rounding outside z_min or at or
-    past z_max adds that extreme's g, which is an edge's length where the
-    edge lies along the lattice line: O(E) per (row, family).  A disk sums
-    every slice that can meet it.
+    g(mean offset): O(E) per (row, family).  Where an edge sits at an extreme
+    (g is nonzero there), the lattice value next outside [z_min, z_max) adds
+    its slice: the edge's length when the clip finds the line along the edge,
+    0 when it finds it outside.  A disk sums every slice that can meet it.
     """
     u = np.asarray(shifts, dtype=float)
     dirs = directions(u.shape[1])
@@ -244,11 +241,12 @@ def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.n
         t = (eps * (0.5 * (lo + hi - 1.0) + u) - z[:, i - 1]) / width
         lengths += np.where(hi > lo, (hi - lo) * (g[:, i - 1] + t * (g[:, i] - g[:, i - 1])), 0.0)
         lo = hi
-    # the lattice values next outside [z_min, z_max) add that extreme's slice
-    # when within rounding of it, as SteinhausSet.pinned_edges pins them
-    tol = rounding_bound(body.scale + eps)
-    lengths += np.where(z[:, 0] - eps * (bottom - 1.0 + u) <= tol, g[:, 0], 0.0)
-    return lengths + np.where(eps * (lo + u) - z[:, -1] <= tol, g[:, -1], 0.0)
+    # the lattice values next outside [z_min, z_max), where an edge sits there
+    for q, extreme in ((bottom - 1.0, g[:, 0]), (lo, g[:, -1])):
+        edge = extreme != 0.0
+        if np.any(edge):
+            lengths[:, edge] += body.slice_lengths(dirs[edge], eps * (q[:, edge] + u[:, edge]).T).T
+    return lengths
 
 
 def grid_length(sset: SteinhausSet) -> float:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buffon.geometry import TANGENCY_CUTOFF, ConvexBody, Line, unit_square
+from buffon.geometry import TANGENCY_CUTOFF, ConvexBody, Line, rounding_bound, unit_square
 from buffon import steinhaus as sh
 from buffon import counting
 from buffon.counting import (
@@ -28,6 +28,7 @@ from buffon.counting import (
     oracle_padding_hits,
     z_samples,
 )
+from buffon.harness import run_oracle_check
 
 from test_geometry import chord_of, random_polygon
 
@@ -390,6 +391,38 @@ def test_invalid_lines_count_zero():
     assert batch.padding_hits[0] == 0
     bd = count_line(sset, Line(0.3, 9.0))
     assert bd.total == 0 and bd.z == 0.0
+
+
+@pytest.mark.parametrize("shift, pinned, compared", [
+    (4e-13, [], 190),  # x = 1 + 1e-13, outside the square beyond the band
+    (1 - 4e-13, [], 190),  # x = -1e-13
+    (4e-15, [(0, 1, 4.0), (0, 3, 0.0)], 200),  # x = 1e-15 and 1 + 1e-15, within it
+    (4.4e-14, [], 1),  # x = 1 + 1.1e-14, beyond the band of about 1.0e-14
+])
+def test_lattice_lines_next_to_an_edge_are_pinned_within_the_band(shift, pinned, compared):
+    """A lattice line is pinned exactly when the clip finds it along an edge;
+    one beyond the band is no segment, so no segment end has an unbounded
+    tolerance and the oracle compares lines near it."""
+    body = unit_square()
+    sset = sh.SteinhausSet(body=body, n=1, eps=0.25, shifts=[shift])
+    assert sset.pinned_edges == pinned
+    assert np.all(np.isfinite(sset.grid_segments[2]))
+    three = sh.SteinhausSet(body=body, n=3, eps=0.25, shifts=[shift, 0.3, 0.6])
+    check = run_oracle_check(three, 200, seed=0)
+    assert check.comparisons >= compared and check.agreements == check.comparisons
+
+
+def test_lattice_line_just_beyond_the_band_is_exceptional_not_pinned():
+    """x = 1 + 1.1e-14 lies beyond the clip's band, though within
+    rounding_bound(sset.scale): it is not in the set, and a line ending on
+    the edge next to it is exceptional rather than counted."""
+    sset = sh.SteinhausSet(body=unit_square(), n=1, eps=0.25, shifts=[4.4e-14])
+    assert rounding_bound(sset.body.scale) < 1.1e-14 < rounding_bound(sset.scale)
+    segments = sset.grid_segments[0]
+    d = segments[:, 1] - segments[:, 0]
+    assert len(segments) == 4 and sh.grid_length(sset) == math.fsum(np.hypot(*d.T)) == 4.0
+    with pytest.raises(ExceptionalLineError):
+        count_line(sset, Line(math.pi / 2, 0.5))
 
 
 def test_evaluated_set_is_freed_after_del():

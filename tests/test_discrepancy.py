@@ -317,6 +317,15 @@ def test_report_round_trip_and_strict_keys(tmp_path, small_set):
         assert name in text
 
 
+@pytest.mark.parametrize("text", ["{not json", "5"])
+def test_load_report_refuses_malformed_json_and_non_objects(tmp_path, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        load_report(path)
+    assert info.value.field == "report"
+
+
 def test_report_json_is_deterministic(tmp_path, small_set):
     sset, length = small_set
     config = SupConfig(theta_resolution=16, offset_resolution=16,

@@ -19,6 +19,7 @@ from buffon.geometry import (
     ValidationError,
     body_from_dict,
     body_to_dict,
+    rounding_bound,
     unit_square,
     unit_vector,
 )
@@ -176,6 +177,36 @@ def test_slice_matches_chord_length(s, theta):
     ch = chord_of(body, Line(theta, s))
     want = ch[2] if ch is not None else 0.0
     assert g == pytest.approx(want, abs=1e-9)
+
+
+def test_one_band_decides_outside_and_along():
+    """A line parallel to the square's right edge x = 1 is along it (edge 1,
+    the edge its chord) within the edge's rounding band, outside the body
+    beyond it, and an ordinary chord inside it; slices take the same clip."""
+    sq = unit_square()
+    band = rounding_bound(sq.scale)  # |e| = 1 and beta = 0
+    offsets = 1.0 + np.array([-1e-13, -0.9 * band, 0.0, 0.9 * band, 1.1 * band, 1e-13])
+    _, _, length, valid, _, _, _, _, along = sq.chord_bounds(np.zeros(6), offsets)
+    assert along.tolist() == [-1, 1, 1, 1, -1, -1]
+    assert valid.tolist() == [True] * 4 + [False] * 2
+    assert length.tolist() == [1.0] * 4 + [0.0] * 2
+    assert np.array_equal(sq.slice_lengths((1.0, 0.0), offsets), length)
+
+
+def test_slice_lengths_are_the_chord_lengths_bit_for_bit():
+    """Slices skip the endpoint bounds, not the clip: on a 199-gon a slice has
+    its chord's length to the bit wherever the two see the same normal."""
+    rng = np.random.default_rng(5)
+    angles = np.sort(rng.uniform(0, 2 * math.pi, size=199))
+    body = ConvexBody.polygon(np.column_stack([0.8 * np.cos(angles), 0.5 * np.sin(angles)]))
+    thetas = rng.uniform(0, math.pi, 2000)
+    nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    same = np.all(unit_vector(nu) == nu, axis=1)
+    assert np.count_nonzero(same) > 1000
+    lo, hi = body.offset_extents(thetas)
+    offsets = rng.uniform(lo - 0.1, hi + 0.1)
+    slices = body.slice_lengths(nu[same], offsets[same, None])[:, 0]
+    assert np.array_equal(slices, body.chord_bounds(thetas[same], offsets[same])[2])
 
 
 def test_slice_concavity_on_support():

@@ -199,11 +199,17 @@ EDGES_ON_LATTICE = [(0.0625, 0), (0.9375, 0), (0.9375, 2), (0.0625, 2)]
     ([(0.45, 0), (0.8, 0), (0.8, 1), (0.45, 1)], 0.09, 0.0, 4),
     # 0.07 / 0.01 rounds above 7, but 0.01 * 7 == 0.07 is on the left edge
     ([(0.07, 0), (0.5, 0), (0.5, 1), (0.07, 1)], 0.01, 0.0, 44),
+    # x = 1 + 1e-13 and x = -1e-13 lie outside the square beyond the clip's
+    # band; x = 1e-15 and 1 + 1e-15 lie within it
+    (SQUARE, 0.25, 4e-13, 4),
+    (SQUARE, 0.25, 1 - 4e-13, 4),
+    (SQUARE, 0.25, 4e-15, 5),
 ])
 def test_family_length_many_lattice_on_breakpoints(vertices, eps, u, slices):
-    """A lattice line within rounding of an edge of a rectangle is a line of
-    the set: the family length, the slice sum, the clipped grid segments and
-    the kernel's count of a line across the family all take it."""
+    """A lattice line that the clip finds along an edge of a rectangle is a
+    line of the set, and one it finds outside is not: the family length, the
+    slice sum, the clipped grid segments and the kernel's count of a line
+    across the family all agree."""
     body = ConvexBody.polygon(vertices)
     (_, y0), (_, y1) = body.vertices[0], body.vertices[2]
     sset = sh.SteinhausSet(body=body, n=1, eps=float(eps), shifts=[u])
@@ -232,15 +238,21 @@ def test_family_length_many_disk_sums_each_set_range():
 
 
 def test_grid_length_requests_at_most_n_e_slices(monkeypatch):
-    """A polygon's grid length asks for one slice per family and vertex."""
+    """A polygon's grid length asks for one slice per family and vertex, plus
+    the lattice lines next outside a family's extremes where an edge sits at
+    one (its slice there is nonzero): at most 2 per such family.  Here the
+    bottom edge is parallel to family n/2's lattice lines."""
     body = ConvexBody.polygon([(0, 0), (1, 0), (1.2, 0.7), (0.4, 1.1), (-0.1, 0.6)])
     sset, _ = sh.build_exact(body, 3e7, "shifted", seed=3)
+    z = np.sort(body.vertex_projections(sset.directions), axis=1)[:, [0, -1]]
+    with_edge = np.count_nonzero(np.any(body.slice_lengths(sset.directions, z) != 0.0, axis=1))
+    assert sset.n % 2 == 0 and with_edge == 1
     requested = []
     slice_lengths = ConvexBody.slice_lengths
     monkeypatch.setattr(ConvexBody, "slice_lengths", lambda self, nu, s: (
         requested.append(np.size(s)) or slice_lengths(self, nu, s)))
     sh.grid_length(sset)
-    assert 0 < sum(requested) <= sset.n * len(body.vertices)
+    assert 0 < sum(requested) <= sset.n * len(body.vertices) + 2 * with_edge
 
 
 def test_grid_segments_lie_on_their_lattice_lines():
