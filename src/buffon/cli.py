@@ -12,7 +12,6 @@ memory, 2 internal assertion failure (full counterexample printed).  A
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import harness as hz
@@ -20,7 +19,7 @@ from . import rng
 from . import steinhaus as sh
 from .counting import ExceptionalLineError
 from .discrepancy import SupConfig, estimate_sup, format_report, save_report
-from .geometry import ValidationError, load_body
+from .geometry import ValidationError, load_body, read_json
 
 __all__ = ["main"]
 
@@ -122,8 +121,7 @@ def _merge_config(parser, sub_parsers, argv):
     if ns.command is None:
         raise ValidationError("command", "a subcommand is required")
     if getattr(ns, "config", None):
-        with open(ns.config) as fh:
-            cfg = json.load(fh)
+        cfg = read_json(ns.config, "config")
         if not isinstance(cfg, dict):
             raise ValidationError("config", "config file must hold a JSON object")
         sub = sub_parsers[ns.command]
@@ -304,7 +302,7 @@ def main(argv=None) -> int:
     except ExceptionalLineError as exc:
         print(f"error: line: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # e.g. a pitch so fine the lattice cannot be held

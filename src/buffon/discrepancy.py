@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import Line, ValidationError
+from .geometry import Line, ValidationError, read_json
 from .steinhaus import SteinhausSet, angular_sum
 from .counting import count_line, evaluate_lines
 from . import rng as rng_mod
@@ -166,12 +166,7 @@ def save_report(report: DiscrepancyReport, path) -> None:
 
 
 def load_report(path) -> DiscrepancyReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("report", f"invalid JSON in {path}: {exc}") from exc
-    return DiscrepancyReport.from_dict(data)
+    return DiscrepancyReport.from_dict(read_json(path, "report"))
 
 
 def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
@@ -187,8 +182,6 @@ def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
     edge direction by a log-spread angle — endpoint errors align along chords
     that hug a boundary edge near a lattice-heavy corner.
     """
-    if count <= 0:
-        return np.empty(0), np.empty(0)
     n, eps = sset.n, sset.eps
     body = sset.body
     dirs = sset.directions
@@ -275,65 +268,43 @@ def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
     return Line.normalize_many(thetas, offsets)
 
 
-class _Accumulator:
-    """Evaluates candidate lines, keeps aggregates, and remembers samples."""
+def _phase(sset: SteinhausSet, length: float, thetas, offsets) -> tuple:
+    """One search phase: a single evaluate_lines call whose every included line
+    must satisfy the envelope inequality.
 
-    def __init__(self, sset: SteinhausSet, length: float):
-        self.sset = sset
-        self.length = length
-        self.samples = 0
-        self.excluded = 0
-        self.max_abs_z = 0.0
-        self.max_abs_quad = 0.0
-        self.max_padding_hits = 0
-        self.max_abs_norm = 0.0
-        self.thetas: list[np.ndarray] = []
-        self.offsets: list[np.ndarray] = []
-        self.locals: list[np.ndarray] = []
+    Returns (lines, excluded, theta, offset, local, max |quadrature|, max |z|,
+    max padding hits, max |normalization|); the arrays hold the included
+    lines and the maxima run over them (0 when there are none).
+    """
+    batch = evaluate_lines(sset, thetas, offsets)
+    include = batch.valid & ~batch.exceptional
+    quad, norm, crof, signed = _terms(sset, length, batch.total,
+                                      batch.padding_hits, batch.mean_term, batch.h)
+    signed[~include] = 0.0
+    local = np.abs(signed)
+    # slack: 1e-9 absolute plus a few ulps of the large cancelling terms
+    slack = EQUALITY_TOL + 1e-13 * (np.abs(crof) + np.abs(batch.mean_term))
+    envelope = (np.abs(quad) + np.abs(batch.z) + batch.padding_hits
+                + np.abs(norm) + slack)
+    bad = include & (local > envelope)
+    if np.any(bad):
+        i = int(np.where(bad)[0][0])
+        raise AssertionError(
+            "decomposition inequality violated: "
+            f"theta={batch.theta[i]!r} offset={batch.offset[i]!r} "
+            f"local={local[i]!r} envelope={envelope[i]!r}")
+    maxima = [np.abs(v[include]).max(initial=0)
+              for v in (quad, batch.z, batch.padding_hits, norm)]
+    return (len(batch.theta), int(batch.exceptional.sum()), batch.theta[include],
+            batch.offset[include], local[include], *maxima)
 
-    def evaluate(self, thetas: np.ndarray, offsets: np.ndarray) -> None:
-        if thetas.size == 0:
-            return
-        batch = evaluate_lines(self.sset, thetas, offsets)
-        include = batch.valid & ~batch.exceptional
-        quad, norm, crof, signed = _terms(self.sset, self.length, batch.total,
-                                          batch.padding_hits, batch.mean_term, batch.h)
-        signed[~include] = 0.0
-        local = np.abs(signed)
-        # slack: 1e-9 absolute plus a few ulps of the large cancelling terms
-        slack = EQUALITY_TOL + 1e-13 * (np.abs(crof) + np.abs(batch.mean_term))
-        envelope = (np.abs(quad) + np.abs(batch.z) + batch.padding_hits
-                    + np.abs(norm) + slack)
-        bad = include & (local > envelope)
-        if np.any(bad):
-            i = int(np.where(bad)[0][0])
-            raise AssertionError(
-                "decomposition inequality violated: "
-                f"theta={batch.theta[i]!r} offset={batch.offset[i]!r} "
-                f"local={local[i]!r} envelope={envelope[i]!r}")
 
-        self.samples += int(thetas.size)
-        self.excluded += int(batch.exceptional.sum())
-        if include.any():
-            self.max_abs_z = max(self.max_abs_z, float(np.abs(batch.z[include]).max()))
-            self.max_abs_quad = max(
-                self.max_abs_quad, float(np.abs(quad[include]).max()))
-            self.max_padding_hits = max(
-                self.max_padding_hits, int(batch.padding_hits[include].max()))
-            self.max_abs_norm = max(
-                self.max_abs_norm, float(np.abs(norm[include]).max()))
-        self.thetas.append(batch.theta[include])
-        self.offsets.append(batch.offset[include])
-        self.locals.append(local[include])
-
-    def top_candidates(self, count: int):
-        """The count largest local values with their lines, largest first;
-        ties go to the lexicographically smallest (theta, offset)."""
-        th = np.concatenate(self.thetas) if self.thetas else np.empty(0)
-        po = np.concatenate(self.offsets) if self.offsets else np.empty(0)
-        lv = np.concatenate(self.locals) if self.locals else np.empty(0)
-        order = np.lexsort((po, th, -lv))[:count]
-        return th[order], po[order], lv[order]
+def _top(phases: list, count: int):
+    """The count largest local values over the phases with their lines, largest
+    first; ties go to the lexicographically smallest (theta, offset)."""
+    th, po, lv = (np.concatenate(a) for a in list(zip(*phases))[2:5])
+    order = np.lexsort((po, th, -lv))[:count]
+    return th[order], po[order], lv[order]
 
 
 def estimate_sup(
@@ -341,26 +312,26 @@ def estimate_sup(
 ) -> DiscrepancyReport:
     """Structured search for the largest local discrepancy.
 
-    Base grid: theta_resolution angles uniform on [0, pi), offset_resolution
-    offsets spanning the body's support slab per angle (both nested under
-    doubling).  Plus a prefix-stable targeted stream of lines through
-    near-lattice points, then refine_rounds rounds of 10x-finer local grids
-    around the current top candidates.  Returns a certified lower bound: the
-    reported value is re-attained by the witness line at report time.
+    The search is a list of phases, one evaluate_lines call each: the base
+    grid (theta_resolution angles uniform on [0, pi), offset_resolution
+    offsets spanning the body's support slab per angle, both nested under
+    doubling), a prefix-stable targeted stream of lines through near-lattice
+    points, then refine_rounds rounds of 10x-finer local grids around the top
+    candidates so far (an empty phase when there are none).  The report is
+    built from the phase list at the end.  It carries a certified lower bound:
+    the reported value is re-attained by the witness line at report time.
     """
     if not (length >= 0.0) or not math.isfinite(length):
         raise ValidationError("length", f"length must be finite and >= 0, got {length}")
-    acc = _Accumulator(sset, length)
     r_theta, r_off = config.theta_resolution, config.offset_resolution
 
     theta_grid = math.pi * np.arange(r_theta) / r_theta
     lo, hi = sset.body.offset_extents(theta_grid)
     frac = np.arange(r_off) / r_off
     offs = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-    acc.evaluate(np.repeat(theta_grid, r_off), offs.ravel())
-
+    phases = [_phase(sset, length, np.repeat(theta_grid, r_off), offs.ravel())]
     t_th, t_off = _targeted_lines(sset, (r_theta * r_off) // 8, config.seed)
-    acc.evaluate(t_th, t_off)
+    phases.append(_phase(sset, length, t_th, t_off))
 
     d_theta = math.pi / r_theta
     d_off = float(np.median(hi - lo)) / r_off
@@ -368,16 +339,14 @@ def estimate_sup(
     for round_idx in range(config.refine_rounds):
         step_t = d_theta / (10.0 ** (round_idx + 1))
         step_p = d_off / (10.0 ** (round_idx + 1))
-        cth, cpo, _ = acc.top_candidates(TOP_CANDIDATES)
-        if cth.size == 0:
-            break
+        cth, cpo, _ = _top(phases, TOP_CANDIDATES)
         grid_t = cth[:, None, None] + step_t * stencil[None, :, None]
         grid_p = cpo[:, None, None] + step_p * stencil[None, None, :]
         grid_t, grid_p = np.broadcast_arrays(grid_t, grid_p)
         nth, npo = Line.normalize_many(grid_t.ravel(), grid_p.ravel())
-        acc.evaluate(nth, npo)
+        phases.append(_phase(sset, length, nth, npo))
 
-    wth, wpo, wlv = acc.top_candidates(1)
+    wth, wpo, wlv = _top(phases, 1)
     if wth.size == 0:
         # no admissible sample at all: report a line that misses the body
         miss = float(lo.min()) - 1.0 - sset.body.diameter
@@ -385,34 +354,28 @@ def estimate_sup(
     else:
         witness = Line(float(wth[0]), float(wpo[0]))
     terms = decompose(sset, witness, length)
-    sup_value = abs(terms["signed_error"])
+    sup_value = abs(terms.pop("signed_error"))
     if wth.size and sup_value != wlv[0]:  # the same kernel row, so the same bits
         raise AssertionError(
             "witness recomputation mismatch: "
             f"search={float(wlv[0])!r} recomputed={sup_value!r} "
             f"theta={witness.theta!r} offset={witness.offset!r}")
-    envelope_upper = (acc.max_abs_quad + acc.max_abs_z + sset.padding_count
-                      + acc.max_abs_norm)
+    lines, excluded, *_, quad, z, hits, norm = zip(*phases)
+    max_quad, max_z, max_hits, max_norm = (max(m).item() for m in (quad, z, hits, norm))
     return DiscrepancyReport(
         sup_estimate=sup_value,
         witness_theta=witness.theta,
         witness_offset=witness.offset,
-        witness_total=terms["total"],
-        witness_quadrature_term=terms["quadrature_term"],
-        witness_z_term=terms["z_term"],
-        witness_padding_term=terms["padding_term"],
-        witness_length_normalization_term=terms["length_normalization_term"],
-        witness_chord_length=terms["chord_length"],
-        witness_crofton=terms["crofton"],
-        samples_evaluated=acc.samples,
-        excluded_lines=acc.excluded,
+        **{f"witness_{key}": value for key, value in terms.items()},
+        samples_evaluated=sum(lines),
+        excluded_lines=sum(excluded),
         theta_resolution=r_theta,
         offset_resolution=r_off,
         refine_rounds=config.refine_rounds,
         seed=config.seed,
         length=length,
-        max_abs_z=acc.max_abs_z,
-        max_abs_quadrature=acc.max_abs_quad,
-        max_padding_hits=acc.max_padding_hits,
-        envelope_upper=envelope_upper,
+        max_abs_z=max_z,
+        max_abs_quadrature=max_quad,
+        max_padding_hits=max_hits,
+        envelope_upper=max_quad + max_z + sset.padding_count + max_norm,
     )

@@ -32,6 +32,7 @@ __all__ = [
     "TANGENCY_CUTOFF",
     "rounding_bound",
     "ValidationError",
+    "read_json",
     "as_float_array",
     "unit_vector",
     "Line",
@@ -66,6 +67,15 @@ class ValidationError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def read_json(path, field: str):
+    """The JSON value in the file at path; malformed JSON is refused as a
+    ValidationError of field."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(field, f"invalid JSON in {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -239,9 +249,12 @@ class ConvexBody:
 
         Returns (start (N,2), end (N,2), length (N,), valid (N,)); entries of
         invalid lines are zero.  A line is invalid when it misses the body or
-        meets it in a chord shorter than the tangency cutoff.
+        meets it in a chord shorter than the tangency cutoff.  The clip alone:
+        chord_bounds' first four arrays, bit for bit, without its bounds.
         """
-        return self.chord_bounds(thetas, offsets)[:4]
+        thetas = np.asarray(thetas, dtype=float)
+        nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
+        return self._clip(nu, np.asarray(offsets, dtype=float))[:4]
 
     def chord_bounds(self, thetas: np.ndarray, offsets: np.ndarray):
         """chord_batch's four arrays, then forward error bounds of the chord
@@ -421,11 +434,7 @@ def body_to_dict(body: ConvexBody) -> dict:
 
 
 def load_body(path) -> ConvexBody:
-    try:
-        spec = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError("body", f"invalid JSON in {path}: {exc}") from exc
-    return body_from_dict(spec)
+    return body_from_dict(read_json(path, "body"))
 
 
 def dump_body(body: ConvexBody, path) -> None:

@@ -203,27 +203,24 @@ def read_sweep_csv(path) -> list[SweepRow]:
 
 def fit_points(
     rows: Sequence[SweepRow],
-    x_field: str = "L_target",
     y_field: str = "sup_estimate",
     log_correction: Optional[float] = None,
 ) -> list[tuple]:
     """The (x, y, y_fitted) points a slope fit uses, in row order.
 
-    x and y are the row's own values; y_fitted is y divided by
+    x is the row's L_target and y its y_field; y_fitted is y divided by
     (log x)^log_correction when a correction is given, else y itself.  Rows
     are skipped when they carry an error, when n < MIN_ASYMPTOTIC_N
     (non-asymptotic builds), when either coordinate is non-finite or
     non-positive, or when a correction is given and x <= 1.
     """
-    valid_names = {f.name for f in fields(SweepRow)}
-    for name in (x_field, y_field):
-        if name not in valid_names:
-            raise ValidationError("field", f"unknown SweepRow field {name!r}")
+    if y_field not in {f.name for f in fields(SweepRow)}:
+        raise ValidationError("field", f"unknown SweepRow field {y_field!r}")
     points = []
     for row in rows:
         if row.error is not None or row.n < MIN_ASYMPTOTIC_N:
             continue
-        x = getattr(row, x_field)
+        x = row.L_target
         y = fitted = getattr(row, y_field)
         if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
             continue
@@ -237,7 +234,6 @@ def fit_points(
 
 def fit_slope(
     rows: Sequence[SweepRow],
-    x_field: str = "L_target",
     y_field: str = "sup_estimate",
     log_correction: Optional[float] = None,
 ) -> SlopeFit:
@@ -245,7 +241,7 @@ def fit_slope(
     log_correction = c, y is divided by (log x)^c before fitting, deflating a
     known logarithmic factor so the fitted exponent isolates the power law.
     """
-    points = fit_points(rows, x_field, y_field, log_correction)
+    points = fit_points(rows, y_field, log_correction)
     xs = [math.log(x) for x, _, _ in points]
     ys = [math.log(fitted) for _, _, fitted in points]
     if len(xs) < MIN_FIT_POINTS:

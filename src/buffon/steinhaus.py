@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (ConvexBody, ValidationError, as_float_array, body_from_dict,
-                       body_to_dict, rounding_bound, unit_vector)
+                       body_to_dict, read_json, rounding_bound, unit_vector)
 from .rng import stream
 
 __all__ = [
@@ -493,8 +493,4 @@ def save_manifest(sset: SteinhausSet, path) -> None:
 
 
 def load_manifest(path) -> SteinhausSet:
-    try:
-        manifest = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError("manifest", f"invalid JSON in {path}: {exc}") from exc
-    return set_from_manifest(manifest)
+    return set_from_manifest(read_json(path, "manifest"))

@@ -282,3 +282,11 @@ def test_config_file_strict_and_overridable(tmp_path, body_path, capsys, monkeyp
     assert main(["length-study", "--body", body_path, "--config", str(cfg)]) == 0
     assert "mean_L=" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "square.json"]
+
+
+def test_malformed_config_is_a_config_error(tmp_path, body_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{bad")
+    assert main(["length-study", "--body", body_path, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: invalid JSON in {cfg}") and "Traceback" not in err

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
+from buffon import discrepancy
 from buffon import steinhaus as sh
 from buffon.rng import stream
 from buffon.counting import ExceptionalLineError, count_line, endpoint_error, evaluate_lines
 from buffon.discrepancy import (
     DiscrepancyReport,
-    _Accumulator,
+    _phase,
     _terms,
+    _top,
     SupConfig,
     angular_sum,
     crofton_target,
@@ -281,18 +283,65 @@ def test_estimate_sup_handles_single_family():
     assert report.witness_total == 0
 
 
-def test_estimate_sup_without_admissible_lines_reports_a_miss():
-    """At a pitch far below the chords' rounding every valid line is
-    exceptional, so the refine rounds have no candidate and the witness is a
-    line that misses the body.  (total_length is never asked for: the disk's
-    slice sum would run over about 2e14 lattice lines.)"""
+def _all_excluded_disk_set():
     sset = sh.SteinhausSet(body=ConvexBody.disk((0, 0), 1), n=1, eps=1e-14,
                            shifts=[0.5])
-    report = estimate_sup(sset, 40.0, SupConfig(8, 8, 1, 0))
+    return sset, 40.0, SupConfig(8, 8, 1, 0)
+
+
+def test_estimate_sup_without_admissible_lines_reports_a_miss():
+    """At a pitch far below the chords' rounding every valid line is
+    exceptional, so the refine round has no candidate (an empty phase) and
+    the witness is a line that misses the body.  (total_length is never asked for: the disk's
+    slice sum would run over about 2e14 lattice lines.)"""
+    report = estimate_sup(*_all_excluded_disk_set())
     assert report.samples_evaluated == 8 * 8 + 8 and report.excluded_lines == 64
     assert report.sup_estimate == 0.0
     assert (report.witness_theta, report.witness_offset) == (0.0, -4.0)
     assert report.witness_total == 0 and report.witness_chord_length == 0.0
+
+
+def _padded_polygon_set():
+    body = random_polygon(np.random.default_rng(61), 6)
+    base = sh.SteinhausSet(body=body, n=12, eps=0.05,
+                           shifts=np.random.default_rng(62).uniform(0, 1, 12))
+    sset = sh.adjust_length(base, sh.grid_length(base) + 3.7)
+    assert sset.padding_count >= 3
+    return sset, sh.total_length(sset), SupConfig(16, 16, 2, 3)
+
+
+@pytest.mark.parametrize("case", [_padded_polygon_set, _all_excluded_disk_set])
+def test_report_counts_and_maxima_are_those_of_the_evaluated_lines(monkeypatch, case):
+    """One evaluate_lines call per phase (grid, targeted, each refine round),
+    then one decompose recount of the witness; the report's counts and
+    maxima are exactly those of the included lines of the recorded batches."""
+    sset, length, config = case()
+    batches, recounts = [], []
+    evaluate, recount = discrepancy.evaluate_lines, discrepancy.decompose
+    monkeypatch.setattr(discrepancy, "evaluate_lines",
+                        lambda *args: batches.append(evaluate(*args)) or batches[-1])
+    monkeypatch.setattr(discrepancy, "decompose",
+                        lambda *args: recounts.append(args) or recount(*args))
+    report = estimate_sup(sset, length, config)
+    assert len(batches) == 2 + config.refine_rounds and len(recounts) == 1
+    assert report.samples_evaluated == sum(b.theta.size for b in batches)
+    assert report.excluded_lines == sum(int(b.exceptional.sum()) for b in batches)
+    batch = evaluate_lines(sset, np.concatenate([b.theta for b in batches]),
+                           np.concatenate([b.offset for b in batches]))
+    include = batch.valid & ~batch.exceptional
+    quad, norm, _, _ = _terms(sset, length, batch.total, batch.padding_hits,
+                              batch.mean_term, batch.h)
+    max_quad, max_z, max_norm = (float(np.abs(v[include]).max(initial=0.0))
+                                 for v in (quad, batch.z, norm))
+    assert report.max_abs_quadrature == max_quad and report.max_abs_z == max_z
+    assert report.max_padding_hits == int(batch.padding_hits[include].max(initial=0))
+    assert report.envelope_upper == max_quad + max_z + sset.padding_count + max_norm
+    assert type(report.max_abs_z) is float and type(report.max_padding_hits) is int
+    assert "np." not in format_report(report)
+    if case is _padded_polygon_set:
+        assert include.any() and report.max_padding_hits > 0
+    else:
+        assert not include.any() and report.envelope_upper == 0.0
 
 
 def test_report_round_trip_and_strict_keys(tmp_path, small_set):
@@ -353,10 +402,9 @@ def test_witness_tie_break_is_smallest_theta_then_offset():
     for _ in range(8):
         order = rng.permutation(len(thetas))
         cut = int(rng.integers(1, len(thetas)))
-        acc = _Accumulator(sset, 40.0)
-        acc.evaluate(thetas[order[:cut]], offsets[order[:cut]])
-        acc.evaluate(thetas[order[cut:]], offsets[order[cut:]])
-        th, po, values = acc.top_candidates(len(thetas))
+        phases = [_phase(sset, 40.0, thetas[part], offsets[part])
+                  for part in (order[:cut], order[cut:])]
+        th, po, values = _top(phases, len(thetas))
         assert values[0] == values[7] > values[8]
         assert list(zip(th[:8].tolist(), po[:8].tolist())) == tied
     # the search's grid ties every angle at offset 0: the witness is theta 0

@@ -209,6 +209,26 @@ def test_slice_lengths_are_the_chord_lengths_bit_for_bit():
     assert np.array_equal(slices, body.chord_bounds(thetas[same], offsets[same])[2])
 
 
+@pytest.mark.parametrize("body", [
+    random_polygon(np.random.default_rng(8), 7), ConvexBody.disk((0.2, -0.1), 0.7)])
+def test_chord_batch_is_the_clip_of_chord_bounds_bit_for_bit(body):
+    """chord_batch skips the endpoint bounds, not the clip: its four arrays are
+    chord_bounds' first four to the bit, on lines that miss the body, lines
+    tangent to it (offset at a support extreme) and lines through it."""
+    rng = np.random.default_rng(9)
+    thetas = rng.uniform(0, math.pi, 600)
+    lo, hi = body.offset_extents(thetas)
+    offsets = np.concatenate([rng.uniform(lo[:200], hi[:200]),
+                              lo[200:300], hi[300:400],
+                              lo[400:500] - rng.uniform(1e-3, 1.0, 100),
+                              hi[500:] + rng.uniform(1e-3, 1.0, 100)])
+    got = body.chord_batch(thetas, offsets)
+    want = body.chord_bounds(thetas, offsets)[:4]
+    assert np.all(got[3][:200]) and not np.any(got[3][400:])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_slice_concavity_on_support():
     """g is concave on its support: midpoint value >= mean of endpoints."""
     rng = np.random.default_rng(3)

@@ -156,8 +156,8 @@ def test_fit_slope_validation():
     with pytest.raises(ValidationError):
         hz.fit_slope(same_x)
     good = _synthetic_rows([10.0**k for k in range(4)], [1.0] * 4)
-    with pytest.raises(ValidationError):
-        hz.fit_slope(good, x_field="no_such_field")
+    with pytest.raises(ValidationError, match="no_such_field"):
+        hz.fit_slope(good, y_field="no_such_field")
 
 
 def test_z_tail_study_bands_and_determinism():
