@@ -31,7 +31,6 @@ from buffon.counting import (
     LineBatch,
     count_in_interval,
     count_line,
-    endpoint_error,
     evaluate_lines,
     oracle_count,
     oracle_padding_hits,
@@ -66,7 +65,6 @@ from buffon.harness import (
     SweepRow,
     ZTailRow,
     ZTailStudy,
-    coherence_probe,
     coherence_study,
     fit_slope,
     length_study,
@@ -118,7 +116,6 @@ __all__ = [
     "LineBatch",
     "count_in_interval",
     "count_line",
-    "endpoint_error",
     "evaluate_lines",
     "oracle_count",
     "oracle_padding_hits",
@@ -142,7 +139,6 @@ __all__ = [
     "SweepRow",
     "ZTailRow",
     "ZTailStudy",
-    "coherence_probe",
     "coherence_study",
     "fit_slope",
     "length_study",

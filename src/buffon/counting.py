@@ -58,12 +58,8 @@ __all__ = [
     "count_line",
     "oracle_count",
     "oracle_padding_hits",
-    "endpoint_error",
     "z_samples",
 ]
-
-# Elements per (shifts x families) z_samples block, as KERNEL_CHUNK per kernel block
-Z_CHUNK = 65_536
 
 
 class ExceptionalLineError(ValueError):
@@ -323,19 +319,13 @@ def oracle_padding_hits(sset: SteinhausSet, line: Line) -> int:
                                  rounding_bound(sset.scale))[0][0])
 
 
-def endpoint_error(sset: SteinhausSet, x, y) -> float:
-    """The endpoint-error functional Z(x, y) = sum_k (N_k - (b_k - a_k)/eps).
+def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
+    """The endpoint error Z(x, y) = sum_k (N_k - (b_k - a_k)/eps) for each row
+    of a (trials, n) shift matrix, in blocks of KERNEL_CHUNK // n rows.
 
     A pure formula on the segment [x, y] (points need not span a full
     chord); no exceptional-line screening is applied, so probes may sit
     exactly on lattice points and resolve by the half-open convention.
-    """
-    return float(z_samples(sset.n, sset.eps, x, y, sset.shifts[None, :])[0])
-
-
-def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
-    """Z(x, y) for each row of a (trials, n) shift matrix, vectorized.
-
     The mean term is one scalar, (|y - x|/eps) angular_sum(n, psi) with psi
     the angle of y - x; the segment is oriented canonically first, so
     Z(x, y) and Z(y, x) are equal to the bit.
@@ -353,7 +343,7 @@ def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
     a = np.minimum(px, py)[None, :]
     b = np.maximum(px, py)[None, :]
     out = np.empty(len(shifts))
-    rows = max(1, Z_CHUNK // max(n, 1))
+    rows = max(1, KERNEL_CHUNK // max(n, 1))
     for lo in range(0, len(shifts), rows):
         counts = count_in_interval(a, b, eps, shifts[lo : lo + rows])
         out[lo : lo + rows] = np.sum(counts, axis=1) - mean

@@ -105,14 +105,6 @@ class Line:
         # the nearest angle in range (pi - 5e-324 rounds to pi)
         return np.where(theta < 0.0, 0.0, theta), np.where(odd, -offsets, offsets)
 
-    @property
-    def normal(self) -> np.ndarray:
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
-    @property
-    def tangent(self) -> np.ndarray:
-        return np.array([-math.sin(self.theta), math.cos(self.theta)])
-
 
 def as_float_array(value, field: str, ndim: Optional[int] = None) -> np.ndarray:
     """Numbers (nested ndim deep, if given) as a float array.  Strings,
@@ -219,14 +211,16 @@ class ConvexBody:
 
     # -- support and membership -------------------------------------------
 
-    def contains(self, point, tol: float = 1e-12) -> bool:
+    def contains(self, point) -> bool:
+        """Whether the point lies in the body, up to 1e-9 body diameters."""
         p = np.asarray(point, dtype=float)
+        tol = 1e-9 * self.diameter
         if self.kind == "disk":
-            return float(np.hypot(*(p - self.center))) <= self.radius + tol * self.diameter
+            return float(np.hypot(*(p - self.center))) <= self.radius + tol
         v, e, elen = self._edge_data
         rel = p[None, :] - v
         cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
-        return bool(np.all(cross >= -tol * self.diameter * elen))
+        return bool(np.all(cross >= -tol * elen))
 
     def support_many(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) of x . u over the body, per row of an (N, 2) array of

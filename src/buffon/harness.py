@@ -1,6 +1,6 @@
 """Experiment drivers: scaling sweeps over the target length, Hoeffding-tail
-and length-concentration studies, the unshifted-vs-shifted coherence probe,
-CSV emission, and log-log slope fitting.
+and length-concentration studies, the unshifted-vs-shifted coherence study,
+CSV emission, and log-log slope fitting.  Z is evaluated by z_samples alone.
 
 Determinism contract: every study takes an integer seed and derives all
 randomness from named streams, so identical inputs give byte-identical CSV
@@ -21,11 +21,11 @@ import numpy as np
 
 from . import rng
 # count_line and oracle_count are not called here: perfbench/tracing.py wraps these names
-from .counting import (Z_CHUNK, count_line, count_lines, endpoint_error, oracle_count,
-                       segment_crossings, z_samples)
+from .counting import count_line, count_lines, oracle_count, segment_crossings, z_samples
 from .discrepancy import SupConfig, estimate_sup
 from .geometry import ConvexBody, ValidationError, rounding_bound
-from .steinhaus import SteinhausSet, build_exact, check_lattice, family_length_many, total_length
+from .steinhaus import (KERNEL_CHUNK, SteinhausSet, build_exact, check_lattice,
+                        family_length_many, total_length)
 
 __all__ = [
     "SweepRow",
@@ -42,7 +42,6 @@ __all__ = [
     "z_tail_study",
     "length_study",
     "coherence_study",
-    "coherence_probe",
     "run_oracle_check",
 ]
 
@@ -314,12 +313,12 @@ def z_tail_study(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for name, point in (("x", x), ("y", y)):
-        if not body.contains(point, tol=1e-9):
+        if not body.contains(point):
             raise ValidationError(name, f"segment endpoint {point} outside body")
     # the shifts are drawn in row blocks, so the (trials, n) matrix is never
     # held whole; Philox fills in order, so the blocks equal one large draw
     draws = rng.stream(seed, "ztail")
-    block = max(1, Z_CHUNK // n)
+    block = max(1, KERNEL_CHUNK // n)
     z = np.concatenate([
         z_samples(n, eps, x, y, draws.random((min(block, trials - lo), n)))
         for lo in range(0, trials, block)])
@@ -366,7 +365,7 @@ def length_study(
     }
 
 
-# -- unshifted-vs-shifted coherence probe --------------------------------------
+# -- unshifted-vs-shifted coherence study --------------------------------------
 
 
 def _probe_exits(body: ConvexBody, n: int) -> list[np.ndarray]:
@@ -378,24 +377,6 @@ def _probe_exits(body: ConvexBody, n: int) -> list[np.ndarray]:
     _, end, _, valid = body.chord_batch(angles - math.pi / 2, np.zeros(PROBE_FAN))
     t = end[:, 0] * np.cos(angles) + end[:, 1] * np.sin(angles)
     return list(end[valid & (t > 1e-9)])
-
-
-def coherence_probe(body: ConvexBody, n: int, eps: float) -> float:
-    """Max |Z| over a fan of unshifted probe chords from the origin.
-
-    With all shifts zero, every family has a lattice line through the
-    origin, so chords leaving the origin at angles within pi/n of the
-    steepest direction accumulate same-sign endpoint errors across all
-    families.  The fan spans exactly that window.
-    """
-    if not body.contains(np.zeros(2), tol=1e-9):
-        raise ValidationError(
-            "body", "coherence probe needs the origin inside the body")
-    sset = SteinhausSet(body=body, n=n, eps=eps, shifts=np.zeros(n))
-    best = 0.0
-    for exit_point in _probe_exits(body, n):
-        best = max(best, abs(endpoint_error(sset, np.zeros(2), exit_point)))
-    return best
 
 
 @dataclass(frozen=True)
@@ -414,23 +395,35 @@ def coherence_study(
     trials: int = 2_000,
     seed: int = 0,
 ) -> list[CoherenceRow]:
-    """Same probe chord, zero shifts versus resampled shifts.
+    """Max |Z| over a fan of probe chords from the origin, under zero shifts
+    and under resampled shifts.
 
-    Zero shifts align every family's error at the origin (|Z| grows like n);
-    random shifts keep the max over trials below ~ sqrt(n log(n/eps)).
+    With zero shifts every family has a lattice line through the origin, so
+    chords leaving it within pi/n of the steepest direction (the fan's
+    window) add same-sign errors over all families: |Z| grows like n.
+    Random shifts keep the max over trials below ~ sqrt(n log(n/eps)).  One
+    z_samples call per exit point evaluates both: row 0 of the shift matrix
+    is zero, rows 1: are the trials.  An empty fan reads 0.0 on both sides.
     """
     if len(n_values) != len(eps_values):
         raise ValidationError("n_values", "need one eps per n")
+    if not body.contains(np.zeros(2)):
+        raise ValidationError(
+            "body", "coherence study needs the origin inside the body")
     rows = []
     for n, eps in zip(n_values, eps_values):
-        n = int(n)
-        eps = float(eps)
-        zero = coherence_probe(body, n, eps)
-        shifts = rng.stream(seed, f"coherence/{n}").random((trials, n))
-        random_max = 0.0
+        n, eps = int(n), float(eps)
+        check_lattice(n, eps)
+        # filled in place after the stream: np.zeros or the other order peaks 0.2 MB higher
+        draws = rng.stream(seed, f"coherence/{n}")
+        shifts = np.empty((trials + 1, n))
+        shifts[0] = 0.0
+        draws.random(out=shifts[1:])
+        zero = random_max = 0.0
         for exit_point in _probe_exits(body, n):
-            z = z_samples(n, eps, np.zeros(2), exit_point, shifts)
-            random_max = max(random_max, float(np.max(np.abs(z))))
+            z = np.abs(z_samples(n, eps, np.zeros(2), exit_point, shifts))
+            zero = max(zero, float(z[0]))
+            random_max = max(random_max, float(np.max(z[1:])))
         rows.append(CoherenceRow(
             n=n, eps=eps, zero_probe=zero,
             random_max=random_max,

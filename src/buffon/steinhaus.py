@@ -267,16 +267,9 @@ class BuildPlan:
     """Planned parameters: the grid aims at expected length M = L - s < L,
     s a slack of one body diameter (more after an overshoot)."""
 
-    target_length: float
     expected_length: float
     n: int
     eps: float
-
-    def __post_init__(self):
-        if self.expected_length <= 0 or self.expected_length > self.target_length:
-            raise ValidationError("plan", "need 0 < M <= L")
-        if self.n < 1:
-            raise ValidationError("plan", "need n >= 1")
 
 
 def _cube_root_floor(length: float) -> int:
@@ -322,8 +315,7 @@ def _plan(body: ConvexBody, target_length: float, mode: str, slack: float) -> Bu
             f"target length {target_length} gives lattice pitch eps={eps:.3g} > 1 for "
             f"this body; increase L or shrink the body",
         )
-    return BuildPlan(target_length=float(target_length), expected_length=float(m_expected),
-                     n=n, eps=float(eps))
+    return BuildPlan(expected_length=float(m_expected), n=n, eps=float(eps))
 
 
 # -- exact-length padding ---------------------------------------------------

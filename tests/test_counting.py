@@ -22,7 +22,6 @@ from buffon.counting import (
     ExceptionalLineError,
     count_in_interval,
     count_line,
-    endpoint_error,
     evaluate_lines,
     oracle_count,
     oracle_padding_hits,
@@ -164,7 +163,8 @@ def test_family_deviation_is_one_lines_formula():
     for i in ok:
         line = Line(float(thetas[i]), float(ps[i]))
         bd = count_line(sset, line)
-        mean_k = batch.h[i] / sset.eps * np.abs(sset.directions @ line.tangent)
+        tangent = np.array([-math.sin(line.theta), math.cos(line.theta)])
+        mean_k = batch.h[i] / sset.eps * np.abs(sset.directions @ tangent)
         assert deviation[i] == bd.max_abs_dev == np.max(np.abs(bd.per_family - mean_k))
 
 
@@ -218,6 +218,11 @@ def test_padding_hits_match_geometric_count_and_bound():
     assert hit_some > 20
 
 
+def endpoint_error(sset, x, y) -> float:
+    """Z(x, y) under the set's own shifts: a one-row z_samples call."""
+    return float(z_samples(sset.n, sset.eps, x, y, sset.shifts[None, :])[0])
+
+
 def test_endpoint_error_basics():
     sset = sh.SteinhausSet(body=unit_square(), n=1, eps=0.25, shifts=np.array([0.0]))
     # x = y: empty interval in every family
@@ -264,7 +269,7 @@ def test_z_samples_vectorization_matches_scalar():
     body = unit_square()
     for i in range(len(shifts)):
         sset = sh.SteinhausSet(body=body, n=n, eps=eps, shifts=shifts[i])
-        assert zs[i] == pytest.approx(endpoint_error(sset, x, y), abs=1e-12)
+        assert zs[i] == endpoint_error(sset, x, y)
     # all within the per-family band: |Z| <= n
     assert np.all(np.abs(zs) <= n)
 

@@ -176,13 +176,13 @@ def test_z_tail_study_bands_and_determinism():
 
 
 def test_z_tail_study_same_in_any_shift_blocks(monkeypatch):
-    """The shifts are drawn in row blocks of Z_CHUNK // n rows; one block,
+    """The shifts are drawn in row blocks of KERNEL_CHUNK // n rows; one block,
     the default blocks and 777-row blocks (12 of them plus a partial one)
     give the same study."""
     args = (unit_square(), 64, 0.02, (0.1, 0.1), (0.9, 0.8), 10_000, [0, 4, 8, 12])
     default = hz.z_tail_study(*args, seed=5)
     for rows in (10_000, 777):
-        monkeypatch.setattr(hz, "Z_CHUNK", 64 * rows)
+        monkeypatch.setattr(hz, "KERNEL_CHUNK", 64 * rows)
         assert hz.z_tail_study(*args, seed=5) == default
 
 
@@ -240,16 +240,46 @@ def test_coherence_study_separates_modes():
     assert ratios[0] < ratios[1] < ratios[2]
 
 
-def test_coherence_probe_requires_origin_inside():
+def test_coherence_study_requires_origin_inside():
     off_body = ConvexBody.polygon([(2, 2), (3, 2), (3, 3), (2, 3)])
-    with pytest.raises(ValidationError):
-        hz.coherence_probe(off_body, 16, 0.01)
+    with pytest.raises(ValidationError, match="origin"):
+        hz.coherence_study(off_body, [16], [0.01], trials=10)
 
 
-def test_coherence_probe_on_disk_through_origin():
+def test_coherence_study_on_disk_through_origin():
     disk = ConvexBody.disk((0.0, 0.5), 0.5)  # origin on the boundary
-    value = hz.coherence_probe(disk, 32, 0.002)
-    assert value >= 0.4 * 32
+    (row,) = hz.coherence_study(disk, [32], [0.002], trials=200)
+    assert row.zero_probe >= 0.4 * 32
+    assert row.random_max <= row.random_bound
+
+
+def test_coherence_study_with_an_empty_probe_fan_reads_zero():
+    """The square [-1, 0]^2 holds the origin as its corner, and every ray of
+    the fan leaves it at once: no probe chord, so both maxima are 0.0."""
+    corner = ConvexBody.polygon([(-1, -1), (0, -1), (0, 0), (-1, 0)])
+    for n in (16, 64):
+        assert hz._probe_exits(corner, n) == []
+    rows = hz.coherence_study(corner, [16, 64], [16e-4, 64e-4], trials=50, seed=1)
+    assert [(r.zero_probe, r.random_max) for r in rows] == [(0.0, 0.0)] * 2
+
+
+def test_coherence_study_equals_the_two_path_reference():
+    """Row 0 of the fused shift matrix is the zero-shift probe and rows 1:
+    the stream's (trials, n) draw: each maximum equals, bit for bit, the one
+    from separate z_samples calls on np.zeros((1, n)) and on that draw."""
+    trials, seed = 300, 4
+    for body in (unit_square(), ConvexBody.disk((0.1, -0.05), 0.8)):
+        for n, eps in ((16, 16e-4), (64, 64e-4)):
+            draw = hz.rng.stream(seed, f"coherence/{n}").random((trials, n))
+            zero = random_max = 0.0
+            for exit_point in hz._probe_exits(body, n):
+                z0 = counting.z_samples(n, eps, np.zeros(2), exit_point, np.zeros((1, n)))
+                zr = counting.z_samples(n, eps, np.zeros(2), exit_point, draw)
+                zero = max(zero, abs(float(z0[0])))
+                random_max = max(random_max, float(np.max(np.abs(zr))))
+            assert zero > 0.0 and random_max > 0.0
+            (row,) = hz.coherence_study(body, [n], [eps], trials=trials, seed=seed)
+            assert (row.zero_probe, row.random_max) == (zero, random_max)
 
 
 def test_oracle_check_random_shifts():

@@ -267,7 +267,7 @@ def test_grid_segments_lie_on_their_lattice_lines():
         for pt in seg:
             v = float(pt @ nu) / sset.eps - sset.shifts[k]
             assert abs(v - round(v)) < 1e-9
-            assert body.contains(pt, tol=1e-9)
+            assert body.contains(pt)
 
 
 def test_grid_segments_clip_in_bounded_blocks(monkeypatch):
