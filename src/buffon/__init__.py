@@ -25,131 +25,22 @@ Main entry points:
   tails / length-study / oracle-check / plot subcommands.
 """
 
-from buffon.counting import (
-    CountBreakdown,
-    ExceptionalLineError,
-    LineBatch,
-    count_in_interval,
-    count_line,
-    evaluate_lines,
-    oracle_count,
-    oracle_padding_hits,
-    z_samples,
-)
-from buffon.discrepancy import (
-    DiscrepancyReport,
-    SupConfig,
-    crofton_target,
-    decompose,
-    estimate_sup,
-    format_report,
-    load_report,
-    local_discrepancy,
-    max_quadrature_deviation,
-    save_report,
-)
-from buffon.geometry import (
-    ConvexBody,
-    Line,
-    ValidationError,
-    body_from_dict,
-    body_to_dict,
-    dump_body,
-    load_body,
-    unit_square,
-)
-from buffon.harness import (
-    CoherenceRow,
-    OracleCheck,
-    SlopeFit,
-    SweepRow,
-    ZTailRow,
-    ZTailStudy,
-    coherence_study,
-    fit_slope,
-    length_study,
-    read_sweep_csv,
-    run_oracle_check,
-    run_sweep,
-    write_sweep_csv,
-    z_tail_study,
-)
-from buffon.rng import derive_seed, stream
-from buffon.steinhaus import (
-    BuildPlan,
-    SteinhausSet,
-    adjust_length,
-    angular_sum,
-    build_exact,
-    directions,
-    load_manifest,
-    sample_shifts,
-    save_manifest,
-    total_length,
-)
+from . import counting, discrepancy, geometry, harness, rng, steinhaus
+from .counting import *
+from .discrepancy import *
+from .geometry import *
+from .harness import *
+from .rng import *
+from .steinhaus import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    # geometry
-    "ConvexBody",
-    "Line",
-    "ValidationError",
-    "body_from_dict",
-    "body_to_dict",
-    "dump_body",
-    "load_body",
-    "unit_square",
-    # steinhaus
-    "BuildPlan",
-    "SteinhausSet",
-    "adjust_length",
-    "build_exact",
-    "directions",
-    "load_manifest",
-    "sample_shifts",
-    "save_manifest",
-    "total_length",
-    # counting
-    "CountBreakdown",
-    "ExceptionalLineError",
-    "LineBatch",
-    "count_in_interval",
-    "count_line",
-    "evaluate_lines",
-    "oracle_count",
-    "oracle_padding_hits",
-    "z_samples",
-    # discrepancy
-    "DiscrepancyReport",
-    "SupConfig",
-    "angular_sum",
-    "crofton_target",
-    "decompose",
-    "estimate_sup",
-    "format_report",
-    "load_report",
-    "local_discrepancy",
-    "max_quadrature_deviation",
-    "save_report",
-    # harness
-    "CoherenceRow",
-    "OracleCheck",
-    "SlopeFit",
-    "SweepRow",
-    "ZTailRow",
-    "ZTailStudy",
-    "coherence_study",
-    "fit_slope",
-    "length_study",
-    "read_sweep_csv",
-    "run_oracle_check",
-    "run_sweep",
-    "write_sweep_csv",
-    "z_tail_study",
-    # rng
-    "derive_seed",
-    "stream",
-    # meta
+    *geometry.__all__,
+    *steinhaus.__all__,
+    *counting.__all__,
+    *discrepancy.__all__,
+    *harness.__all__,
+    *rng.__all__,
     "__version__",
 ]

@@ -25,6 +25,19 @@ from .steinhaus import SteinhausSet, angular_sum
 from .counting import count_line, evaluate_lines
 from . import rng as rng_mod
 
+__all__ = [
+    "crofton_target",
+    "max_quadrature_deviation",
+    "decompose",
+    "local_discrepancy",
+    "SupConfig",
+    "DiscrepancyReport",
+    "format_report",
+    "save_report",
+    "load_report",
+    "estimate_sup",
+]
+
 DELTA_LOG2_MIN = -40.0  # targeted points sit 2^-40 .. 2^-3 lattice units away
 DELTA_LOG2_MAX = -3.0
 TOP_CANDIDATES = 100

@@ -29,12 +29,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "TANGENCY_CUTOFF",
-    "rounding_bound",
     "ValidationError",
-    "read_json",
-    "as_float_array",
-    "unit_vector",
     "Line",
     "ConvexBody",
     "unit_square",

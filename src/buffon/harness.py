@@ -14,7 +14,7 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "run_sweep",
     "write_sweep_csv",
     "read_sweep_csv",
-    "fit_points",
     "fit_slope",
     "z_tail_study",
     "length_study",
@@ -213,8 +212,9 @@ def fit_points(
     (non-asymptotic builds), when either coordinate is non-finite or
     non-positive, or when a correction is given and x <= 1.
     """
-    if y_field not in {f.name for f in fields(SweepRow)}:
-        raise ValidationError("field", f"unknown SweepRow field {y_field!r}")
+    if y_field not in SweepRow.CSV_FIELDS:
+        raise ValidationError(
+            "field", f"{y_field!r} is not one of the CSV columns {SweepRow.CSV_FIELDS}")
     points = []
     for row in rows:
         if row.error is not None or row.n < MIN_ASYMPTOTIC_N:
@@ -407,6 +407,8 @@ def coherence_study(
     """
     if len(n_values) != len(eps_values):
         raise ValidationError("n_values", "need one eps per n")
+    if trials < 1:
+        raise ValidationError("trials", f"coherence study needs at least 1 trial, got {trials}")
     if not body.contains(np.zeros(2)):
         raise ValidationError(
             "body", "coherence study needs the origin inside the body")

@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "stream_key", "derive_seed"]
+__all__ = ["stream", "derive_seed"]
 
 
 def stream_key(seed: int, label: str) -> np.ndarray:

@@ -36,21 +36,11 @@ __all__ = [
     "directions",
     "angular_sum",
     "sample_shifts",
-    "mode_shifts",
-    "check_lattice",
     "SteinhausSet",
-    "family_length_many",
-    "grid_length",
     "total_length",
     "BuildPlan",
-    "MODES",
-    "padding_direction",
-    "padding_disk",
-    "make_padding",
     "adjust_length",
     "build_exact",
-    "set_to_manifest",
-    "set_from_manifest",
     "save_manifest",
     "load_manifest",
 ]

@@ -153,6 +153,21 @@ def test_sweep_and_plot_are_byte_deterministic(tmp_path, body_path, capsys):
     assert len(dat.splitlines()) - 1 == points_used
 
 
+def test_plot_refuses_a_field_outside_the_csv(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    hz.write_sweep_csv([
+        hz.SweepRow(L_target=x, M=x, n=16, eps=0.01, seed=0, L_actual=x,
+                    sup_estimate=1.0, max_abs_z=1.0, quadrature_max=1.0,
+                    padding_count=0)
+        for x in (1e3, 1e4, 1e5, 1e6)], csv_path)
+    for name in ("error", "wall_time_seconds"):
+        capsys.readouterr()
+        assert main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "fig"),
+                     "--y-field", name]) == 1
+        assert "error: field" in capsys.readouterr().err
+    assert not (tmp_path / "fig.dat").exists()
+
+
 def test_tails_writes_table(tmp_path, body_path, capsys):
     out_path = tmp_path / "tails.txt"
     assert main(["tails", "--body", body_path, "--n", "64", "--eps", "0.02",
