@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import harness as hz
 from . import rng
@@ -29,44 +30,34 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError("arguments", message)
 
 
-_REQUIRED = {
-    "build": ("body", "length", "out"),
-    "disc": ("set",),
-    "sweep": ("body", "l_min", "l_max", "out"),
-    "tails": ("body", "n", "eps", "x0", "y0", "x1", "y1"),
-    "length-study": ("body", "n", "eps"),
-    "oracle-check": ("body", "n", "eps"),
-    "plot": ("csv", "out"),
-}
-
-
-def _build_parser() -> tuple[_Parser, dict]:
+def _build_parser() -> tuple[_Parser, argparse.Action]:
     parser = _Parser(prog="buffon", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", metavar="command")
-    by_name = {}
 
-    def sub(name, help_text):
+    def sub(name, run, help_text, *required):
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON file of flag defaults (strict keys)")
         p.add_argument("--seed", type=int, default=0)
-        by_name[name] = p
+        p.set_defaults(run=run, required=required)
         return p
 
-    p = sub("build", "build a set at an exact target length, save a manifest")
+    p = sub("build", _cmd_build, "build a set at an exact target length, save a manifest",
+            "body", "length", "out")
     p.add_argument("--body", help="body JSON file")
     p.add_argument("--length", type=float, help="target total length L")
     p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
     p.add_argument("--out", help="manifest output path")
 
-    p = sub("disc", "estimate the discrepancy sup of a saved set")
+    p = sub("disc", _cmd_disc, "estimate the discrepancy sup of a saved set", "set")
     p.add_argument("--set", dest="set", help="set manifest path")
     p.add_argument("--theta-res", type=int, default=192)
     p.add_argument("--offset-res", type=int, default=192)
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--out", default=None, help="report JSON output path")
 
-    p = sub("sweep", "scaling sweep over a geometric grid of target lengths")
+    p = sub("sweep", _cmd_sweep, "scaling sweep over a geometric grid of target lengths",
+            "body", "l_min", "l_max", "out")
     p.add_argument("--body", help="body JSON file")
     p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
     p.add_argument("--l-min", type=float)
@@ -79,7 +70,8 @@ def _build_parser() -> tuple[_Parser, dict]:
                    help="row parallelism (0 = one per CPU)")
     p.add_argument("--out", help="CSV output path")
 
-    p = sub("tails", "empirical |Z| tail of a fixed segment vs the bound")
+    p = sub("tails", _cmd_tails, "empirical |Z| tail of a fixed segment vs the bound",
+            "body", "n", "eps", "x0", "y0", "x1", "y1")
     p.add_argument("--body", help="body JSON file")
     p.add_argument("--n", type=int)
     p.add_argument("--eps", type=float)
@@ -92,39 +84,41 @@ def _build_parser() -> tuple[_Parser, dict]:
                    help="comma-separated thresholds")
     p.add_argument("--out", default=None, help="also write the table here")
 
-    p = sub("length-study", "Monte Carlo length concentration check")
+    p = sub("length-study", _cmd_length_study, "Monte Carlo length concentration check",
+            "body", "n", "eps")
     p.add_argument("--body", help="body JSON file")
     p.add_argument("--n", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--out", default=None, help="also write the summary here")
 
-    p = sub("oracle-check", "cross-validate counting against the oracle")
+    p = sub("oracle-check", _cmd_oracle_check, "cross-validate counting against the oracle",
+            "body", "n", "eps")
     p.add_argument("--body", help="body JSON file")
     p.add_argument("--n", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
     p.add_argument("--lines", type=int, default=10_000)
 
-    p = sub("plot", "emit a gnuplot data+script pair from a sweep CSV")
+    p = sub("plot", _cmd_plot, "emit a gnuplot data+script pair from a sweep CSV", "csv", "out")
     p.add_argument("--csv", help="sweep CSV path")
     p.add_argument("--y-field", default="sup_estimate")
     p.add_argument("--deflate", type=float, default=None,
                    help="divide y by (log L)^this before plotting")
     p.add_argument("--out", help="output prefix (.dat and .gp)")
 
-    return parser, by_name
+    return parser, subs
 
 
-def _merge_config(parser, sub_parsers, argv):
+def _merge_config(parser, subs, argv):
     ns = parser.parse_args(argv)
     if ns.command is None:
         raise ValidationError("command", "a subcommand is required")
-    if getattr(ns, "config", None):
+    if ns.config:
         cfg = read_json(ns.config, "config")
         if not isinstance(cfg, dict):
             raise ValidationError("config", "config file must hold a JSON object")
-        sub = sub_parsers[ns.command]
+        sub = subs.choices[ns.command]
         flags = {a.dest: a.option_strings[0] for a in sub._actions
                  if a.dest not in ("help", "config")}
         for key, value in cfg.items():
@@ -139,17 +133,21 @@ def _merge_config(parser, sub_parsers, argv):
                     raise ValidationError(key, f"config value {value!r}: {exc}") from exc
         sub.set_defaults(**cfg)
         ns = parser.parse_args(argv)  # explicit flags still win
-    for field in _REQUIRED[ns.command]:
+    for field in ns.required:
         if getattr(ns, field) is None:
             raise ValidationError(field, f"--{field.replace('_', '-')} is required")
     return ns
 
 
+def _sup_config(ns) -> SupConfig:
+    return SupConfig(theta_resolution=ns.theta_res, offset_resolution=ns.offset_res,
+                     refine_rounds=ns.refine, seed=ns.seed)
+
+
 def _emit(text: str, out_path) -> None:
     sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        Path(out_path).write_text(text)
 
 
 def _cmd_build(ns) -> int:
@@ -164,10 +162,7 @@ def _cmd_build(ns) -> int:
 
 def _cmd_disc(ns) -> int:
     sset = sh.load_manifest(ns.set)
-    config = SupConfig(
-        theta_resolution=ns.theta_res, offset_resolution=ns.offset_res,
-        refine_rounds=ns.refine, seed=ns.seed)
-    report = estimate_sup(sset, sh.total_length(sset), config)
+    report = estimate_sup(sset, sh.total_length(sset), _sup_config(ns))
     sys.stdout.write(format_report(report))
     if ns.out:
         save_report(report, ns.out)
@@ -176,16 +171,8 @@ def _cmd_disc(ns) -> int:
 
 def _cmd_sweep(ns) -> int:
     body = load_body(ns.body)
-    if ns.points < 2:
-        raise ValidationError("points", "need at least 2 grid points")
-    if not (0 < ns.l_min < ns.l_max):
-        raise ValidationError("l_min", "need 0 < l-min < l-max")
-    ratio = ns.l_max / ns.l_min
-    l_values = [ns.l_min * ratio ** (i / (ns.points - 1)) for i in range(ns.points)]
-    config = SupConfig(
-        theta_resolution=ns.theta_res, offset_resolution=ns.offset_res,
-        refine_rounds=ns.refine, seed=ns.seed)
-    rows = hz.run_sweep(body, l_values, ns.mode, config, seed=ns.seed,
+    l_values = hz.length_grid(ns.l_min, ns.l_max, ns.points)
+    rows = hz.run_sweep(body, l_values, ns.mode, _sup_config(ns), seed=ns.seed,
                         workers=ns.workers)
     hz.write_sweep_csv(rows, ns.out)
     for row in rows:
@@ -253,8 +240,7 @@ def _cmd_plot(ns) -> int:
         f"{x!r} {plotted!r} {y!r}"
         for x, y, plotted in hz.fit_points(
             rows, y_field=ns.y_field, log_correction=ns.deflate)]
-    with open(dat_path, "w") as fh:
-        fh.write("\n".join(dat_lines) + "\n")
+    Path(dat_path).write_text("\n".join(dat_lines) + "\n")
     dat_name = dat_path.rsplit("/", 1)[-1]
     deflate_note = ("" if ns.deflate is None
                     else f" / (log L)^{ns.deflate!r}")
@@ -270,30 +256,18 @@ def _cmd_plot(ns) -> int:
         '     exp(b) * x**a title "fit"',
         "",
     ])
-    with open(gp_path, "w") as fh:
-        fh.write(script)
+    Path(gp_path).write_text(script)
     print(f"exponent={fit.exponent!r} r_squared={fit.r_squared!r} "
           f"points={fit.points_used}")
     print(f"wrote {dat_path} and {gp_path}")
     return 0
 
 
-_DISPATCH = {
-    "build": _cmd_build,
-    "disc": _cmd_disc,
-    "sweep": _cmd_sweep,
-    "tails": _cmd_tails,
-    "length-study": _cmd_length_study,
-    "oracle-check": _cmd_oracle_check,
-    "plot": _cmd_plot,
-}
-
-
 def main(argv=None) -> int:
-    parser, sub_parsers = _build_parser()
+    parser, subs = _build_parser()
     try:
-        ns = _merge_config(parser, sub_parsers, sys.argv[1:] if argv is None else argv)
-        return _DISPATCH[ns.command](ns)
+        ns = _merge_config(parser, subs, sys.argv[1:] if argv is None else argv)
+        return ns.run(ns)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except ValidationError as exc:

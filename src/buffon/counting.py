@@ -119,12 +119,19 @@ def _lattice_gap(x, eps, out=None):
     return out
 
 
-def _workspace(sset: SteinhausSet, rows: int) -> tuple:
-    """Buffers for _eval_arrays blocks of up to rows lines: (lines x families)
-    floats and masks, then (lines x padding) floats and a mask."""
-    fams, pads = (rows, sset.n), (rows, sset.padding_count)
-    return (np.empty((5, *fams)), np.empty((2, *fams), dtype=bool),
-            np.empty((3, *pads)), np.empty(pads, dtype=bool))
+def _workspace(sset: SteinhausSet, lines: int) -> tuple:
+    """Lines per _eval_arrays block, and buffers for blocks of a batch of lines:
+    views of flat planes, (lines x families) floats and masks, then (lines x
+    padding) floats and a mask.  From one block on, a plane takes KERNEL_CHUNK
+    elements (16 rows if wider) whatever n is, so sets reuse one heap block."""
+    width = max(sset.n, sset.padding_count, 1)
+    chunk = max(16, KERNEL_CHUNK // width)
+    rows = min(chunk, lines)
+    size = max(KERNEL_CHUNK, 16 * width) if lines >= chunk else rows * width
+    fams, pads = sset.n, sset.padding_count
+    planes = [(np.empty((5, size)), fams), (np.empty((2, size), dtype=bool), fams),
+              (np.empty((3, size)), pads), (np.empty(size, dtype=bool), pads)]
+    return chunk, tuple(w[..., : rows * k].reshape(*w.shape[:-1], rows, k) for w, k in planes)
 
 
 def _eval_arrays(sset: SteinhausSet, thetas, ps, work: tuple):
@@ -208,8 +215,7 @@ def _eval_blocks(sset: SteinhausSet, thetas: np.ndarray, ps: np.ndarray):
     neither grows with the lines nor is allocated again per block; one block
     even for no lines, so an empty batch still has every field.  A block's
     per-family counts are valid until the next block is asked for."""
-    chunk = max(16, KERNEL_CHUNK // max(sset.n, sset.padding_count, 1))
-    work = _workspace(sset, min(chunk, len(thetas)))
+    chunk, work = _workspace(sset, len(thetas))
     for lo in range(0, max(len(thetas), 1), chunk):
         yield _eval_arrays(sset, thetas[lo : lo + chunk], ps[lo : lo + chunk], work)
 

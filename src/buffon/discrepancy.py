@@ -14,13 +14,14 @@ whose per-line validity is asserted on every sampled line.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
-from .geometry import Line, ValidationError, read_json
+from .geometry import (Line, ValidationError, as_float_array, check_object, read_json,
+                       write_json)
 from .steinhaus import SteinhausSet, angular_sum
 from .counting import count_line, evaluate_lines
 from . import rng as rng_mod
@@ -148,16 +149,16 @@ class DiscrepancyReport:
 
     @staticmethod
     def from_dict(data: dict) -> "DiscrepancyReport":
-        if not isinstance(data, dict):
-            raise ValidationError("report", "must be a JSON object")
-        names = {f.name for f in fields(DiscrepancyReport)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValidationError("report", f"unknown report keys: {sorted(unknown)}")
-        missing = names - set(data)
-        if missing:
-            raise ValidationError("report", f"missing report keys: {sorted(missing)}")
-        return DiscrepancyReport(**data)
+        """The report of a JSON object with exactly its fields, each a number of
+        its field's type (no booleans); the first field that is not is refused."""
+        types = get_type_hints(DiscrepancyReport)
+        values = dict(check_object(data, "report", types))
+        for name, kind in types.items():
+            if kind is float:
+                values[name] = float(as_float_array(values[name], name, ndim=0))
+            elif isinstance(values[name], bool) or not isinstance(values[name], int):
+                raise ValidationError(name, f"need an integer, got {values[name]!r}")
+        return DiscrepancyReport(**values)
 
 
 def format_report(report: DiscrepancyReport) -> str:
@@ -173,9 +174,7 @@ def format_report(report: DiscrepancyReport) -> str:
 
 
 def save_report(report: DiscrepancyReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(report.to_dict(), path)
 
 
 def load_report(path) -> DiscrepancyReport:

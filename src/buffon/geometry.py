@@ -73,6 +73,24 @@ def read_json(path, field: str):
         raise ValidationError(field, f"invalid JSON in {path}: {exc}") from exc
 
 
+def write_json(value, path) -> None:
+    """value as compact JSON, sorted keys and no spaces, and a newline."""
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def check_object(value, field: str, keys) -> dict:
+    """value, if it is a JSON object with exactly the given keys; otherwise a
+    ValidationError of field naming the unknown and the missing keys."""
+    if not isinstance(value, dict):
+        raise ValidationError(field, f"need a JSON object, got {type(value).__name__}")
+    problems = [f"{word} fields {sorted(names)}" for word, names in (
+        ("unknown", set(value) - set(keys)), ("missing", set(keys) - set(value))) if names]
+    if problems:
+        raise ValidationError(field, "; ".join(problems))
+    return value
+
+
 @dataclass(frozen=True)
 class Line:
     """An unoriented line with normal angle in [0, pi) and signed offset."""
@@ -407,9 +425,7 @@ def body_from_dict(spec: dict) -> ConvexBody:
     if keys == {"polygon"}:
         return ConvexBody.polygon(spec["polygon"])
     if keys == {"disk"}:
-        disk = spec["disk"]
-        if not isinstance(disk, dict) or set(disk) != {"center", "radius"}:
-            raise ValidationError("disk", 'need exactly {"center": [x, y], "radius": r}')
+        disk = check_object(spec["disk"], "disk", ("center", "radius"))
         return ConvexBody.disk(disk["center"], disk["radius"])
     raise ValidationError(
         "body", f'need exactly one of "polygon" or "disk", got keys {sorted(keys)}'
@@ -427,4 +443,4 @@ def load_body(path) -> ConvexBody:
 
 
 def dump_body(body: ConvexBody, path) -> None:
-    Path(path).write_text(json.dumps(body_to_dict(body), sort_keys=True) + "\n")
+    write_json(body_to_dict(body), path)

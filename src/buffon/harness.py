@@ -128,6 +128,15 @@ def _sweep_worker(payload) -> SweepRow:
         return SweepRow(**failed)
 
 
+def length_grid(l_min: float, l_max: float, points: int) -> list[float]:
+    """points target lengths from l_min to l_max, evenly spaced in log L."""
+    if points < 2:
+        raise ValidationError("points", "need at least 2 grid points")
+    if not (0 < l_min < l_max):
+        raise ValidationError("l_min", "need 0 < l-min < l-max")
+    return [l_min * (l_max / l_min) ** (i / (points - 1)) for i in range(points)]
+
+
 def run_sweep(
     body: ConvexBody,
     l_values: Sequence[float],
@@ -191,10 +200,13 @@ def read_sweep_csv(path) -> list[SweepRow]:
                 raise ValidationError(
                     "csv", f"expected {len(SweepRow.CSV_FIELDS)} cells, got "
                     f"{len(record)}")
-            values = {
-                name: int(cell) if name in SweepRow._INT_FIELDS else float(cell)
-                for name, cell in zip(SweepRow.CSV_FIELDS, record)
-            }
+            values = {}
+            for name, cell in zip(SweepRow.CSV_FIELDS, record):
+                try:
+                    values[name] = int(cell) if name in SweepRow._INT_FIELDS else float(cell)
+                except ValueError as exc:
+                    raise ValidationError(
+                        "csv", f"line {reader.line_num}, column {name}: {exc}") from None
             rows.append(SweepRow(**values))
     return rows
 

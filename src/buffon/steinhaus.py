@@ -19,17 +19,16 @@ overshoots L (rare) is rebuilt with a doubled slack.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .geometry import (ConvexBody, ValidationError, as_float_array, body_from_dict,
-                       body_to_dict, read_json, rounding_bound, unit_vector)
+                       body_to_dict, check_object, read_json, rounding_bound,
+                       unit_vector, write_json)
 from .rng import stream
 
 __all__ = [
@@ -78,6 +77,8 @@ def sample_shifts(n: int, seed: int) -> np.ndarray:
 
 def mode_shifts(mode: str, n: int, seed: int) -> np.ndarray:
     """The shifts of a build mode: sampled ("shifted") or all zero ("zero")."""
+    if n < 1:
+        raise ValidationError("n", f"need at least one family, got n={n}")
     return MODES[_check_mode(mode)][1](n, seed)
 
 
@@ -434,14 +435,7 @@ _MANIFEST_KEYS = {"body", "n", "eps", "seed", "shifts", "padding", "total_length
 
 
 def set_from_manifest(manifest: dict) -> SteinhausSet:
-    if not isinstance(manifest, dict):
-        raise ValidationError("manifest", "must be a JSON object")
-    extra = set(manifest) - _MANIFEST_KEYS
-    missing = _MANIFEST_KEYS - set(manifest)
-    if extra:
-        raise ValidationError("manifest", f"unknown fields {sorted(extra)}")
-    if missing:
-        raise ValidationError("manifest", f"missing fields {sorted(missing)}")
+    check_object(manifest, "manifest", _MANIFEST_KEYS)
     n = float(as_float_array(manifest["n"], "n", ndim=0))
     if not n.is_integer():
         raise ValidationError("n", f"need an integer, got {manifest['n']!r}")
@@ -469,9 +463,7 @@ def set_from_manifest(manifest: dict) -> SteinhausSet:
 
 
 def save_manifest(sset: SteinhausSet, path) -> None:
-    Path(path).write_text(
-        json.dumps(set_to_manifest(sset), sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    write_json(set_to_manifest(sset), path)
 
 
 def load_manifest(path) -> SteinhausSet:

@@ -91,6 +91,15 @@ def test_oracle_check_compares_every_line_near_a_fine_grid(tmp_path, capsys):
     assert "2000/2000 agree" in captured.out and captured.err == ""
 
 
+@pytest.mark.parametrize("mode", ["shifted", "zero"])
+def test_oracle_check_refuses_a_negative_family_count(body_path, capsys, mode):
+    assert main(["oracle-check", "--body", body_path, "--mode", mode, "--n", "-1",
+                 "--eps", "0.1", "--lines", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: n: need at least one family")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_oracle_check_mismatch_exits_2(body_path, capsys, monkeypatch):
     fake = hz.OracleCheck(
         comparisons=2, agreements=1, skipped=0,
@@ -153,19 +162,40 @@ def test_sweep_and_plot_are_byte_deterministic(tmp_path, body_path, capsys):
     assert len(dat.splitlines()) - 1 == points_used
 
 
-def test_plot_refuses_a_field_outside_the_csv(tmp_path, capsys):
+def _four_row_csv(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     hz.write_sweep_csv([
         hz.SweepRow(L_target=x, M=x, n=16, eps=0.01, seed=0, L_actual=x,
                     sup_estimate=1.0, max_abs_z=1.0, quadrature_max=1.0,
                     padding_count=0)
         for x in (1e3, 1e4, 1e5, 1e6)], csv_path)
+    return csv_path
+
+
+def test_plot_refuses_a_field_outside_the_csv(tmp_path, capsys):
+    csv_path = _four_row_csv(tmp_path)
     for name in ("error", "wall_time_seconds"):
         capsys.readouterr()
         assert main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "fig"),
                      "--y-field", name]) == 1
         assert "error: field" in capsys.readouterr().err
     assert not (tmp_path / "fig.dat").exists()
+
+
+@pytest.mark.parametrize("column, cell", [
+    *((column, "abc") for column in hz.SweepRow.CSV_FIELDS), ("n", "1.5")])
+def test_plot_refuses_a_cell_that_does_not_parse(tmp_path, capsys, column, cell):
+    """The message names the file line and the column of the bad cell."""
+    csv_path = _four_row_csv(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[hz.SweepRow.CSV_FIELDS.index(column)] = cell
+    lines[3] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "fig")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: csv: line 4, column {column}: ") and repr(cell) in err
+    assert "Traceback" not in err and not (tmp_path / "fig.dat").exists()
 
 
 def test_tails_writes_table(tmp_path, body_path, capsys):
@@ -269,10 +299,12 @@ def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):
 
 def test_config_file_strict_and_overridable(tmp_path, body_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 8, "eps": 0.1, "lines": 200, "oops": 1}))
-    assert main(["oracle-check", "--body", body_path,
-                 "--config", str(cfg)]) == 1
-    assert "oops" in capsys.readouterr().err
+    # run and required are set on the parsed arguments, but are no flags
+    for unknown in ("oops", "run", "required"):
+        cfg.write_text(json.dumps({"n": 8, "eps": 0.1, "lines": 200, unknown: 1}))
+        assert main(["oracle-check", "--body", body_path,
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config: unknown field {unknown!r}")
     cfg.write_text(json.dumps({"n": 8, "eps": 0.1, "lines": 200}))
     assert main(["oracle-check", "--body", body_path,
                  "--config", str(cfg)]) == 0

@@ -506,7 +506,7 @@ def test_reused_workspace_leaks_nothing_between_blocks(monkeypatch, case):
     assert batch.padding_hits.any()
     for lo in range(0, m, block):
         part = slice(lo, lo + block)
-        work = counting._workspace(sset, len(thetas[part]))
+        _, work = counting._workspace(sset, len(thetas[part]))
         for w in work:
             w.fill(np.nan if w.dtype == float else True)
         alone, per_family = counting._eval_arrays(sset, thetas[part], ps[part], work)
@@ -533,7 +533,7 @@ counting.evaluate_lines(sset, thetas, ps)  # warm: the set's caches, the allocat
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 counting.evaluate_lines(sset, thetas, ps)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, sset.padding_count,
-      sum(w.nbytes for w in counting._workspace(sset, chunk)) // resource.getpagesize())
+      sum(w.nbytes for w in counting._workspace(sset, chunk)[1]) // resource.getpagesize())
 """
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -363,6 +364,21 @@ def test_report_round_trip_and_strict_keys(tmp_path, small_set):
     for name in ("sup_estimate", "witness_theta", "max_abs_z",
                  "envelope_upper", "samples_evaluated"):
         assert name in text
+
+
+@pytest.mark.parametrize("value", ["x", True, None])
+def test_report_refuses_a_value_of_the_wrong_type_naming_its_field(tmp_path, value):
+    """Every field is a number of its type: a string, a boolean or null is
+    refused, on loading as on from_dict, with the field's name."""
+    data = {name: 0 if kind is int else 1.5
+            for name, kind in get_type_hints(DiscrepancyReport).items()}
+    assert DiscrepancyReport.from_dict(data).to_dict() == data
+    path = tmp_path / "report.json"
+    for name in data:
+        path.write_text(json.dumps({**data, name: value}))
+        with pytest.raises(ValidationError) as info:
+            load_report(path)
+        assert info.value.field == name
 
 
 @pytest.mark.parametrize("text", ["{not json", "5"])
