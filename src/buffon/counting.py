@@ -42,7 +42,7 @@ endpoint's tolerance (its clipping bound plus the sign test's rounding).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,10 +73,16 @@ class ExceptionalLineError(ValueError):
         )
 
 
-def count_in_interval(a, b, eps: float, u):
+def count_in_interval(a, b, eps: float, u, out=None):
     """#{q : eps (q + u) in [a, b)}; zero when a == b.  Broadcasts over
-    arrays; the counts are integer-valued floats."""
-    return np.ceil(b / eps - u) - np.ceil(a / eps - u)
+    arrays; the counts are integer-valued floats.  out, two float buffers of
+    the broadcast shape, takes the counts in out[0] (out[1] is scratch)."""
+    if out is None:
+        out = np.empty((2, *np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(u))))
+    hi, lo = out[0, ...], out[1, ...]
+    np.ceil(np.subtract(np.divide(b, eps), u, out=hi), out=hi)
+    np.ceil(np.subtract(np.divide(a, eps), u, out=lo), out=lo)
+    return np.subtract(hi, lo, out=hi)[()]  # a scalar for scalar input
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,134 +117,153 @@ class LineBatch:
     jittered: np.ndarray
 
 
-def _lattice_gap(x, eps, out=None):
-    """|x - rint(x)| * eps: distance to the nearest lattice value; out is not x."""
-    out = np.subtract(x, np.rint(x, out=out), out=out)
-    np.abs(out, out=out)
-    out *= eps
-    return out
-
-
 def _workspace(sset: SteinhausSet, lines: int) -> tuple:
-    """Lines per _eval_arrays block, and buffers for blocks of a batch of lines:
-    views of flat planes, (lines x families) floats and masks, then (lines x
-    padding) floats and a mask.  From one block on, a plane takes KERNEL_CHUNK
-    elements (16 rows if wider) whatever n is, so sets reuse one heap block."""
-    width = max(sset.n, sset.padding_count, 1)
-    chunk = max(16, KERNEL_CHUNK // width)
-    rows = min(chunk, lines)
-    size = max(KERNEL_CHUNK, 16 * width) if lines >= chunk else rows * width
+    """Lines per line block, lines per family block, and the five flat float
+    planes that every block of a batch of lines takes its views from.
+
+    A line block bounds the per-line work: its (edges x lines) clip
+    temporaries and (padding x lines) planes hold at most KERNEL_CHUNK
+    elements, and it holds at most KERNEL_CHUNK // 16 lines (16 at least).
+    A family block bounds the (families x lines) planes: KERNEL_CHUNK // n of
+    a line block's lines (16 at least).  From one family block on, a plane
+    takes KERNEL_CHUNK elements (16 lines if wider) whatever n is, so sets
+    reuse one heap block."""
     fams, pads = sset.n, sset.padding_count
-    planes = [(np.empty((5, size)), fams), (np.empty((2, size), dtype=bool), fams),
-              (np.empty((3, size)), pads), (np.empty(size, dtype=bool), pads)]
-    return chunk, tuple(w[..., : rows * k].reshape(*w.shape[:-1], rows, k) for w, k in planes)
+    edges = 0 if sset.body.vertices is None else len(sset.body.vertices)
+    line_rows = max(16, KERNEL_CHUNK // max(16, pads, edges))
+    fam_rows = min(line_rows, max(16, KERNEL_CHUNK // fams))
+    width = max(fams, pads)
+    size = max(KERNEL_CHUNK, 16 * width) if lines >= fam_rows else lines * width
+    return line_rows, fam_rows, np.empty((5, size))
 
 
-def _eval_arrays(sset: SteinhausSet, thetas, ps, work: tuple):
-    """One kernel pass: the batch, with the counts of invalid and exceptional
-    lines zeroed, and the raw (lines x families) per-family counts, a view
-    into the workspace (from _workspace) that the next pass overwrites."""
-    floats, masks, pad, pad_mask = (w[..., : len(thetas), :] for w in work)
-    at_s, at_e, n_lo, n_hi, per_family = floats
+def _new_batch(thetas, offsets) -> LineBatch:
+    """A batch of the lines, whose other fields the kernel fills."""
+    theta = np.array(thetas, dtype=float)
+    lines = len(theta)
+    return LineBatch(
+        theta=theta, offset=np.array(offsets, dtype=float), valid=np.empty(lines, dtype=bool),
+        h=np.empty(lines), total=np.empty(lines, dtype=np.int64), z=np.empty(lines),
+        mean_term=np.empty(lines), padding_hits=np.empty(lines, dtype=np.int64),
+        exceptional=np.empty(lines, dtype=bool), jittered=np.zeros(lines, dtype=bool))
+
+
+def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_rows: int):
+    """The kernel on the batch's lines[rows], one line block: each line's
+    clip, tolerances, mean term, padding hits and fields once, its lattice
+    coordinates in family blocks of fam_rows lines.  Yields each family
+    block's (rows, raw (lines x families) counts), a view into the planes
+    that the next family block overwrites.  h and valid of those rows are
+    filled by then, the other fields once the line block is done; they
+    carry zero counts for invalid and exceptional lines, the raw counts do
+    not."""
+    thetas, ps = batch.theta[rows], batch.offset[rows]
     start, end, h, valid, tol_s, tol_e, edge_s, edge_e, along = sset.body.chord_bounds(thetas, ps)
+    batch.h[rows], batch.valid[rows] = h, valid
     # the screens' tolerance: an endpoint's bound plus its lattice coordinate's rounding
     lattice = rounding_bound(sset.scale)
     tol_s, tol_e = tol_s + lattice, tol_e + lattice
-    dirs_t = sset.directions.T
-    # each endpoint's lattice coordinate x . nu_k / eps - U_k, every temporary
-    # written with out=; rounding is monotone, so their min and max are
-    # count_in_interval's a/eps - U_k and b/eps - U_k to the bit
-    for point, at in ((start, at_s), (end, at_e)):
-        np.matmul(point, dirs_t, out=at)
-        at /= sset.eps
-        at -= sset.shifts
-    np.ceil(np.minimum(at_s, at_e, out=n_lo), out=n_lo)
-    np.ceil(np.maximum(at_s, at_e, out=n_hi), out=n_hi)
+    n, eps = sset.n, sset.eps
+    total = np.empty(len(h))
+    exceptional = along >= 0
+    for lo in range(0, len(h), fam_rows):
+        block = slice(lo, lo + fam_rows)
+        m = len(h[block])
+        # (families x lines) planes: a reduction over the families runs along
+        # whole rows of lines, a few vector passes rather than a short one per line
+        at_s, at_e, n_lo, n_hi, per_family = planes[:, : n * m].reshape(5, n, m)
+        # each endpoint's lattice coordinate x . nu_k / eps - U_k, every temporary
+        # written with out=; rounding is monotone, so their min and max are
+        # count_in_interval's a/eps - U_k and b/eps - U_k to the bit
+        for point, at in ((start[block], at_s), (end[block], at_e)):
+            np.matmul(sset.directions, point.T, out=at)
+            at /= eps
+            at -= sset.shifts[:, None]
+        np.ceil(np.minimum(at_s, at_e, out=n_lo), out=n_lo)
+        np.ceil(np.maximum(at_s, at_e, out=n_hi), out=n_hi)
 
-    # an endpoint next to the point where a grid segment meets the boundary
-    near_s, near_e = masks
-    np.less_equal(_lattice_gap(at_s, sset.eps, out=per_family), tol_s[:, None], out=near_s)
-    np.less_equal(_lattice_gap(at_e, sset.eps, out=per_family), tol_e[:, None], out=near_e)
-    # An endpoint whose binding edge lies on a lattice line is a pinned, stable
-    # crossing (the lattice line there IS part of the set): count the edge's
-    # lattice value on the min side, and on the max side, where the half-open
-    # convention would drop it.
-    for k, j, q in sset.pinned_edges:
-        on_s, on_e = edge_s == j, edge_e == j
-        near_s[:, k] &= ~on_s
-        near_e[:, k] &= ~on_e
-        s_is_min = at_s[:, k] <= at_e[:, k]
-        n_lo[:, k] = np.where(np.where(s_is_min, on_s, on_e), q, n_lo[:, k])
-        n_hi[:, k] = np.where(np.where(s_is_min, on_e, on_s), q + 1.0, n_hi[:, k])
-    exceptional = np.any(np.logical_or(near_s, near_e, out=near_s), axis=1) | (along >= 0)
+        # An endpoint next to the point where a grid segment meets the boundary:
+        # with g_k = |x_k - rint(x_k)|, fl(g eps) is monotone in g, so "some k has
+        # fl(g_k eps) <= tol" is the one test fl(min_k g_k eps) <= tol.  An
+        # endpoint whose binding edge lies on a lattice line is a pinned, stable
+        # crossing (the lattice line there IS part of the set), so its gap is
+        # +inf; its count takes the edge's lattice value on the min side, and on
+        # the max side, where the half-open convention would drop it.
+        for at, tol, edge in ((at_s, tol_s, edge_s[block]), (at_e, tol_e, edge_e[block])):
+            gap = np.subtract(at, np.rint(at, out=per_family), out=per_family)
+            np.abs(gap, out=gap)
+            for k, j, _ in sset.pinned_edges:
+                gap[k, edge == j] = np.inf
+            exceptional[block] |= np.min(gap, axis=0) * eps <= tol[block]
+        for k, j, q in sset.pinned_edges:
+            on_s, on_e = edge_s[block] == j, edge_e[block] == j
+            s_is_min = at_s[k] <= at_e[k]
+            n_lo[k] = np.where(np.where(s_is_min, on_s, on_e), q, n_lo[k])
+            n_hi[k] = np.where(np.where(s_is_min, on_e, on_s), q + 1.0, n_hi[k])
 
-    np.subtract(n_hi, n_lo, out=per_family)
-    total = np.sum(per_family, axis=1)
+        np.subtract(n_hi, n_lo, out=per_family)
+        total[block] = np.sum(per_family, axis=0)
+        yield slice(rows.start + lo, rows.start + lo + m), per_family.T
+
     # mean term (h/eps) sum_k |t . nu_k| in closed form, t the line's tangent
-    z = total - h / sset.eps * angular_sum(sset.n, thetas + math.pi / 2)
+    z = total - h / eps * angular_sum(n, thetas + math.pi / 2)
     mean_term = total - z
 
     hits = np.zeros(len(h), dtype=np.int64)
     if sset.padding_count:
-        nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        sig0, sig1, product = pad
-        np.matmul(nu, sset.padding[:, 0, :].T, out=sig0)
-        sig0 -= ps[:, None]
-        np.matmul(nu, sset.padding[:, 1, :].T, out=sig1)
-        sig1 -= ps[:, None]
-        crossing = np.less(np.multiply(sig0, sig1, out=product), 0.0, out=pad_mask)
-        hits = np.sum(crossing, axis=1, dtype=np.int64)
+        # (padding x lines) views of the planes the family blocks are done with
+        shape = (sset.padding_count, len(h))
+        sig0, sig1, product = planes[:3, : math.prod(shape)].reshape(3, *shape)
+        near = planes[3].view(bool)[: math.prod(shape)].reshape(shape)
+        nu = np.stack([np.cos(thetas), np.sin(thetas)])
+        np.matmul(sset.padding[:, 0, :], nu, out=sig0)
+        sig0 -= ps
+        np.matmul(sset.padding[:, 1, :], nu, out=sig1)
+        sig1 -= ps
+        crossing = np.less(np.multiply(sig0, sig1, out=product), 0.0, out=near)
+        hits = np.sum(crossing, axis=0, dtype=np.int64)
         np.minimum(np.abs(sig0, out=sig0), np.abs(sig1, out=sig1), out=sig0)
-        np.less_equal(sig0, lattice, out=pad_mask)
-        exceptional |= np.any(pad_mask, axis=1)
+        exceptional |= np.any(np.less_equal(sig0, lattice, out=near), axis=0)
 
     exceptional &= valid
     zero = ~valid | exceptional
-    batch = LineBatch(
-        theta=np.asarray(thetas, dtype=float),
-        offset=np.asarray(ps, dtype=float),
-        valid=valid,
-        h=h,
-        total=np.where(zero, 0.0, total).astype(np.int64),
-        z=np.where(zero, 0.0, z),
-        mean_term=np.where(zero, 0.0, mean_term),
-        padding_hits=np.where(zero, 0, hits),
-        exceptional=exceptional,
-        jittered=np.zeros(len(h), dtype=bool),
-    )
-    return batch, per_family
+    batch.total[rows] = np.where(zero, 0.0, total)
+    batch.z[rows] = np.where(zero, 0.0, z)
+    batch.mean_term[rows] = np.where(zero, 0.0, mean_term)
+    batch.padding_hits[rows] = np.where(zero, 0, hits)
+    batch.exceptional[rows] = exceptional
 
 
-def _eval_blocks(sset: SteinhausSet, thetas: np.ndarray, ps: np.ndarray):
-    """_eval_arrays in blocks of about KERNEL_CHUNK line-family and line-padding
-    elements (at least 16 lines), all in one workspace, so the working memory
-    neither grows with the lines nor is allocated again per block; one block
-    even for no lines, so an empty batch still has every field.  A block's
-    per-family counts are valid until the next block is asked for."""
-    chunk, work = _workspace(sset, len(thetas))
-    for lo in range(0, max(len(thetas), 1), chunk):
-        yield _eval_arrays(sset, thetas[lo : lo + chunk], ps[lo : lo + chunk], work)
+def _eval_blocks(sset: SteinhausSet, batch: LineBatch):
+    """One kernel pass over a batch from _new_batch, filled in place: line
+    blocks of a few thousand lines, all in one workspace, so the working
+    memory neither grows with the lines nor is allocated again per block.
+    Yields every family block's (rows, per-family counts) as _line_block
+    does; the batch is complete once the generator is exhausted."""
+    line_rows, fam_rows, planes = _workspace(sset, len(batch.theta))
+    for lo in range(0, len(batch.theta), line_rows):
+        yield from _line_block(sset, batch, slice(lo, lo + line_rows), planes, fam_rows)
 
 
-def _joined(batches: list) -> LineBatch:
-    return LineBatch(**{f.name: np.concatenate([getattr(b, f.name) for b in batches])
-                        for f in fields(LineBatch)})
-
-
-def family_deviation(sset: SteinhausSet, batch: LineBatch, per_family) -> np.ndarray:
-    """max_k |N_k - mean_k| per line, mean_k = (h/eps) |t . nu_k| with t the
-    tangent; one matrix-vector product per line, so a row has one line's bits."""
-    tangents = np.column_stack([-np.sin(batch.theta), np.cos(batch.theta)])
-    mean_k = batch.h[:, None] / sset.eps * np.abs(
+def family_deviation(sset: SteinhausSet, batch: LineBatch, rows: slice,
+                     per_family) -> np.ndarray:
+    """max_k |N_k - mean_k| of the batch's lines[rows], whose per-family counts
+    are given, mean_k = (h/eps) |t . nu_k| with t the tangent; one
+    matrix-vector product per line, so a row has one line's bits."""
+    theta, h, valid = batch.theta[rows], batch.h[rows], batch.valid[rows]
+    tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
+    mean_k = h[:, None] / sset.eps * np.abs(
         (sset.directions[None] @ tangents[:, :, None])[..., 0])
-    return np.max(np.abs(np.where(batch.valid[:, None], per_family, 0.0) - mean_k), axis=1)
+    return np.max(np.abs(np.where(valid[:, None], per_family, 0.0) - mean_k), axis=1)
 
 
 def count_lines(sset: SteinhausSet, thetas, offsets) -> tuple[LineBatch, np.ndarray]:
     """evaluate_lines, and each line's family_deviation."""
-    parts = [(b, family_deviation(sset, b, per_family))
-             for b, per_family in _eval_blocks(sset, thetas, offsets)]
-    return _joined([b for b, _ in parts]), np.concatenate([d for _, d in parts])
+    batch = _new_batch(thetas, offsets)
+    deviation = np.empty(len(batch.theta))
+    for rows, per_family in _eval_blocks(sset, batch):
+        deviation[rows] = family_deviation(sset, batch, rows, per_family)
+    return batch, deviation
 
 
 def evaluate_lines(
@@ -246,9 +271,10 @@ def evaluate_lines(
 ) -> LineBatch:
     """Count every line in one kernel pass.  Exceptional lines keep zeroed
     counts; callers exclude them from suprema (a null set of line space)."""
-    thetas = np.asarray(thetas, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    return _joined([b for b, _ in _eval_blocks(sset, thetas, offsets)])
+    batch = _new_batch(thetas, offsets)
+    for _ in _eval_blocks(sset, batch):
+        pass
+    return batch
 
 
 def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
@@ -260,21 +286,23 @@ def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
     complement, both bit-equal to the line's row in evaluate_lines;
     max_abs_dev = max_k |per_family[k] - mean_k| is below one.
     """
-    batch, per_family = next(_eval_blocks(
-        sset, np.array([line.theta]), np.array([line.offset])))
+    batch = _new_batch([line.theta], [line.offset])
+    for rows, per_family in _eval_blocks(sset, batch):
+        counts = np.where(batch.valid[0], per_family[0], 0.0).astype(np.int64)
+        deviation = float(family_deviation(sset, batch, rows, per_family)[0])
     if batch.exceptional[0]:
         raise ExceptionalLineError(
             line.theta, line.offset, "line within its rounding bound of a "
             "grid-segment endpoint, along a grid line or boundary edge, or near "
             "a padding endpoint")
     return CountBreakdown(
-        per_family=np.where(batch.valid[0], per_family[0], 0.0).astype(np.int64),
+        per_family=counts,
         total=int(batch.total[0]),
         mean_term=float(batch.mean_term[0]),
         z=float(batch.z[0]),
         padding_hits=int(batch.padding_hits[0]),
         chord_length=float(batch.h[0]),
-        max_abs_dev=float(family_deviation(sset, batch, per_family)[0]),
+        max_abs_dev=deviation,
     )
 
 
@@ -327,7 +355,8 @@ def oracle_padding_hits(sset: SteinhausSet, line: Line) -> int:
 
 def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
     """The endpoint error Z(x, y) = sum_k (N_k - (b_k - a_k)/eps) for each row
-    of a (trials, n) shift matrix, in blocks of KERNEL_CHUNK // n rows.
+    of a (trials, n) shift matrix, in blocks of KERNEL_CHUNK // n rows counted
+    into one buffer.
 
     A pure formula on the segment [x, y] (points need not span a full
     chord); no exceptional-line screening is applied, so probes may sit
@@ -350,7 +379,9 @@ def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
     b = np.maximum(px, py)[None, :]
     out = np.empty(len(shifts))
     rows = max(1, KERNEL_CHUNK // max(n, 1))
+    work = np.empty((2, min(rows, len(shifts)), n))  # every block counts into it
     for lo in range(0, len(shifts), rows):
-        counts = count_in_interval(a, b, eps, shifts[lo : lo + rows])
+        block = shifts[lo : lo + rows]
+        counts = count_in_interval(a, b, eps, block, out=work[:, : len(block)])
         out[lo : lo + rows] = np.sum(counts, axis=1) - mean
     return out

@@ -313,8 +313,13 @@ def _phase(sset: SteinhausSet, length: float, thetas, offsets) -> tuple:
 
 def _top(phases: list, count: int):
     """The count largest local values over the phases with their lines, largest
-    first; ties go to the lexicographically smallest (theta, offset)."""
+    first; ties go to the lexicographically smallest (theta, offset).  Only the
+    lines at or above the count-th largest value are sorted, every tie at the
+    cut among them, so the order is the full sort's."""
     th, po, lv = (np.concatenate(a) for a in list(zip(*phases))[2:5])
+    if count < len(lv):
+        keep = lv >= np.partition(lv, len(lv) - count)[len(lv) - count]
+        th, po, lv = th[keep], po[keep], lv[keep]
     order = np.lexsort((po, th, -lv))[:count]
     return th[order], po[order], lv[order]
 

@@ -44,8 +44,9 @@ __all__ = [
     "load_manifest",
 ]
 
-# Elements per (lines x families) counting-kernel block and per (lines x edges)
-# clipping block: 0.5 MB per float64 temporary, so a block stays in cache.
+# Elements per (families x lines) counting-kernel block, per (edges x lines)
+# clipping block and per (padding x lines) kernel line block: 0.5 MB per
+# float64 temporary, so a block stays in cache.
 KERNEL_CHUNK = 65_536
 
 

@@ -465,54 +465,99 @@ def _lines_through_endpoints(sset, rng, m, through):
     return thetas, ps
 
 
+def _evaluate_in_recorded_blocks(monkeypatch, sset, m):
+    """evaluate_lines on m lines, with the lines of each line block and the
+    (lines, families) shape of each family block it ran.  Every block holds
+    at most KERNEL_CHUNK elements of each of its planes and the family blocks
+    tile each line block."""
+    line_blocks, family_blocks = [], []
+    line_block = counting._line_block
+
+    def recorded(sset, batch, rows, planes, fam_rows):
+        line_blocks.append(len(batch.theta[rows]))
+        for part, per_family in line_block(sset, batch, rows, planes, fam_rows):
+            family_blocks.append(per_family.shape)
+            yield part, per_family
+
+    monkeypatch.setattr(counting, "_line_block", recorded)
+    thetas, ps = _lines_through_endpoints(sset, np.random.default_rng(52), m, 0)
+    batch = evaluate_lines(sset, thetas, ps)
+    assert sum(line_blocks) == m
+    edges = 0 if sset.body.vertices is None else len(sset.body.vertices)
+    assert max(line_blocks) * max(sset.padding_count, edges) <= counting.KERNEL_CHUNK
+    assert {n for _, n in family_blocks} == {sset.n}
+    assert max(rows for rows, _ in family_blocks) * sset.n <= counting.KERNEL_CHUNK
+    rows = iter(rows for rows, _ in family_blocks)
+    for lines in line_blocks:
+        tiled = 0
+        while tiled < lines:
+            tiled += next(rows)
+        assert tiled == lines
+    return batch, line_blocks, family_blocks
+
+
 def test_kernel_blocks_count_padding_segments(monkeypatch):
-    """A block holds at most KERNEL_CHUNK elements of (lines x families) and
-    of (lines x padding segments), also when the padding outnumbers the
-    families."""
+    """A line block holds at most KERNEL_CHUNK elements of (lines x padding
+    segments), also when the padding outnumbers the families, and a family
+    block at most KERNEL_CHUNK elements of (lines x families)."""
     sset = _padded_disk_set(40, 0.01, 150.0, seed=51)
     assert sset.padding_count > 5 * sset.n
-    shapes = []
-    eval_arrays = counting._eval_arrays
-    monkeypatch.setattr(counting, "_eval_arrays", lambda s, thetas, ps, work: (
-        shapes.append(len(thetas)) or eval_arrays(s, thetas, ps, work)))
-    thetas, ps = _lines_through_endpoints(sset, np.random.default_rng(52), 1000, 0)
-    batch = evaluate_lines(sset, thetas, ps)
+    batch, line_blocks, _ = _evaluate_in_recorded_blocks(monkeypatch, sset, 1000)
     assert batch.padding_hits.any()
-    assert len(shapes) > 3
-    assert max(shapes) * max(sset.n, sset.padding_count) <= counting.KERNEL_CHUNK
+    assert len(line_blocks) > 3
+
+
+def test_family_blocks_tile_each_line_block(monkeypatch):
+    """With few families a line block holds several family blocks, and its
+    (lines x edges) clip temporaries stay within KERNEL_CHUNK elements."""
+    sset = sh.SteinhausSet(body=unit_square(), n=100, eps=0.01,
+                           shifts=np.random.default_rng(50).uniform(0, 1, 100))
+    _, line_blocks, family_blocks = _evaluate_in_recorded_blocks(monkeypatch, sset, 10_000)
+    assert len(line_blocks) > 2 and len(family_blocks) > 2 * len(line_blocks)
 
 
 @pytest.mark.parametrize("case", ["padded disk", "zero-shift square"])
 def test_reused_workspace_leaks_nothing_between_blocks(monkeypatch, case):
-    """In 16-line blocks over one workspace, every LineBatch field and every
-    count_lines deviation equals its block evaluated alone in a fresh
-    workspace poisoned with NaN and True, to the bit.  Lines pass through
-    grid-segment and padding endpoints; the square takes the pinned-edge
-    path."""
+    """In 16-line family blocks inside longer line blocks over one workspace,
+    every LineBatch field and every count_lines deviation equals its family
+    block evaluated alone, in a fresh workspace and batch poisoned with NaN,
+    True and -1, to the bit.  Lines pass through grid-segment and padding
+    endpoints; the square takes the pinned-edge path."""
     rng = np.random.default_rng(53)
     if case == "padded disk":
         sset = _padded_disk_set(60, 0.02, 3.0, seed=54)
     else:
-        base = sh.SteinhausSet(body=unit_square(), n=4, eps=0.125, shifts=np.zeros(4))
+        base = sh.SteinhausSet(body=unit_square(), n=40, eps=0.05, shifts=np.zeros(40))
         sset = sh.adjust_length(base, sh.grid_length(base) + 1.3)
         assert sset.pinned_edges
     assert sset.padding_count
     block = 16
     monkeypatch.setattr(counting, "KERNEL_CHUNK", block * max(sset.n, sset.padding_count))
     m = 6 * block + 5
+    line_rows, fam_rows, _ = counting._workspace(sset, m)
+    assert fam_rows == block and 2 * block < line_rows < m
     thetas, ps = _lines_through_endpoints(sset, rng, m, 12)
     batch, deviation = counting.count_lines(sset, thetas, ps)
     assert batch.exceptional.any() and (batch.valid & ~batch.exceptional).sum() > m // 2
     assert batch.padding_hits.any()
-    for lo in range(0, m, block):
-        part = slice(lo, lo + block)
-        _, work = counting._workspace(sset, len(thetas[part]))
-        for w in work:
-            w.fill(np.nan if w.dtype == float else True)
-        alone, per_family = counting._eval_arrays(sset, thetas[part], ps[part], work)
+    parts = [slice(lo, min(lo + fam_rows, start + line_rows, m))
+             for start in range(0, m, line_rows)
+             for lo in range(start, min(start + line_rows, m), fam_rows)]
+    assert len(parts) > len(range(0, m, line_rows))
+    for part in parts:
+        alone = counting._new_batch(thetas[part], ps[part])
+        for f in fields(counting.LineBatch):
+            if f.name not in ("theta", "offset", "jittered"):
+                field = getattr(alone, f.name)
+                field.fill(np.nan if field.dtype == float else field.dtype.type(-1))
+        _, _, planes = counting._workspace(sset, len(alone.theta))
+        planes.fill(np.nan)  # and True in its bool views
+        want = np.empty(len(alone.theta))
+        for rows, per_family in counting._line_block(
+                sset, alone, slice(0, len(alone.theta)), planes, fam_rows):
+            want[rows] = counting.family_deviation(sset, alone, rows, per_family)
         for f in fields(counting.LineBatch):
             assert np.array_equal(getattr(batch, f.name)[part], getattr(alone, f.name)), f.name
-        want = counting.family_deviation(sset, alone, per_family)
         assert np.array_equal(deviation[part], want)
 
 
@@ -533,16 +578,16 @@ counting.evaluate_lines(sset, thetas, ps)  # warm: the set's caches, the allocat
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 counting.evaluate_lines(sset, thetas, ps)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, sset.padding_count,
-      sum(w.nbytes for w in counting._workspace(sset, chunk)[1]) // resource.getpagesize())
+      counting._workspace(sset, chunk)[2].nbytes // resource.getpagesize())
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor page faults are counted in ru_minflt on Linux")
 def test_warm_kernel_blocks_take_no_page_faults():
-    """A warm evaluate_lines over 21 blocks of a padded disk set (n=500, and
-    3x as many padding segments, as in a zero-shift disk set) faults in at
-    most one workspace, not every block's temporaries again: a fault-count
+    """A warm evaluate_lines over 21 line blocks of a padded disk set (n=500,
+    and 3x as many padding segments, as in a zero-shift disk set) faults in
+    at most one workspace, not every block's temporaries again: a fault-count
     guard that times nothing.  It runs in a fresh interpreter, so earlier
     tests do not shape the allocator's state."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -700,7 +745,10 @@ def test_unflagged_lines_count_as_exact_arithmetic(case):
         sset = sh.adjust_length(base, sh.grid_length(base) + 2.5)
         assert sset.padding_count
     thetas, ps = _stress_lines(sset, rng, 150)
-    batch, per_family = next(counting._eval_blocks(sset, thetas, ps))  # one block
+    batch = counting._new_batch(thetas, ps)
+    per_family = np.empty((len(thetas), sset.n))
+    for rows, counts in counting._eval_blocks(sset, batch):
+        per_family[rows] = counts
     assert len(batch.total) == len(thetas)
     compared = 0
     cutoff = TANGENCY_CUTOFF * sset.body.diameter
@@ -713,6 +761,78 @@ def test_unflagged_lines_count_as_exact_arithmetic(case):
         assert batch.padding_hits[i] == hits, (thetas[i], ps[i])
         compared += 1
     assert batch.exceptional.any() and compared > 100
+
+
+def _per_element_batch(sset, thetas, ps):
+    """The kernel's per-family counts and LineBatch fields, one (lines x
+    families) array per step: a line is exceptional when some family has
+    |x - rint(x)| eps <= tol at an endpoint (pinned entries masked), when it
+    runs along an edge, or when it passes within rounding_bound(sset.scale)
+    of a padding endpoint (the padding rule)."""
+    start, end, h, valid, tol_s, tol_e, edge_s, edge_e, along = sset.body.chord_bounds(thetas, ps)
+    lattice = rounding_bound(sset.scale)
+    at_s = start @ sset.directions.T / sset.eps - sset.shifts
+    at_e = end @ sset.directions.T / sset.eps - sset.shifts
+    n_lo, n_hi = np.ceil(np.minimum(at_s, at_e)), np.ceil(np.maximum(at_s, at_e))
+    near_s = np.abs(at_s - np.rint(at_s)) * sset.eps <= (tol_s + lattice)[:, None]
+    near_e = np.abs(at_e - np.rint(at_e)) * sset.eps <= (tol_e + lattice)[:, None]
+    for k, j, q in sset.pinned_edges:
+        on_s, on_e = edge_s == j, edge_e == j
+        near_s[on_s, k] = near_e[on_e, k] = False
+        s_is_min = at_s[:, k] <= at_e[:, k]
+        n_lo[:, k] = np.where(np.where(s_is_min, on_s, on_e), q, n_lo[:, k])
+        n_hi[:, k] = np.where(np.where(s_is_min, on_e, on_s), q + 1.0, n_hi[:, k])
+    per_family = n_hi - n_lo
+    total = per_family.sum(axis=1)
+    nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    sig0, sig1 = (nu @ sset.padding[:, i].T - ps[:, None] for i in (0, 1))
+    hits = np.sum(sig0 * sig1 < 0.0, axis=1)
+    exceptional = ((near_s | near_e).any(axis=1) | (along >= 0)
+                   | (np.minimum(np.abs(sig0), np.abs(sig1)) <= lattice).any(axis=1)) & valid
+    zero = ~valid | exceptional
+    z = total - h / sset.eps * sh.angular_sum(sset.n, thetas + math.pi / 2)
+    fields = dict(theta=thetas, offset=ps, valid=valid, h=h,
+                  total=np.where(zero, 0.0, total).astype(np.int64),
+                  z=np.where(zero, 0.0, z), mean_term=np.where(zero, 0.0, total - z),
+                  padding_hits=np.where(zero, 0, hits), exceptional=exceptional,
+                  jittered=np.zeros(len(thetas), dtype=bool))
+    return per_family, fields
+
+
+@pytest.mark.parametrize("case", ["padded disk", "zero-shift square", "polygon"])
+def test_min_reduced_screen_equals_the_per_element_screen(monkeypatch, case):
+    """The kernel's near-lattice screen, one min over the families of
+    |x - rint(x)| per endpoint, flags exactly the lines a per-element screen
+    flags, and every other LineBatch field and per-family count is the same
+    to the bit, on lines a few ulps from grid-segment and padding endpoints
+    and nearly along edges.  The disk batch spans several line blocks, with
+    more padding segments than families; the square and the polygon run in
+    small line and family blocks."""
+    rng = np.random.default_rng(57)
+    if case == "padded disk":
+        sset, m = _padded_disk_set(40, 0.01, 150.0, seed=58), 900
+        assert sset.padding_count > sset.n
+    elif case == "zero-shift square":
+        base = sh.SteinhausSet(body=unit_square(), n=4, eps=0.125, shifts=np.zeros(4))
+        sset, m = sh.adjust_length(base, sh.grid_length(base) + 1.3), 150
+        assert sset.pinned_edges and sset.padding_count
+        monkeypatch.setattr(counting, "KERNEL_CHUNK", 16 * 5)
+    else:
+        sset, m = sh.SteinhausSet(body=random_polygon(rng), n=30, eps=0.02,
+                                  shifts=rng.uniform(0, 1, 30)), 150
+        monkeypatch.setattr(counting, "KERNEL_CHUNK", 16 * 30)
+    thetas, ps = _stress_lines(sset, rng, m)
+    line_rows, fam_rows, _ = counting._workspace(sset, len(thetas))
+    assert line_rows < len(thetas)
+    batch = counting._new_batch(thetas, ps)
+    per_family = np.empty((len(thetas), sset.n))
+    for rows, counts in counting._eval_blocks(sset, batch):
+        per_family[rows] = counts
+    want_counts, want = _per_element_batch(sset, thetas, ps)
+    assert batch.exceptional.any() and not batch.exceptional.all()
+    for f in fields(counting.LineBatch):
+        assert np.array_equal(getattr(batch, f.name), want[f.name]), f.name
+    assert np.array_equal(per_family, want_counts)
 
 
 @pytest.mark.parametrize("body", [unit_square(), ConvexBody.disk((0.0, 0.0), 1 / math.sqrt(math.pi))],

@@ -425,3 +425,47 @@ def test_witness_tie_break_is_smallest_theta_then_offset():
     # the search's grid ties every angle at offset 0: the witness is theta 0
     report = estimate_sup(sset, 40.0, SupConfig(8, 8, 1, 0))
     assert (report.witness_theta, report.witness_offset) == (0.0, 0.0)
+
+
+def _fake_phases(rng, sizes):
+    """Phases as _phase returns them, of lines drawn from few angles, offsets
+    and local values, so ties are common."""
+    return [(size, 0, rng.choice([0.1, 0.2, 3.0], size), rng.choice([-1.0, 0.0, 0.5], size),
+             rng.choice([0.0, 1.0, 2.5, 7.0], size), 0.0, 0.0, 0, 0.0) for size in sizes]
+
+
+def _full_sort_top(phases, count):
+    th, po, lv = (np.concatenate(a) for a in list(zip(*phases))[2:5])
+    order = np.lexsort((po, th, -lv))[:count]
+    return th[order], po[order], lv[order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+       count=st.integers(1, 150), seed=st.integers(0, 2**32 - 1))
+def test_top_partition_equals_the_full_sort(sizes, count, seed):
+    """_top sorts only the lines at or above the count-th largest value, ties
+    at the cut included: its lines and their order are the full lexsort's,
+    whether count is below the included lines (ties straddling the cut),
+    above them, or there are none."""
+    phases = _fake_phases(np.random.default_rng(seed), sizes)
+    for got, want in zip(_top(phases, count), _full_sort_top(phases, count)):
+        assert np.array_equal(got, want)
+
+
+def test_top_keeps_every_tie_at_the_cut():
+    """Seven lines tie at the 3rd largest value: the two taken are the
+    lexicographically smallest of the seven, not the first two partitioned."""
+    th = np.array([3.0, 0.2, 0.1, 0.2, 3.0, 0.1, 0.2, 0.1, 3.0])
+    po = np.array([0.0, 0.5, 0.5, -1.0, -1.0, 0.0, 0.0, -1.0, 0.5])
+    lv = np.array([1.0, 2.5, 2.5, 2.5, 2.5, 2.5, 7.0, 2.5, 2.5])
+    phases = [(9, 0, th[:4], po[:4], lv[:4], 0.0, 0.0, 0, 0.0),
+              (9, 0, th[4:], po[4:], lv[4:], 0.0, 0.0, 0, 0.0)]
+    cth, cpo, clv = _top(phases, 3)
+    assert clv.tolist() == [7.0, 2.5, 2.5]
+    assert list(zip(cth.tolist(), cpo.tolist())) == [(0.2, 0.0), (0.1, -1.0), (0.1, 0.0)]
+    for count in (3, 9, 12):
+        for got, want in zip(_top(phases, count), _full_sort_top(phases, count)):
+            assert np.array_equal(got, want)
+    empty = _fake_phases(np.random.default_rng(0), [0, 0])
+    assert all(a.size == 0 for a in _top(empty, 100))

@@ -395,14 +395,14 @@ def test_oracle_check_calls_do_not_grow_with_lines(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(counting, "_eval_arrays", counted("kernel", counting._eval_arrays))
+    monkeypatch.setattr(counting, "_line_block", counted("kernel", counting._line_block))
     monkeypatch.setattr(hz, "segment_crossings", counted("sign test", hz.segment_crossings))
     for lines in (250, 1000):
         calls.update({"kernel": 0, "sign test": 0})
         check = hz.run_oracle_check(sset, lines, seed=3)
         assert check.comparisons == lines
-        # one kernel block; one sign test for the grid, one for the padding
-        assert max(16, counting.KERNEL_CHUNK // sset.n) >= lines
+        # one kernel line block; one sign test for the grid, one for the padding
+        assert counting._workspace(sset, lines)[0] >= lines
         assert calls["kernel"] == 1
         assert calls["sign test"] <= 2
 
