@@ -152,10 +152,10 @@ def _emit(text: str, out_path) -> None:
 
 def _cmd_build(ns) -> int:
     body = load_body(ns.body)
-    sset, plan = sh.build_exact(body, ns.length, ns.mode, ns.seed)
+    sset, _ = sh.build_exact(body, ns.length, ns.mode, ns.seed)
     sh.save_manifest(sset, ns.out)
     actual = sh.total_length(sset)
-    print(f"n={plan.n} eps={plan.eps!r} L_actual={actual!r} "
+    print(f"n={sset.n} eps={sset.eps!r} L_actual={actual!r} "
           f"padding={sset.padding_count} -> {ns.out}")
     return 0
 

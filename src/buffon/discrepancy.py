@@ -162,15 +162,9 @@ class DiscrepancyReport:
 
 
 def format_report(report: DiscrepancyReport) -> str:
-    """Human-readable multi-line rendering with every report field."""
-    lines = []
-    for f in fields(DiscrepancyReport):
-        value = getattr(report, f.name)
-        if isinstance(value, float):
-            lines.append(f"{f.name} = {value!r}")
-        else:
-            lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    """One `name = repr(value)` line per report field, in field order."""
+    return "".join(f"{f.name} = {getattr(report, f.name)!r}\n"
+                   for f in fields(DiscrepancyReport))
 
 
 def save_report(report: DiscrepancyReport, path) -> None:

@@ -14,8 +14,8 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -53,9 +53,11 @@ PROBE_FAN = 17  # rays in the coherence probe's fan
 class SweepRow:
     """One point of a scaling sweep: build at L_target, estimate the sup.
 
-    The first ten fields are the CSV columns, in order.  wall_time_seconds
-    and error are runtime-only: timings are not reproducible and failed rows
-    carry their message here instead of aborting the sweep.
+    The fields without a default are the CSV columns, in order, each written
+    and read as its annotated type.  wall_time_seconds and error are
+    runtime-only: timings are not reproducible, and a row whose length the
+    planner refuses (or whose lattice cannot be allocated) carries the
+    message here instead of aborting the sweep.
     """
 
     L_target: float
@@ -71,11 +73,10 @@ class SweepRow:
     wall_time_seconds: float = 0.0
     error: Optional[str] = None
 
-    CSV_FIELDS = (
-        "L_target", "M", "n", "eps", "seed", "L_actual", "sup_estimate",
-        "max_abs_z", "quadrature_max", "padding_count",
-    )
-    _INT_FIELDS = frozenset({"n", "seed", "padding_count"})
+
+_CSV_TYPES = {f.name: get_type_hints(SweepRow)[f.name]
+              for f in fields(SweepRow) if f.default is MISSING}
+SweepRow.CSV_FIELDS = tuple(_CSV_TYPES)
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,13 @@ def _row_seed(seed: int, mode: str, l_target: float) -> int:
 
 
 def _sweep_worker(payload) -> SweepRow:
-    """Run one sweep row from a picklable payload; never raises."""
+    """Run one sweep row from a picklable payload.  A length the planner
+    refuses or a lattice too fine to allocate is recorded on the row; any
+    other failure, an internal assertion among them, propagates."""
     body, l_target, mode, row_seed, config = payload
     started = time.perf_counter()
     try:
-        sset, plan = build_exact(body, l_target, mode, row_seed)
+        sset, m_expected = build_exact(body, l_target, mode, row_seed)
         l_actual = total_length(sset)
         if abs(l_actual - l_target) > 1e-9 * l_target:
             raise AssertionError(
@@ -105,9 +108,9 @@ def _sweep_worker(payload) -> SweepRow:
         report = estimate_sup(sset, l_actual, config)
         return SweepRow(
             L_target=float(l_target),
-            M=plan.expected_length,
-            n=plan.n,
-            eps=plan.eps,
+            M=m_expected,
+            n=sset.n,
+            eps=sset.eps,
             seed=row_seed,
             L_actual=l_actual,
             sup_estimate=report.sup_estimate,
@@ -116,9 +119,8 @@ def _sweep_worker(payload) -> SweepRow:
             padding_count=sset.padding_count,
             wall_time_seconds=time.perf_counter() - started,
         )
-    except Exception as exc:  # per-row capture keeps the sweep going
-        failed = {name: 0 if name in SweepRow._INT_FIELDS else math.nan
-                  for name in SweepRow.CSV_FIELDS}
+    except (ValidationError, MemoryError) as exc:  # the sweep goes on past a refused row
+        failed = {name: 0 if kind is int else math.nan for name, kind in _CSV_TYPES.items()}
         failed.update(
             L_target=float(l_target),
             seed=row_seed,
@@ -148,7 +150,8 @@ def run_sweep(
     """Full pipeline per target length: plan, build, pad to exact length,
     estimate the sup.  Rows are deterministic per (L, seed) — each draws its
     own derived seed — so worker count never changes the result, only the
-    wall time.  Build or estimation failures are recorded on the row.
+    wall time.  A length the planner refuses, or a lattice too fine to
+    allocate, is recorded on its row; an internal assertion propagates.
     """
     l_values = [float(l) for l in l_values]
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
@@ -166,12 +169,6 @@ def run_sweep(
         return list(pool.map(_sweep_worker, payloads))
 
 
-def _format_cell(name: str, value) -> str:
-    if name in SweepRow._INT_FIELDS:
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
     """Header plus one line per row, shortest round-trip float representation.
 
@@ -183,7 +180,7 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
         writer.writerow(SweepRow.CSV_FIELDS)
         for row in rows:
             writer.writerow(
-                [_format_cell(f, getattr(row, f)) for f in SweepRow.CSV_FIELDS])
+                [repr(kind(getattr(row, name))) for name, kind in _CSV_TYPES.items()])
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
@@ -203,7 +200,7 @@ def read_sweep_csv(path) -> list[SweepRow]:
             values = {}
             for name, cell in zip(SweepRow.CSV_FIELDS, record):
                 try:
-                    values[name] = int(cell) if name in SweepRow._INT_FIELDS else float(cell)
+                    values[name] = _CSV_TYPES[name](cell)
                 except ValueError as exc:
                     raise ValidationError(
                         "csv", f"line {reader.line_num}, column {name}: {exc}") from None

@@ -37,7 +37,6 @@ __all__ = [
     "sample_shifts",
     "SteinhausSet",
     "total_length",
-    "BuildPlan",
     "adjust_length",
     "build_exact",
     "save_manifest",
@@ -254,16 +253,6 @@ def total_length(sset: SteinhausSet) -> float:
 # -- parameter planning ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuildPlan:
-    """Planned parameters: the grid aims at expected length M = L - s < L,
-    s a slack of one body diameter (more after an overshoot)."""
-
-    expected_length: float
-    n: int
-    eps: float
-
-
 def _cube_root_floor(length: float) -> int:
     """floor(L^(1/3)) exactly (float powers round 100.0 down to 99.999...)."""
     n = int(length ** (1.0 / 3.0))
@@ -287,8 +276,10 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _plan(body: ConvexBody, target_length: float, mode: str, slack: float) -> BuildPlan:
-    """M = L - slack, n from the mode's rule and eps = n |Omega| / M."""
+def _plan(body: ConvexBody, target_length: float, mode: str,
+          slack: float) -> tuple[float, int, float]:
+    """(M, n, eps): the grid aims at expected length M = L - slack, n from
+    the mode's rule and eps = n |Omega| / M."""
     if not (math.isfinite(target_length) and target_length > 1.0):
         raise ValidationError("L", "target length must be finite and > 1")
     m_expected = target_length - slack
@@ -307,7 +298,7 @@ def _plan(body: ConvexBody, target_length: float, mode: str, slack: float) -> Bu
             f"target length {target_length} gives lattice pitch eps={eps:.3g} > 1 for "
             f"this body; increase L or shrink the body",
         )
-    return BuildPlan(expected_length=float(m_expected), n=n, eps=float(eps))
+    return float(m_expected), n, float(eps)
 
 
 # -- exact-length padding ---------------------------------------------------
@@ -395,8 +386,9 @@ def adjust_length(sset: SteinhausSet, target_length: float) -> SteinhausSet:
 
 def build_exact(
     body: ConvexBody, target_length: float, mode: str, seed: int
-) -> tuple[SteinhausSet, BuildPlan]:
-    """Plan, build, and pad to the exact target length.
+) -> tuple[SteinhausSet, float]:
+    """Plan, build, and pad to the exact target length: (set, M), M the grid
+    length the final plan aimed at.
 
     The plan reserves a slack s of one body diameter below the target; the
     padding tops up what the grid falls short of L.  Should the grid still
@@ -407,11 +399,11 @@ def build_exact(
     _check_mode(mode)
     slack = body.diameter
     while True:
-        plan = _plan(body, target_length, mode, slack)
-        sset = SteinhausSet(body=body, n=plan.n, eps=plan.eps,
-                            shifts=mode_shifts(mode, plan.n, seed), seed=seed)
+        m_expected, n, eps = _plan(body, target_length, mode, slack)
+        sset = SteinhausSet(body=body, n=n, eps=eps, shifts=mode_shifts(mode, n, seed),
+                            seed=seed)
         if sset.measured_grid_length <= target_length:
-            return adjust_length(sset, target_length), plan
+            return adjust_length(sset, target_length), m_expected
         slack *= 2.0
 
 

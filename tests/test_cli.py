@@ -12,7 +12,7 @@ import pytest
 from buffon import harness as hz
 from buffon import steinhaus as sh
 from buffon.cli import main
-from buffon.discrepancy import load_report, local_discrepancy
+from buffon.discrepancy import SupConfig, load_report, local_discrepancy
 from buffon.geometry import ConvexBody, Line, dump_body, unit_square
 
 
@@ -160,6 +160,24 @@ def test_sweep_and_plot_are_byte_deterministic(tmp_path, body_path, capsys):
     assert 'plot "fig.dat"' in gp and "set logscale xy" in gp
     points_used = int(out.split("points=")[1].split()[0])
     assert len(dat.splitlines()) - 1 == points_used
+
+
+def test_sweep_exits_2_on_an_internal_assertion_and_writes_no_csv(
+        tmp_path, body_path, capsys, monkeypatch):
+    """Only a length the planner refuses (or a lattice too fine to allocate)
+    becomes a NaN row: an internal assertion leaves run_sweep, and `buffon
+    sweep` exits 2 with no CSV, as `buffon disc` does."""
+    def broken(*args):
+        raise AssertionError("envelope broken")
+
+    monkeypatch.setattr(hz, "estimate_sup", broken)
+    with pytest.raises(AssertionError, match="envelope broken"):
+        hz.run_sweep(unit_square(), [1e3, 2e3], "shifted", SupConfig())
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--body", body_path, "--l-min", "1e3", "--l-max", "2e3",
+                 "--points", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "internal assertion failed: envelope broken\n"
+    assert not out.exists()
 
 
 def _four_row_csv(tmp_path):
@@ -337,3 +355,6 @@ def test_malformed_config_is_a_config_error(tmp_path, body_path, capsys):
     assert main(["length-study", "--body", body_path, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: invalid JSON in {cfg}") and "Traceback" not in err
+    cfg.write_text("[1]")
+    assert main(["length-study", "--body", body_path, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: config: config file must hold a JSON object\n"

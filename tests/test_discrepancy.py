@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buffon.cli import main
 from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
 from buffon import discrepancy
 from buffon import steinhaus as sh
@@ -169,7 +170,11 @@ def test_unshifted_corner_chords_have_coherent_error():
     assert best >= 0.4 * n
 
 
-def test_sup_config_validation():
+def test_sup_config_validation(small_set):
+    sset, _ = small_set
+    for length in (math.nan, -1.0):
+        with pytest.raises(ValidationError, match="^length:"):
+            estimate_sup(sset, length, SupConfig())
     with pytest.raises(ValidationError):
         SupConfig(theta_resolution=7)
     with pytest.raises(ValidationError):
@@ -247,6 +252,56 @@ def test_estimate_sup_witness_recomputes_and_is_deterministic(small_set):
     assert r1.max_abs_z >= abs(r1.witness_z_term) - 1e-9
     assert r1.envelope_upper >= r1.sup_estimate - 1e-9
     assert r1.max_padding_hits <= sset.padding_count
+
+
+def test_envelope_violation_names_its_line_and_disc_exits_2(
+        monkeypatch, small_set, tmp_path, capsys):
+    """One included line pushed far past its envelope stops the search, and
+    the message names its theta and offset."""
+    sset, length = small_set
+    config = SupConfig(theta_resolution=16, offset_resolution=16, refine_rounds=0)
+    batches, pushed = [], []
+    evaluate, terms = discrepancy.evaluate_lines, discrepancy._terms
+    monkeypatch.setattr(discrepancy, "evaluate_lines",
+                        lambda *args: batches.append(evaluate(*args)) or batches[-1])
+
+    def push_one(*args):
+        quad, norm, crof, signed = terms(*args)
+        batch = batches[-1]
+        k = int(np.flatnonzero(batch.valid & ~batch.exceptional)[0])
+        pushed.append((batch.theta[k], batch.offset[k]))
+        signed[k] += 1e6
+        return quad, norm, crof, signed
+
+    monkeypatch.setattr(discrepancy, "_terms", push_one)
+    with pytest.raises(AssertionError, match="^decomposition inequality violated: ") as info:
+        estimate_sup(sset, length, config)
+    theta, offset = pushed[0]
+    assert f"theta={theta!r} offset={offset!r} " in str(info.value)
+    set_path = tmp_path / "set.json"
+    sh.save_manifest(sset, set_path)
+    capsys.readouterr()
+    assert main(["disc", "--set", str(set_path), "--theta-res", "16",
+                 "--offset-res", "16", "--refine", "0"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "internal assertion failed: decomposition inequality violated: ")
+
+
+def test_witness_recount_mismatch_names_the_witness(monkeypatch, small_set):
+    sset, length = small_set
+    config = SupConfig(theta_resolution=16, offset_resolution=16, refine_rounds=0)
+    report = estimate_sup(sset, length, config)
+    recount = discrepancy.decompose
+
+    def shifted(*args):
+        terms = recount(*args)
+        return {**terms, "signed_error": terms["signed_error"] + 1.0}
+
+    monkeypatch.setattr(discrepancy, "decompose", shifted)
+    with pytest.raises(AssertionError, match="^witness recomputation mismatch: ") as info:
+        estimate_sup(sset, length, config)
+    assert str(info.value).endswith(
+        f"theta={report.witness_theta!r} offset={report.witness_offset!r}")
 
 
 def test_estimate_sup_counts_base_samples_exactly(small_set):

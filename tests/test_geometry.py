@@ -132,6 +132,12 @@ def test_chord_endpoints_on_line_and_boundary():
             assert length == pytest.approx(float(np.hypot(*(end - start))), rel=1e-12)
 
 
+@pytest.mark.parametrize("theta, offset", [(math.nan, 0.0), (0.0, math.inf)])
+def test_line_refuses_a_non_finite_parameter(theta, offset):
+    with pytest.raises(ValidationError, match="^line: "):
+        Line(theta, offset)
+
+
 def test_line_normalization_identifies_theta_plus_pi(monkeypatch):
     line = Line(1.0, 0.3)
     same = Line(1.0 + math.pi, -0.3)
@@ -321,6 +327,10 @@ def test_validation_rejects_bad_polygons():
     with pytest.raises(ValidationError):
         # non-convex quad (reflex vertex)
         ConvexBody.polygon([(0, 0), (2, 0), (0.1, 0.1), (0, 2)])
+    with pytest.raises(ValidationError, match="^polygon: vertices must be finite"):
+        ConvexBody.polygon([(0, 0), (1, 0), (math.inf, 1)])
+    with pytest.raises(ValidationError, match="^disk.center: need a finite point"):
+        ConvexBody.disk((math.inf, 0), 1.0)
 
 
 def test_inscribed_disk_of_square_and_disk():
@@ -393,6 +403,8 @@ def test_body_dict_round_trip():
         body_from_dict({"disk": {"center": [0, 0], "radius": 1, "color": "red"}})
     with pytest.raises(ValidationError):
         body_from_dict({"ball": {}})
+    with pytest.raises(ValidationError, match="^body: specification must be a JSON object"):
+        body_from_dict([])
 
 
 def test_support_interval_matches_vertex_extremes():

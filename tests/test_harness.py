@@ -31,9 +31,9 @@ def test_sweep_rows_complete_and_consistent(small_sweep):
     for row in small_sweep:
         assert row.error is None
         assert abs(row.L_actual - row.L_target) <= 1e-9 * row.L_target
-        plan = sh._plan(unit_square(), row.L_target, "shifted", unit_square().diameter)
-        assert row.n == plan.n
-        assert row.eps == pytest.approx(plan.eps, rel=1e-12)
+        m, n, eps = sh._plan(unit_square(), row.L_target, "shifted", unit_square().diameter)
+        assert (row.M, row.n) == (m, n)
+        assert row.eps == pytest.approx(eps, rel=1e-12)
         assert row.sup_estimate > 0
         # sampled triangle inequality: sup below the component maxima
         envelope = (row.quadrature_max + row.max_abs_z + row.padding_count)
@@ -57,13 +57,43 @@ def test_sweep_zero_mode_probe_reaches_coherent_z():
         unit_square(), [1000.0], "zero", SMALL_CONFIG, seed=1)
     (row,) = rows
     assert row.error is None
-    assert row.n == sh._plan(unit_square(), 1000.0, "zero", unit_square().diameter).n
+    assert row.n == sh._plan(unit_square(), 1000.0, "zero", unit_square().diameter)[1]
     assert row.n / 4 <= row.max_abs_z <= row.n
 
 
 def test_sweep_requires_increasing_lengths():
     with pytest.raises(ValidationError):
         hz.run_sweep(unit_square(), [100.0, 100.0], "shifted", SMALL_CONFIG)
+
+
+@pytest.mark.parametrize("field, call", [
+    ("points", lambda: hz.length_grid(1e3, 1e4, 1)),
+    ("workers", lambda: hz.run_sweep(unit_square(), [1e3], "shifted", SMALL_CONFIG,
+                                     workers=-1)),
+    ("n_values", lambda: hz.coherence_study(unit_square(), [16, 32], [0.01], trials=10)),
+])
+def test_sweep_and_study_refusals_name_their_field(field, call):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert info.value.field == field
+
+
+def test_sweep_records_an_allocation_failure_on_its_row(monkeypatch):
+    """A lattice too fine to allocate is a failed row, as a refused length is."""
+    def exhausted(*args):
+        raise MemoryError("lattice")
+
+    monkeypatch.setattr(hz, "estimate_sup", exhausted)
+    (row,) = hz.run_sweep(unit_square(), [1e3], "shifted", SMALL_CONFIG)
+    assert row.error == "MemoryError: lattice" and math.isnan(row.sup_estimate)
+
+
+def test_sweep_row_length_check_fires(monkeypatch):
+    """A padded set that misses its target length aborts the sweep."""
+    measure = hz.total_length
+    monkeypatch.setattr(hz, "total_length", lambda sset: measure(sset) * (1 + 1e-8))
+    with pytest.raises(AssertionError, match="^adjusted length .* misses target 1000.0$"):
+        hz.run_sweep(unit_square(), [1e3], "shifted", SMALL_CONFIG)
 
 
 def test_sweep_records_row_errors_instead_of_raising():
@@ -80,7 +110,8 @@ def test_csv_round_trip_and_byte_determinism(tmp_path, small_sweep):
     hz.write_sweep_csv(small_sweep, p2)
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
-    assert header == ",".join(hz.SweepRow.CSV_FIELDS)
+    assert header == ",".join(hz.SweepRow.CSV_FIELDS) == (
+        "L_target,M,n,eps,seed,L_actual,sup_estimate,max_abs_z,quadrature_max,padding_count")
     assert "wall_time" not in header and "error" not in header
     back = hz.read_sweep_csv(p1)
     for a, b in zip(small_sweep, back):

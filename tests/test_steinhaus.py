@@ -120,10 +120,10 @@ def test_family_length_matches_chord_clipping_oracle():
         assert_grid_length_is_the_clipped_length(
             sh.SteinhausSet(body=body, n=n, eps=0.05, shifts=np.zeros(n)))
     for length, n in ((1e5, 46), (1e6, 100)):
-        plan = _plan(unit_square(), length, "zero")
-        assert plan.n == n
+        _, plan_n, eps = _plan(unit_square(), length, "zero")
+        assert plan_n == n
         assert_grid_length_is_the_clipped_length(sh.SteinhausSet(
-            body=unit_square(), n=n, eps=plan.eps, shifts=np.zeros(n)))
+            body=unit_square(), n=n, eps=eps, shifts=np.zeros(n)))
 
 
 def test_family_length_mean_and_deviation_bound():
@@ -294,28 +294,29 @@ def test_grid_segments_clip_in_bounded_blocks(monkeypatch):
 
 
 def _plan(body, length, mode="shifted"):
-    """The first build attempt's plan: a slack of one body diameter."""
+    """The first build attempt's plan (M, n, eps): a slack of one body diameter."""
     return sh._plan(body, length, mode, body.diameter)
 
 
 def test_plan_build_golden_n_for_unit_area():
-    plan = _plan(unit_square(), 1e6)
-    assert plan.expected_length == 1e6 - math.sqrt(2.0)
-    assert plan.n == 148  # floor(M^(2/5) / (ln M)^(1/5)), M = 1e6 - sqrt(2)
-    assert plan.eps == pytest.approx(148 / plan.expected_length, rel=1e-12)
+    m, n, eps = _plan(unit_square(), 1e6)
+    assert m == 1e6 - math.sqrt(2.0)
+    assert n == 148  # floor(M^(2/5) / (ln M)^(1/5)), M = 1e6 - sqrt(2)
+    assert eps == pytest.approx(148 / m, rel=1e-12)
     # the coupling n / eps = M / |Omega| is exact by construction
-    assert plan.n * unit_square().area / plan.eps == pytest.approx(
-        plan.expected_length, rel=1e-12
-    )
+    assert n * unit_square().area / eps == pytest.approx(m, rel=1e-12)
 
 
 def test_plan_build_margin_and_errors():
     """Both modes reserve one body diameter below the target."""
     disk = ConvexBody.disk((0.4, -0.3), 0.25)
     for mode in sh.MODES:
-        assert sh.build_exact(disk, 1e6, mode, seed=0)[1].expected_length == 1e6 - 0.5
+        assert sh.build_exact(disk, 1e6, mode, seed=0)[1] == 1e6 - 0.5
     with pytest.raises(ValidationError, match="^L:"):
         sh.build_exact(unit_square(), 2.5, "shifted", seed=0)
+    for length in (1.0, math.inf):
+        with pytest.raises(ValidationError, match="^L: target length must be finite and > 1$"):
+            sh.build_exact(unit_square(), length, "shifted", seed=0)
     big = ConvexBody.polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
     with pytest.raises(ValidationError, match="eps"):
         sh.build_exact(big, 30.0, "shifted", seed=0)
@@ -324,9 +325,9 @@ def test_plan_build_margin_and_errors():
 def test_plan_build_zero_exact_cube_root():
     body = unit_square()
     # floor((10^6)^(1/3)) exactly, despite float cube roots
-    assert _plan(body, 1e6, "zero").n == 100
-    assert _plan(body, 999.0, "zero").n == 9
-    assert _plan(body, 1000.0, "zero").n == 10
+    assert _plan(body, 1e6, "zero")[1] == 100
+    assert _plan(body, 999.0, "zero")[1] == 9
+    assert _plan(body, 1000.0, "zero")[1] == 10
 
 
 def test_plan_build_zero_too_small_names_minimal_length():
@@ -338,8 +339,8 @@ def test_plan_build_zero_too_small_names_minimal_length():
         assert float(str(info.value).rsplit("= ", 1)[1]) == pytest.approx(minimal, rel=1e-5)
         with pytest.raises(ValidationError, match="^L:"):
             sh.build_exact(body, minimal * (1 - 1e-5), mode, seed=0)
-    plan = _plan(body, minimal * (1 + 1e-5), "zero")
-    assert plan.n == 1 and plan.expected_length > math.e
+    m, n, _ = _plan(body, minimal * (1 + 1e-5), "zero")
+    assert n == 1 and m > math.e
 
 
 def test_unknown_mode_is_refused_naming_mode():
@@ -378,6 +379,9 @@ def test_make_padding_lengths_and_disjointness():
         for pt in seg:
             assert np.hypot(*(pt - center)) <= rho + 1e-12
     assert sh.make_padding(body, 4, 0.0).shape == (0, 2, 2)
+    # more segments than float spacing can separate: refused before any is laid
+    with pytest.raises(ValidationError, match="^delta: "):
+        sh.make_padding(body, 4, 2e9)
     # segment count bound: ceil(delta / rho) + 1
     for delta in [0.3, 1.0, 2.45, 7.2]:
         got = sh.make_padding(body, 9, delta)
@@ -418,10 +422,10 @@ def test_build_exact_hits_target_both_modes():
     for body in bodies:
         for mode in ("shifted", "zero"):
             for L in (1e3, 2000.0, 35000.0, 1e5, 1e7):
-                sset, plan = sh.build_exact(body, L, mode, seed=5)
+                sset, m = sh.build_exact(body, L, mode, seed=5)
                 actual = sh.total_length(sset)
                 assert abs(actual - L) <= 1e-9 * L, (mode, L)
-                assert plan.expected_length == L - body.diameter
+                assert m == L - body.diameter
                 assert sset.padding_length < 2 * body.diameter, (body.kind, mode, L)
                 if mode == "zero":
                     assert np.all(sset.shifts == 0.0)
@@ -438,10 +442,10 @@ def test_build_exact_doubles_slack_on_overshoot(monkeypatch):
     measure, plan_attempt = sh.grid_length, sh._plan
     monkeypatch.setattr(sh, "grid_length", lambda sset: calls.append(sset) or measure(sset))
     monkeypatch.setattr(sh, "_plan", lambda *a: attempts.append(plan_attempt(*a)) or attempts[-1])
-    sset, plan = sh.build_exact(unit_square(), 1e8, "shifted", seed=1)
+    sset, m = sh.build_exact(unit_square(), 1e8, "shifted", seed=1)
     assert len(attempts) == 2 and len(calls) == 2
-    assert [p.expected_length for p in attempts] == [1e8 - math.sqrt(2), plan.expected_length]
-    assert plan.expected_length == 1e8 - 2 * math.sqrt(2)
+    assert [p[0] for p in attempts] == [1e8 - math.sqrt(2), m]
+    assert m == 1e8 - 2 * math.sqrt(2)
     assert sh.total_length(sset) == 1e8
 
 
@@ -515,6 +519,10 @@ def test_manifest_round_trip_and_strictness(tmp_path):
     manifest["total_length"] = manifest["total_length"] * 1.001
     with pytest.raises(ValidationError, match="total_length"):
         sh.set_from_manifest(manifest)
+    manifest = json.loads(path.read_text())
+    manifest["n"] = 2.5
+    with pytest.raises(ValidationError, match="^n: need an integer"):
+        sh.set_from_manifest(manifest)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -543,3 +551,5 @@ def test_set_validation():
         sh.SteinhausSet(body=body, n=1, eps=0.0, shifts=np.array([0.1]))
     with pytest.raises(ValidationError, match="n"):
         sh.SteinhausSet(body=body, n=0, eps=0.1, shifts=np.zeros(0))
+    with pytest.raises(ValidationError, match="^padding: need segments"):
+        sh.SteinhausSet(body=body, n=1, eps=0.1, shifts=np.zeros(1), padding=[0.2, 0.2, 0.3])
