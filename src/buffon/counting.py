@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Line, rounding_bound
-from .steinhaus import KERNEL_CHUNK, SteinhausSet, angular_sum, directions
+from .geometry import KERNEL_CHUNK, Line, rounding_bound
+from .steinhaus import SteinhausSet, angular_sum, directions
 
 __all__ = [
     "ExceptionalLineError",
@@ -121,16 +121,15 @@ def _workspace(sset: SteinhausSet, lines: int) -> tuple:
     """Lines per line block, lines per family block, and the five flat float
     planes that every block of a batch of lines takes its views from.
 
-    A line block bounds the per-line work: its (edges x lines) clip
-    temporaries and (padding x lines) planes hold at most KERNEL_CHUNK
-    elements, and it holds at most KERNEL_CHUNK // 16 lines (16 at least).
+    A line block bounds the per-line work: its (padding x lines) planes hold
+    at most KERNEL_CHUNK elements, and it holds at most KERNEL_CHUNK // 16
+    lines (16 at least); the clip bounds its own temporaries.
     A family block bounds the (families x lines) planes: KERNEL_CHUNK // n of
     a line block's lines (16 at least).  From one family block on, a plane
     takes KERNEL_CHUNK elements (16 lines if wider) whatever n is, so sets
     reuse one heap block."""
     fams, pads = sset.n, sset.padding_count
-    edges = 0 if sset.body.vertices is None else len(sset.body.vertices)
-    line_rows = max(16, KERNEL_CHUNK // max(16, pads, edges))
+    line_rows = max(16, KERNEL_CHUNK // max(16, pads))
     fam_rows = min(line_rows, max(16, KERNEL_CHUNK // fams))
     width = max(fams, pads)
     size = max(KERNEL_CHUNK, 16 * width) if lines >= fam_rows else lines * width

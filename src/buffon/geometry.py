@@ -13,8 +13,9 @@ edge's direction is parallel to it for all three, and the clip alone decides
 whether it runs along the edge (within its rounding band; the edge is then
 its chord) or outside the body.  A disk's slices have their own closed form.
 Chords shorter than ``TANGENCY_CUTOFF * diameter`` are treated as absent
-(tangency).  ``chord_bounds`` bounds the rounding error of every chord
-endpoint (see ``rounding_bound``); slices skip it.
+(tangency).  The clip also bounds the rounding error of every chord endpoint
+(see ``rounding_bound``), and it works in blocks of KERNEL_CHUNK // edges
+lines, so no caller sizes a block by the body.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ TANGENCY_CUTOFF = 1e-12
 # carries 15 ulps of S^2 over 2 half.  A dot product and a lattice coordinate
 # carry 4 ulps of S, which rounding_bound(S) covers on its own.
 ROUNDING = 64 * 2.0**-53
+# Elements per (families x lines) counting-kernel block, per (edges x lines)
+# clipping block and per (padding x lines) kernel line block: 0.5 MB per
+# float64 temporary, so a block stays in cache.
+KERNEL_CHUNK = 65_536
 
 
 def rounding_bound(scale, kappa=0.0):
@@ -256,12 +261,10 @@ class ConvexBody:
 
         Returns (start (N,2), end (N,2), length (N,), valid (N,)); entries of
         invalid lines are zero.  A line is invalid when it misses the body or
-        meets it in a chord shorter than the tangency cutoff.  The clip alone:
-        chord_bounds' first four arrays, bit for bit, without its bounds.
+        meets it in a chord shorter than the tangency cutoff.  These are
+        chord_bounds' first four arrays; its bounds are computed and dropped.
         """
-        thetas = np.asarray(thetas, dtype=float)
-        nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        return self._clip(nu, np.asarray(offsets, dtype=float))[:4]
+        return self.chord_bounds(thetas, offsets)[:4]
 
     def chord_bounds(self, thetas: np.ndarray, offsets: np.ndarray):
         """chord_batch's four arrays, then forward error bounds of the chord
@@ -280,30 +283,20 @@ class ConvexBody:
         """
         thetas = np.asarray(thetas, dtype=float)
         nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        start, end, length, valid, along, clips = self._clip(nu, np.asarray(offsets, dtype=float))
-        if clips is None:  # a disk: kappa = scale / half-chord, no edges
-            edge_s = edge_e = np.full(len(length), -1)
-            bound_s = bound_e = rounding_bound(self.scale, np.divide(
-                self.scale, 0.5 * length, out=np.full(len(length), np.inf), where=valid))
-        else:
-            pos, neg, clip, beta, t_lo, t_hi = clips
-            elen = self._edge_data[2][:, None]
-            err = rounding_bound(self.scale, np.divide(  # per edge and line, its clip's
-                elen, np.abs(beta), out=np.full(beta.shape, np.inf), where=pos | neg))
-            bounds, edges = [], []
-            for side, t in ((pos, t_lo), (neg, t_hi)):
-                err_b = np.max(np.where(side & (clip == t), err, 0.0), axis=0)  # the binding clip's
-                near = side & (np.abs(clip - t) <= err + err_b)
-                bounds.append(np.max(np.where(near, err, 0.0), axis=0))
-                edges.append(np.where(np.count_nonzero(near, axis=0) == 1,
-                                      np.argmax(near, axis=0), -1))
-            (bound_s, bound_e), (edge_s, edge_e) = bounds, edges
-        return start, end, length, valid, bound_s, bound_e, edge_s, edge_e, along
+        return self._clip(nu, np.asarray(offsets, dtype=float))
 
     def _clip(self, nu: np.ndarray, offsets: np.ndarray):
         """The one clip of the lines x . nu = offset, nu one unit normal per row,
-        slices included: chord_bounds' start, end, length, valid and along,
-        then a polygon's per-edge clips for its bounds (None on a disk)."""
+        slices included: chord_bounds' nine arrays.  It clips in blocks of
+        KERNEL_CHUNK // edges lines, so its (edges x lines) temporaries stay
+        bounded whoever calls it; a line's arrays do not depend on its block."""
+        step = max(1, KERNEL_CHUNK // (1 if self.vertices is None else len(self.vertices)))
+        return tuple(np.concatenate(part) for part in zip(*(
+            self._clip_block(nu[lo : lo + step], offsets[lo : lo + step])
+            for lo in range(0, max(len(offsets), 1), step))))
+
+    def _clip_block(self, nu: np.ndarray, offsets: np.ndarray):
+        """_clip's nine arrays for one block of lines."""
         tangent = np.column_stack([-nu[:, 1], nu[:, 0]])
         base = offsets[:, None] * nu
         cutoff = TANGENCY_CUTOFF * self.diameter
@@ -318,7 +311,10 @@ class ConvexBody:
             start = foot - half[:, None] * tangent
             end = foot + half[:, None] * tangent
             length = 2.0 * half
-            along, clips = np.full(len(offsets), -1), None
+            # kappa = scale / half-chord, no edges
+            along = edge_s = edge_e = np.full(len(offsets), -1)
+            bound_s = bound_e = rounding_bound(self.scale, np.divide(
+                self.scale, half, out=np.full(len(half), np.inf), where=valid))
         else:
             # per edge (v, e) and line, as (edges, lines) arrays so that reductions
             # over the edges run along whole rows: base + t tangent is inside
@@ -334,7 +330,16 @@ class ConvexBody:
             clip = -alpha / np.where(crossing, beta, 1.0)
             t_lo = np.max(np.where(pos, clip, -np.inf), axis=0)  # the chord's ends
             t_hi = np.min(np.where(neg, clip, np.inf), axis=0)
-            clips = pos, neg, clip, beta, t_lo, t_hi
+            err = rounding_bound(self.scale, np.divide(  # per edge and line, its clip's
+                elen, np.abs(beta), out=np.full(beta.shape, np.inf), where=crossing))
+            bounds, edges = [], []
+            for side, t in ((pos, t_lo), (neg, t_hi)):
+                err_b = np.max(np.where(side & (clip == t), err, 0.0), axis=0)  # the binding clip's
+                near = side & (np.abs(clip - t) <= err + err_b)
+                bounds.append(np.max(np.where(near, err, 0.0), axis=0))
+                edges.append(np.where(np.count_nonzero(near, axis=0) == 1,
+                                      np.argmax(near, axis=0), -1))
+            (bound_s, bound_e), (edge_s, edge_e) = bounds, edges
             # a parallel edge's alpha + t beta keeps its sign over the chord beyond a
             # band, its rounding plus |beta| times the chord's reach: outside below it
             reach = np.nan_to_num(np.maximum(np.abs(t_lo), np.abs(t_hi)), posinf=0.0)
@@ -344,14 +349,13 @@ class ConvexBody:
             length = t_hi - t_lo
             valid = (~np.any(~crossing & (alpha < -band), axis=0)
                      & np.isfinite(length) & (length > cutoff))
-            t_lo = np.where(valid, t_lo, 0.0)
             length = np.where(valid, length, 0.0)
-            start = base + t_lo[:, None] * tangent
+            start = base + np.where(valid, t_lo, 0.0)[:, None] * tangent
             end = start + length[:, None] * tangent
 
         start = np.where(valid[:, None], start, 0.0)
         end = np.where(valid[:, None], end, 0.0)
-        return start, end, length, valid, along, clips
+        return start, end, length, valid, bound_s, bound_e, edge_s, edge_e, along
 
     # -- slices --------------------------------------------------------------
 

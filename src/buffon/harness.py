@@ -23,9 +23,9 @@ from . import rng
 # count_line and oracle_count are not called here: perfbench/tracing.py wraps these names
 from .counting import count_line, count_lines, oracle_count, segment_crossings, z_samples
 from .discrepancy import SupConfig, estimate_sup
-from .geometry import ConvexBody, ValidationError, rounding_bound
-from .steinhaus import (KERNEL_CHUNK, SteinhausSet, build_exact, check_lattice,
-                        family_length_many, total_length)
+from .geometry import KERNEL_CHUNK, ConvexBody, ValidationError, rounding_bound
+from .steinhaus import (SteinhausSet, build_exact, check_lattice, family_length_many,
+                        total_length)
 
 __all__ = [
     "SweepRow",
@@ -318,7 +318,7 @@ def z_tail_study(
     """
     if trials < 10_000:
         raise ValidationError("trials", "tail study needs at least 10^4 trials")
-    check_lattice(n, eps)
+    check_lattice(body, n, eps)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for name, point in (("x", x), ("y", y)):
@@ -358,7 +358,7 @@ def length_study(
     """
     if trials < 1_000:
         raise ValidationError("trials", "length study needs at least 10^3 trials")
-    check_lattice(n, eps)
+    check_lattice(body, n, eps)
     lengths = family_length_many(body, eps, rng.stream(seed, "length").random((trials, n)))
     worst = np.max(np.abs(lengths - body.area / eps), axis=0)
     k = int(np.argmax(worst))
@@ -424,7 +424,7 @@ def coherence_study(
     rows = []
     for n, eps in zip(n_values, eps_values):
         n, eps = int(n), float(eps)
-        check_lattice(n, eps)
+        check_lattice(body, n, eps)
         # filled in place after the stream: np.zeros or the other order peaks 0.2 MB higher
         draws = rng.stream(seed, f"coherence/{n}")
         shifts = np.empty((trials + 1, n))

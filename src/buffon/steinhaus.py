@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (ConvexBody, ValidationError, as_float_array, body_from_dict,
-                       body_to_dict, check_object, read_json, rounding_bound,
-                       unit_vector, write_json)
+from .geometry import (KERNEL_CHUNK, ConvexBody, ValidationError, as_float_array,
+                       body_from_dict, body_to_dict, check_object, read_json,
+                       rounding_bound, unit_vector, write_json)
 from .rng import stream
 
 __all__ = [
@@ -42,11 +42,6 @@ __all__ = [
     "save_manifest",
     "load_manifest",
 ]
-
-# Elements per (families x lines) counting-kernel block, per (edges x lines)
-# clipping block and per (padding x lines) kernel line block: 0.5 MB per
-# float64 temporary, so a block stays in cache.
-KERNEL_CHUNK = 65_536
 
 
 def directions(n: int) -> np.ndarray:
@@ -82,12 +77,13 @@ def mode_shifts(mode: str, n: int, seed: int) -> np.ndarray:
     return MODES[_check_mode(mode)][1](n, seed)
 
 
-def check_lattice(n: int, eps: float) -> None:
-    """Refuse, naming the field, unless n >= 1 and the pitch eps is finite and > 0."""
+def check_lattice(body: ConvexBody, n: int, eps: float) -> None:
+    """Refuse, naming the field, unless n >= 1 and the pitch eps is finite with
+    body.scale / eps < 2^52, so that every lattice index is an exact integer."""
     if n < 1:
         raise ValidationError("n", f"need at least one family, got n={n}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValidationError("eps", f"pitch must be positive and finite, got {eps}")
+    if not (math.isfinite(eps) and body.scale < 2.0**52 * eps):
+        raise ValidationError("eps", f"need a finite pitch above body scale / 2^52, got {eps}")
 
 
 def _index_range(body: ConvexBody, dirs: np.ndarray, eps: float, shifts: np.ndarray):
@@ -113,7 +109,7 @@ class SteinhausSet:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        check_lattice(self.n, self.eps)
+        check_lattice(self.body, self.n, self.eps)
         self.shifts = np.asarray(self.shifts, dtype=float)
         if self.shifts.shape != (self.n,):
             raise ValidationError("shifts", f"need exactly n={self.n} shifts")
@@ -158,13 +154,9 @@ class SteinhausSet:
         one pitch, which bounds each lattice offset of a line meeting the body."""
         return self.body.scale + self.eps
 
-    def _clip_lattice(self, fams: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+    def _clip_lattice(self, fams: np.ndarray, q: np.ndarray) -> tuple:
         """chord_bounds of the lattice lines eps (q + U_k) of families fams."""
-        thetas, offs = math.pi * fams / self.n, self.eps * (q + self.shifts[fams])
-        edges = 1 if self.body.vertices is None else len(self.body.vertices)
-        step = max(1, KERNEL_CHUNK // edges)  # clipping holds (lines x edges) temporaries
-        return [np.concatenate(part) for part in zip(*(self.body.chord_bounds(
-            thetas[lo : lo + step], offs[lo : lo + step]) for lo in range(0, len(q), step)))]
+        return self.body.chord_bounds(math.pi * fams / self.n, self.eps * (q + self.shifts[fams]))
 
     @cached_property
     def grid_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,7 +191,8 @@ def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.n
     g(mean offset): O(E) per (row, family).  Where an edge sits at an extreme
     (g is nonzero there), the lattice value next outside [z_min, z_max) adds
     its slice: the edge's length when the clip finds the line along the edge,
-    0 when it finds it outside.  A disk sums every slice that can meet it.
+    0 when it finds it outside.  A disk sums every slice that can meet it, in
+    blocks of KERNEL_CHUNK // (lattice lines) rows.
     """
     u = np.asarray(shifts, dtype=float)
     dirs = directions(u.shape[1])
@@ -207,14 +200,17 @@ def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.n
         lo, hi = _index_range(body, dirs, eps, u)  # one row: the set's q_ranges
         lengths = np.empty(u.shape)
         steps = np.arange(np.max(hi - lo) + 1)
-        work = np.empty(len(u) * steps.size)  # every family's offsets, in turn
-        for k, nu in enumerate(dirs):
-            m = int(hi[k] - lo[k] + 1)
-            s = work[: len(u) * m].reshape(len(u), m)
-            np.add(steps[:m], lo[k], out=s)
-            s += u[:, k, None]
-            s *= eps  # eps (lo_k + i + u_k)
-            lengths[:, k] = body.slice_lengths(nu, s.ravel()).reshape(s.shape).sum(axis=1)
+        rows = max(1, KERNEL_CHUNK // steps.size)
+        work = np.empty(min(len(u), rows) * steps.size)  # a block's offsets, family by family
+        for r in range(0, len(u), rows):
+            block = slice(r, r + rows)
+            for k, nu in enumerate(dirs):
+                m = int(hi[k] - lo[k] + 1)
+                s = work[: len(u[block]) * m].reshape(-1, m)
+                np.add(steps[:m], lo[k], out=s)
+                s += u[block, k, None]
+                s *= eps  # eps (lo_k + i + u_k)
+                lengths[block, k] = body.slice_lengths(nu, s.ravel()).reshape(s.shape).sum(axis=1)
         return lengths
     z = np.sort(body.vertex_projections(unit_vector(dirs)), axis=1)  # as slice_lengths has them
     g = body.slice_lengths(dirs, z)

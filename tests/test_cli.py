@@ -262,14 +262,24 @@ def test_build_refuses_length_below_e_plus_diameter(tmp_path, body_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+_UNIT_DISK = ConvexBody.disk((0.0, 0.0), 1.0 / math.sqrt(math.pi))
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1", "1e-300"])
 @pytest.mark.parametrize("command", [
-    ["length-study", "--n", "16", "--trials", "1000"],
-    ["tails", "--n", "8", "--x0", "0.1", "--y0", "0.1", "--x1", "0.9", "--y1", "0.8",
-     "--trials", "10000"],
+    (unit_square(), ["length-study", "--n", "16", "--trials", "1000"]),
+    (unit_square(), ["tails", "--n", "8", "--x0", "0.1", "--y0", "0.1", "--x1", "0.9",
+                     "--y1", "0.8", "--trials", "10000"]),
+    (unit_square(), ["oracle-check", "--n", "16", "--lines", "10"]),
+    (_UNIT_DISK, ["length-study", "--n", "16", "--trials", "1000"]),
+    (_UNIT_DISK, ["oracle-check", "--n", "16", "--lines", "10"]),
 ])
-def test_studies_refuse_a_non_finite_or_negative_eps(body_path, capsys, command, eps):
-    assert main([*command, "--body", body_path, "--eps", eps]) == 1
+def test_studies_refuse_a_non_finite_or_negative_eps(tmp_path, capsys, command, eps):
+    """A pitch at which body scale / eps reaches 2^52 (1e-300) is refused too:
+    its lattice indices would not be exact integers."""
+    body, argv = command
+    dump_body(body, tmp_path / "body.json")
+    assert main([*argv, "--body", str(tmp_path / "body.json"), "--eps", eps]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: eps: ") and captured.out == ""
 

@@ -313,7 +313,7 @@ def test_evaluate_lines_across_chunks_matches_line_by_line():
     grid-segment endpoints in a later block are exceptional."""
     rng = np.random.default_rng(31)
     n = 8000
-    block = max(16, counting.KERNEL_CHUNK // n)  # evaluate_lines' block length
+    block = max(16, counting.KERNEL_CHUNK // n)  # evaluate_lines' family-block length
     cases = [(unit_square(), 600), (ConvexBody.disk((0.1, -0.2), 0.8), 37 * block + 1)]
     for body, m in cases:
         assert m // block >= 3 and m % block

@@ -217,9 +217,10 @@ def test_slice_lengths_are_the_chord_lengths_bit_for_bit():
 @pytest.mark.parametrize("body", [
     random_polygon(np.random.default_rng(8), 7), ConvexBody.disk((0.2, -0.1), 0.7)])
 def test_chord_batch_is_the_clip_of_chord_bounds_bit_for_bit(body):
-    """chord_batch skips the endpoint bounds, not the clip: its four arrays are
-    chord_bounds' first four to the bit, on lines that miss the body, lines
-    tangent to it (offset at a support extreme) and lines through it."""
+    """chord_batch is chord_bounds with the endpoint bounds dropped: its four
+    arrays are chord_bounds' first four to the bit, on lines that miss the
+    body, lines tangent to it (offset at a support extreme) and lines
+    through it."""
     rng = np.random.default_rng(9)
     thetas = rng.uniform(0, math.pi, 600)
     lo, hi = body.offset_extents(thetas)

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 from buffon.counting import count_line
 from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
-from buffon import steinhaus as sh
+from buffon import geometry, steinhaus as sh
 
 from test_geometry import random_polygon
 
@@ -271,26 +272,75 @@ def test_grid_segments_lie_on_their_lattice_lines():
 
 
 def test_grid_segments_clip_in_bounded_blocks(monkeypatch):
-    """grid_segments hands chord_bounds at most KERNEL_CHUNK line-edge elements
-    per call, and the blocks give the segments one call gives."""
+    """The clip works in blocks of KERNEL_CHUNK // edges lines whoever calls
+    it: chord_bounds, chord_batch, a polygon's slice_lengths and grid_segments
+    each clip in blocks of at most 9 lines, the last one partial, and give the
+    arrays that one block gives."""
     rng = np.random.default_rng(13)
+    clip_block = ConvexBody._clip_block
     for body in (random_polygon(rng), ConvexBody.disk((0.1, -0.05), 0.8)):
         shifts = rng.uniform(0, 1, size=5)
-        whole = sh.SteinhausSet(body=body, n=5, eps=0.11, shifts=shifts).grid_segments
+        thetas = rng.uniform(0, math.pi, 40)
+        lo, hi = body.offset_extents(thetas)
+        offsets = lo - 0.1 + (hi - lo + 0.2) * rng.uniform(0, 1, 40)
+        nu = np.column_stack([np.cos(thetas), np.sin(thetas)])
+        calls = {
+            "chord_bounds": lambda: body.chord_bounds(thetas, offsets),
+            "chord_batch": lambda: body.chord_batch(thetas, offsets),
+            "grid_segments": lambda: sh.SteinhausSet(
+                body=body, n=5, eps=0.11, shifts=shifts).grid_segments,
+        }
+        if body.kind == "polygon":  # a disk's slices have their own closed form
+            calls["slice_lengths"] = lambda: (body.slice_lengths(nu, offsets[:, None]),)
         edges = 1 if body.vertices is None else len(body.vertices)
-        sizes = []
-        clip = ConvexBody.chord_bounds
+        for name, call in calls.items():
+            runs = []  # (lines per clip block, arrays), in one block and in 9-line blocks
+            for chunk in (geometry.KERNEL_CHUNK, 9 * edges):
+                blocks = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(geometry, "KERNEL_CHUNK", chunk)
+                    patch.setattr(ConvexBody, "_clip_block", lambda self, nu, p: (
+                        blocks.append(len(p)) or clip_block(self, nu, p)))
+                    runs.append((blocks, call()))
+            (one, whole), (blocks, blocked) = runs
+            assert len(one) == 1 and sum(blocks) == one[0], name
+            assert max(blocks) == 9 and len(blocks) >= 3 and 0 < blocks[-1] < 9, name
+            assert all(np.array_equal(a, b) for a, b in zip(whole, blocked)), name
 
-        def counted(self, thetas, offsets):
-            sizes.append(len(thetas))
-            return clip(self, thetas, offsets)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(sh, "KERNEL_CHUNK", 9 * edges)
-            patch.setattr(ConvexBody, "chord_bounds", counted)
-            blocked = sh.SteinhausSet(body=body, n=5, eps=0.11, shifts=shifts).grid_segments
-        assert max(sizes) == 9 and len(sizes) >= 3 and 0 < sizes[-1] < 9
-        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+def _traced(call):
+    """call's value and the peak bytes tracemalloc sees while it runs."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_polygon_family_lengths_clip_within_a_bounded_peak():
+    """A polygon's family lengths clip their 148 x 199 slices in bounded
+    blocks: on a 199-gon at n = 148 the traced peak stays within 16 MiB
+    (260 MiB when one clip took every slice at once)."""
+    angles = np.sort(np.random.default_rng(5).uniform(0, 2 * math.pi, 199))
+    body = ConvexBody.polygon(np.column_stack([np.cos(angles), np.sin(angles)]))
+    n = 148
+    shifts = np.random.default_rng(6).uniform(0, 1, (1, n))
+    eps = n * body.area / 1e6
+    _, peak = _traced(lambda: sh.family_length_many(body, eps, shifts))
+    assert peak <= 16 * 2**20
+
+
+def test_disk_family_lengths_run_in_blocks_of_shift_rows(monkeypatch):
+    """A disk's family lengths take KERNEL_CHUNK // (lattice lines) shift rows
+    at a time: 1000 x 4 shifts at eps = 2e-4 peak within 16 MiB traced (122 MiB
+    with every row at once), and equal to the bit a run with one row per block,
+    since a row's sum runs along one contiguous row."""
+    body = ConvexBody.disk((0.1, -0.05), 0.8)
+    shifts = np.random.default_rng(7).uniform(0, 1, (1000, 4))
+    lengths, peak = _traced(lambda: sh.family_length_many(body, 2e-4, shifts))
+    assert peak <= 16 * 2**20
+    monkeypatch.setattr(sh, "KERNEL_CHUNK", 1)  # one row per block
+    assert np.array_equal(lengths, sh.family_length_many(body, 2e-4, shifts))
 
 
 def _plan(body, length, mode="shifted"):
@@ -518,6 +568,10 @@ def test_manifest_round_trip_and_strictness(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["total_length"] = manifest["total_length"] * 1.001
     with pytest.raises(ValidationError, match="total_length"):
+        sh.set_from_manifest(manifest)
+    manifest = json.loads(path.read_text())
+    manifest["eps"] = 1e-300  # body scale / eps far above 2^52
+    with pytest.raises(ValidationError, match="^eps: "):
         sh.set_from_manifest(manifest)
     manifest = json.loads(path.read_text())
     manifest["n"] = 2.5
