@@ -57,7 +57,6 @@ __all__ = [
     "evaluate_lines",
     "count_line",
     "oracle_count",
-    "oracle_padding_hits",
     "z_samples",
 ]
 
@@ -344,12 +343,6 @@ def oracle_count(sset: SteinhausSet, line: Line) -> int:
         raise ExceptionalLineError(line.theta, line.offset, "grid-segment endpoint "
                                    "within its rounding bound of the line")
     return int(hits[0])
-
-
-def oracle_padding_hits(sset: SteinhausSet, line: Line) -> int:
-    """Strict crossings of the line with the padding segments."""
-    return int(segment_crossings(sset.padding, [line.theta], [line.offset],
-                                 rounding_bound(sset.scale))[0][0])
 
 
 def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:

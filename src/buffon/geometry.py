@@ -8,8 +8,8 @@ nu(theta) = (cos theta, sin theta).  The pairs (theta + pi, -p) and
 
 A convex body is either a strictly convex polygon with counter-clockwise
 vertices or a disk.  A polygon has one clip, ConvexBody._clip: chords, grid
-segments and slice lengths all come from it, so a line within 1e-14 of an
-edge's direction is parallel to it for all three, and the clip alone decides
+segments and slice lengths all come from it, so a line within PARALLEL (1e-14)
+of an edge's direction is parallel to it for all three, and the clip alone decides
 whether it runs along the edge (within its rounding band; the edge is then
 its chord) or outside the body.  A disk's slices have their own closed form.
 Chords shorter than ``TANGENCY_CUTOFF * diameter`` are treated as absent
@@ -49,6 +49,7 @@ TANGENCY_CUTOFF = 1e-12
 # carries 15 ulps of S^2 over 2 half.  A dot product and a lattice coordinate
 # carry 4 ulps of S, which rounding_bound(S) covers on its own.
 ROUNDING = 64 * 2.0**-53
+PARALLEL = 1e-14  # a line within this sine of an edge's direction is parallel to it
 # Elements per (families x lines) counting-kernel block, per (edges x lines)
 # clipping block and per (padding x lines) kernel line block: 0.5 MB per
 # float64 temporary, so a block stays in cache.
@@ -318,14 +319,14 @@ class ConvexBody:
         else:
             # per edge (v, e) and line, as (edges, lines) arrays so that reductions
             # over the edges run along whole rows: base + t tangent is inside
-            # where alpha + t beta >= 0; |beta| <= 1e-14 |e| counts as parallel
+            # where alpha + t beta >= 0; |beta| <= PARALLEL |e| counts as parallel
             v, e, elen = self._edge_data
             elen = elen[:, None]
             alpha = (e[:, 0, None] * (base[:, 1] - v[:, 1, None])
                      - e[:, 1, None] * (base[:, 0] - v[:, 0, None]))
             beta = e[:, 0, None] * tangent[:, 1] - e[:, 1, None] * tangent[:, 0]
-            pos = beta > 1e-14 * elen
-            neg = beta < -1e-14 * elen
+            pos = beta > PARALLEL * elen
+            neg = beta < -PARALLEL * elen
             crossing = pos | neg
             clip = -alpha / np.where(crossing, beta, 1.0)
             t_lo = np.max(np.where(pos, clip, -np.inf), axis=0)  # the chord's ends

@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (KERNEL_CHUNK, ConvexBody, ValidationError, as_float_array,
-                       body_from_dict, body_to_dict, check_object, read_json,
-                       rounding_bound, unit_vector, write_json)
+from .geometry import (KERNEL_CHUNK, PARALLEL, ConvexBody, ValidationError,
+                       as_float_array, body_from_dict, body_to_dict, check_object,
+                       read_json, rounding_bound, unit_vector, write_json)
 from .rng import stream
 
 __all__ = [
@@ -78,12 +78,15 @@ def mode_shifts(mode: str, n: int, seed: int) -> np.ndarray:
 
 
 def check_lattice(body: ConvexBody, n: int, eps: float) -> None:
-    """Refuse, naming the field, unless n >= 1 and the pitch eps is finite with
-    body.scale / eps < 2^52, so that every lattice index is an exact integer."""
+    """Refuse, naming the field, unless n >= 1 and the pitch eps is finite and above
+    twice the clip's along-edge band at S = body.scale, rounding_bound(S) + PARALLEL S:
+    then at most one lattice line runs along each extreme edge of a family, which keeps
+    the family within 2 diam of |Omega| / eps, and S / eps < 2^45 keeps indices exact."""
     if n < 1:
         raise ValidationError("n", f"need at least one family, got n={n}")
-    if not (math.isfinite(eps) and body.scale < 2.0**52 * eps):
-        raise ValidationError("eps", f"need a finite pitch above body scale / 2^52, got {eps}")
+    floor = 2.0 * (rounding_bound(body.scale) + PARALLEL * body.scale)
+    if not (math.isfinite(eps) and eps > floor):
+        raise ValidationError("eps", f"need a finite pitch above {floor:.6g}, got {eps}")
 
 
 def _index_range(body: ConvexBody, dirs: np.ndarray, eps: float, shifts: np.ndarray):
@@ -250,13 +253,10 @@ def total_length(sset: SteinhausSet) -> float:
 
 
 def _cube_root_floor(length: float) -> int:
-    """floor(L^(1/3)) exactly (float powers round 100.0 down to 99.999...)."""
-    n = int(length ** (1.0 / 3.0))
-    while (n + 1) ** 3 <= length:
-        n += 1
-    while n > 0 and n**3 > length:
-        n -= 1
-    return n
+    """floor(L^(1/3)): exact while the float root is off by less than 1/2, as it
+    is at every L whose zero-mode plan check_lattice admits; finite for any L."""
+    n = round(length ** (1.0 / 3.0))
+    return n - (n**3 > length)
 
 
 MODES = {
@@ -274,8 +274,9 @@ def _check_mode(mode: str) -> str:
 
 def _plan(body: ConvexBody, target_length: float, mode: str,
           slack: float) -> tuple[float, int, float]:
-    """(M, n, eps): the grid aims at expected length M = L - slack, n from
-    the mode's rule and eps = n |Omega| / M."""
+    """(M, n, eps): the grid aims at expected length M = L - slack, n from the
+    mode's rule and eps = n |Omega| / M, refused before any shift is drawn
+    unless check_lattice admits the lattice."""
     if not (math.isfinite(target_length) and target_length > 1.0):
         raise ValidationError("L", "target length must be finite and > 1")
     m_expected = target_length - slack
@@ -294,6 +295,7 @@ def _plan(body: ConvexBody, target_length: float, mode: str,
             f"target length {target_length} gives lattice pitch eps={eps:.3g} > 1 for "
             f"this body; increase L or shrink the body",
         )
+    check_lattice(body, n, eps)
     return float(m_expected), n, float(eps)
 
 
@@ -387,8 +389,9 @@ def build_exact(
     length the final plan aimed at.
 
     The plan reserves a slack s of one body diameter below the target; the
-    padding tops up what the grid falls short of L.  Should the grid still
-    overshoot L, s doubles and the set is rebuilt.  Each family lies within
+    padding tops up what the grid falls short of L (missing L by 1e-9 L is an
+    internal error).  Should the grid still overshoot L, s doubles and the set
+    is rebuilt.  At every pitch check_lattice admits, each family lies within
     2 diam of |Omega| / eps, so s >= 2 n diam cannot overshoot, and the
     planner refuses once L - s <= e: the doubling ends either way.
     """
@@ -399,7 +402,12 @@ def build_exact(
         sset = SteinhausSet(body=body, n=n, eps=eps, shifts=mode_shifts(mode, n, seed),
                             seed=seed)
         if sset.measured_grid_length <= target_length:
-            return adjust_length(sset, target_length), m_expected
+            padded = adjust_length(sset, target_length)
+            l_actual = total_length(padded)
+            if abs(l_actual - target_length) > 1e-9 * target_length:
+                raise AssertionError(
+                    f"adjusted length {l_actual!r} misses target {target_length!r}")
+            return padded, m_expected
         slack *= 2.0
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -275,8 +276,8 @@ _UNIT_DISK = ConvexBody.disk((0.0, 0.0), 1.0 / math.sqrt(math.pi))
     (_UNIT_DISK, ["oracle-check", "--n", "16", "--lines", "10"]),
 ])
 def test_studies_refuse_a_non_finite_or_negative_eps(tmp_path, capsys, command, eps):
-    """A pitch at which body scale / eps reaches 2^52 (1e-300) is refused too:
-    its lattice indices would not be exact integers."""
+    """A pitch below the clip's floor (1e-300) is refused too: the clip would
+    take many lattice lines as running along one edge."""
     body, argv = command
     dump_body(body, tmp_path / "body.json")
     assert main([*argv, "--body", str(tmp_path / "body.json"), "--eps", eps]) == 1
@@ -287,14 +288,45 @@ def test_studies_refuse_a_non_finite_or_negative_eps(tmp_path, capsys, command, 
 @pytest.mark.parametrize("command", [["length-study", "--trials", "1000"],
                                      ["oracle-check", "--lines", "1"]])
 def test_a_lattice_too_large_to_allocate_exits_1(tmp_path, capsys, command):
-    """A unit-area disk at pitch 1e-14 has about 1e14 lattice lines: numpy
-    refuses their array at once (it exceeds the address space), and the
-    command says so in an error line, not a traceback."""
+    """A unit-area disk at pitch 2e-14, just above its floor of 1.93e-14, has
+    about 6e13 lattice lines: numpy refuses their array at once (it exceeds the
+    address space), and the command says so in an error line, not a traceback."""
     path = tmp_path / "disk.json"
     dump_body(ConvexBody.disk((0.0, 0.0), 1.0 / math.sqrt(math.pi)), path)
-    assert main([*command, "--body", str(path), "--n", "1", "--eps", "1e-14"]) == 1
+    assert main([*command, "--body", str(path), "--n", "1", "--eps", "2e-14"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: memory: ") and "Traceback" not in captured.err
+
+
+def test_length_study_refuses_a_pitch_within_the_clip_band(tmp_path, capsys):
+    """On the 8 x 0.125 rectangle a pitch of 5.7e-14 lies below twice the clip's
+    along-edge band (2.74e-13), where lattice lines past an extreme edge would
+    count as running along it and the 2 diam family bound could fail: refused."""
+    path = tmp_path / "rect.json"
+    dump_body(ConvexBody.polygon([[0, 0], [8, 0], [8, 0.125], [0, 0.125]]), path)
+    assert main(["length-study", "--body", str(path), "--n", "4", "--eps", "5.7e-14",
+                 "--trials", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: eps: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("mode, length", [("zero", "1e300"), ("zero", "1e40"),
+                                          ("shifted", "1e25")])
+def test_build_refuses_an_unbuildable_length_before_drawing_a_shift(
+        tmp_path, body_path, capsys, monkeypatch, mode, length):
+    """The planner checks the lattice first: no shift is drawn (a drawn one
+    would exit 2), and the refusal comes at once."""
+    def draw(*args):
+        raise AssertionError("a shift was drawn")
+
+    monkeypatch.setattr(sh, "mode_shifts", draw)
+    monkeypatch.setattr(sh, "sample_shifts", draw)
+    out = tmp_path / "set.json"
+    started = time.perf_counter()
+    code = main(["build", "--body", body_path, "--mode", mode, "--length", length,
+                 "--out", str(out)])
+    assert code == 1 and time.perf_counter() - started < 2.0
+    assert capsys.readouterr().err.startswith("error: eps: ") and not out.exists()
 
 
 def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):

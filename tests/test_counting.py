@@ -24,7 +24,7 @@ from buffon.counting import (
     count_line,
     evaluate_lines,
     oracle_count,
-    oracle_padding_hits,
+    segment_crossings,
     z_samples,
 )
 from buffon.harness import run_oracle_check
@@ -212,7 +212,9 @@ def test_padding_hits_match_geometric_count_and_bound():
         if batch.exceptional[i]:
             continue
         line = Line(float(batch.theta[i]), float(batch.offset[i]))
-        assert batch.padding_hits[i] == oracle_padding_hits(sset, line)
+        hits, _ = segment_crossings(sset.padding, [line.theta], [line.offset],
+                                    rounding_bound(sset.scale))
+        assert batch.padding_hits[i] == hits[0]
         assert batch.padding_hits[i] <= sset.padding_count
         hit_some += int(batch.padding_hits[i] > 0)
     assert hit_some > 20

@@ -339,16 +339,18 @@ def test_estimate_sup_handles_single_family():
 
 
 def _all_excluded_disk_set():
-    sset = sh.SteinhausSet(body=ConvexBody.disk((0, 0), 1), n=1, eps=1e-14,
+    # just above the pitch floor of 3.42e-14: an endpoint's tolerance, at least
+    # 3 rounding_bound(1) = 2.13e-14 (kappa >= 1), exceeds half a pitch
+    sset = sh.SteinhausSet(body=ConvexBody.disk((0, 0), 1), n=1, eps=3.5e-14,
                            shifts=[0.5])
     return sset, 40.0, SupConfig(8, 8, 1, 0)
 
 
 def test_estimate_sup_without_admissible_lines_reports_a_miss():
-    """At a pitch far below the chords' rounding every valid line is
+    """At a pitch below twice an endpoint's tolerance every valid line is
     exceptional, so the refine round has no candidate (an empty phase) and
     the witness is a line that misses the body.  (total_length is never asked for: the disk's
-    slice sum would run over about 2e14 lattice lines.)"""
+    slice sum would run over about 6e13 lattice lines.)"""
     report = estimate_sup(*_all_excluded_disk_set())
     assert report.samples_evaluated == 8 * 8 + 8 and report.excluded_lines == 64
     assert report.sup_estimate == 0.0

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
+from buffon.geometry import (PARALLEL, ConvexBody, Line, ValidationError, rounding_bound,
+                             unit_square)
 from buffon import counting
 from buffon import harness as hz
 from buffon import steinhaus as sh
 from buffon.counting import (ExceptionalLineError, count_line, oracle_count,
-                             oracle_padding_hits)
+                             segment_crossings)
 from buffon.discrepancy import SupConfig
 
 from test_geometry import random_polygon
@@ -89,9 +90,10 @@ def test_sweep_records_an_allocation_failure_on_its_row(monkeypatch):
 
 
 def test_sweep_row_length_check_fires(monkeypatch):
-    """A padded set that misses its target length aborts the sweep."""
-    measure = hz.total_length
-    monkeypatch.setattr(hz, "total_length", lambda sset: measure(sset) * (1 + 1e-8))
+    """A padded set that misses its target length aborts the sweep (build_exact
+    checks the padded set's length)."""
+    measure = sh.total_length
+    monkeypatch.setattr(sh, "total_length", lambda sset: measure(sset) * (1 + 1e-8))
     with pytest.raises(AssertionError, match="^adjusted length .* misses target 1000.0$"):
         hz.run_sweep(unit_square(), [1e3], "shifted", SMALL_CONFIG)
 
@@ -176,6 +178,20 @@ def test_fit_slope_skips_non_asymptotic_and_failed_rows():
     assert fit.exponent == pytest.approx(0.25, abs=1e-12)
 
 
+def test_fit_points_skip_non_positive_values_and_small_lengths(tmp_path):
+    """Rows as read_sweep_csv returns them from a user's CSV: a non-finite or
+    non-positive coordinate is skipped, and so is L <= 1 under a log correction."""
+    xs = [1e3, 2e3, 3e3, 4e3, 5e3, 6e3, 1.0, 0.5]
+    ys = [2.0, math.nan, math.inf, 0.0, -1.0, 3.0, 4.0, 5.0]
+    path = tmp_path / "user.csv"
+    hz.write_sweep_csv(_synthetic_rows(xs, ys), path)
+    rows = hz.read_sweep_csv(path)
+    assert [(x, y) for x, y, _ in hz.fit_points(rows)] == [
+        (1e3, 2.0), (6e3, 3.0), (1.0, 4.0), (0.5, 5.0)]
+    assert [(x, y) for x, y, _ in hz.fit_points(rows, log_correction=0.5)] == [
+        (1e3, 2.0), (6e3, 3.0)]
+
+
 def test_fit_slope_validation():
     xs = [10.0, 100.0, 1000.0]
     with pytest.raises(ValidationError):
@@ -255,6 +271,19 @@ def test_length_study_names_the_worst_family(monkeypatch):
     monkeypatch.setattr(hz, "family_length_many", lengths)
     with pytest.raises(AssertionError, match="family 4 deviates by 4.0"):
         hz.length_study(unit_square(), 8, 0.05, 1_000)
+
+
+def test_length_study_holds_its_bound_at_the_finest_admitted_pitch():
+    """At 1.001 times the pitch floor every family stays within 2 diam of
+    |Omega| / eps on a thin rectangle, the unit square and a triangle."""
+    for body in (ConvexBody.polygon([(0, 0), (8, 0), (8, 0.125), (0, 0.125)]), unit_square(),
+                 ConvexBody.polygon([(0, 0), (1, 0), (0, 1)])):
+        floor = 2.0 * (rounding_bound(body.scale) + PARALLEL * body.scale)
+        with pytest.raises(ValidationError, match="^eps:"):
+            hz.length_study(body, 4, floor, 1000)
+        for seed in range(8):
+            study = hz.length_study(body, 4, 1.001 * floor, 1000, seed=seed)
+            assert study["max_abs_deviation"] <= 2.0 * body.diameter
 
 
 def test_coherence_study_separates_modes():
@@ -353,7 +382,9 @@ def per_line_check(sset, thetas, offsets):
             skipped += 1
             continue
         max_family_deviation = max(max_family_deviation, fast.max_abs_dev)
-        if fast.total == reference and fast.padding_hits == oracle_padding_hits(sset, line):
+        padding_hits, _ = segment_crossings(sset.padding, [line.theta], [line.offset],
+                                            rounding_bound(sset.scale))
+        if fast.total == reference and fast.padding_hits == padding_hits[0]:
             agreements += 1
         else:
             mismatches.append((line.theta, line.offset, fast.total, reference))

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -378,6 +379,33 @@ def test_plan_build_zero_exact_cube_root():
     assert _plan(body, 1e6, "zero")[1] == 100
     assert _plan(body, 999.0, "zero")[1] == 9
     assert _plan(body, 1000.0, "zero")[1] == 10
+
+
+def _exact_cube_root_floor(m: int) -> int:
+    """floor(m^(1/3)) of an integer m >= 0, by integer bisection."""
+    lo, hi = 0, 1 << (m.bit_length() // 3 + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**3 <= m else (lo, mid - 1)
+    return lo
+
+
+def test_cube_root_floor_at_cube_boundaries():
+    """k^3 - 1, k^3 and k^3 + 1 as floats, and the floats next to k^3, for k
+    up to 5e13 (above every zero-mode n the pitch floor admits); at 1e300 a
+    finite int comes back at once."""
+    ks = {1, 2, 3, 100, 2**17, 5 * 10**13}
+    ks |= {int(k) for k in np.exp(np.random.default_rng(23).uniform(0, math.log(5e13), 300))}
+    for k in sorted(ks):
+        cube = float(k**3)
+        for length in (float(k**3 - 1), cube, float(k**3 + 1),
+                       math.nextafter(cube, 0.0), math.nextafter(cube, math.inf)):
+            assert sh._cube_root_floor(length) == _exact_cube_root_floor(int(length)), length
+    assert 1e6 ** (1 / 3) < 100.0 and sh._cube_root_floor(1e6) == 100
+    started = time.perf_counter()
+    n = sh._cube_root_floor(1e300)
+    assert isinstance(n, int) and abs(n - 1e100) < 1e90
+    assert time.perf_counter() - started < 1.0
 
 
 def test_plan_build_zero_too_small_names_minimal_length():
