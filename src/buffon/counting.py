@@ -326,7 +326,7 @@ def segment_crossings(segments: np.ndarray, thetas, offsets,
         np.matmul(nu[:, None], ends[None], out=sig[:, :, None])  # a gemv per line and endpoint
         sig -= offsets[lo : lo + rows, None, None]
         crossing = np.multiply(sig[:, 0], sig[:, 1], out=product) < 0.0
-        hits[lo : lo + rows] = [np.count_nonzero(c) for c in crossing]
+        hits[lo : lo + rows] = np.count_nonzero(crossing, axis=1)
         # only a line within the widest tolerance of some endpoint needs the full test
         close = lo + np.flatnonzero(np.abs(sig, out=sig).min(axis=(1, 2)) <= widest)
         near[close] = (sig[close - lo] <= tolerance).any(axis=(1, 2))

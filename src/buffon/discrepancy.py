@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import (Line, ValidationError, as_float_array, check_object, read_json,
                        write_json)
 from .steinhaus import SteinhausSet, angular_sum
-from .counting import count_line, evaluate_lines
+from .counting import ExceptionalLineError, count_line, evaluate_lines
 from . import rng as rng_mod
 
 __all__ = [
@@ -364,13 +364,15 @@ def estimate_sup(
         witness = Line(0.0, miss)
     else:
         witness = Line(float(wth[0]), float(wpo[0]))
-    terms = decompose(sset, witness, length)
+    at = f"theta={witness.theta!r} offset={witness.offset!r}"
+    try:
+        terms = decompose(sset, witness, length)
+    except ExceptionalLineError as exc:  # its search row was not exceptional
+        raise AssertionError(f"witness recomputation mismatch: exceptional at {at}") from exc
     sup_value = abs(terms.pop("signed_error"))
     if wth.size and sup_value != wlv[0]:  # the same kernel row, so the same bits
-        raise AssertionError(
-            "witness recomputation mismatch: "
-            f"search={float(wlv[0])!r} recomputed={sup_value!r} "
-            f"theta={witness.theta!r} offset={witness.offset!r}")
+        raise AssertionError("witness recomputation mismatch: "
+                             f"search={float(wlv[0])!r} recomputed={sup_value!r} {at}")
     lines, excluded, *_, quad, z, hits, norm = zip(*phases)
     max_quad, max_z, max_hits, max_norm = (max(m).item() for m in (quad, z, hits, norm))
     return DiscrepancyReport(

@@ -13,14 +13,14 @@ through eps = n |Omega| / M so the expected total grid length is exactly M.
 A build mode is the pair of rules in MODES, the only place a mode is looked
 up: "shifted" takes n ~ M^(2/5) (log M)^(-1/5) directions and samples the
 shifts, "zero" (the unshifted baseline) takes n = floor(L^(1/3)) and zero
-shifts.  The pitch is fixed before the shifts are drawn; only a grid that
-overshoots L (rare) is rebuilt with a doubled slack.
+shifts.  The pitch is fixed, and mode_set admits it, before the shifts are
+drawn; only a grid that overshoots L (rare) is rebuilt with a doubled slack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -68,13 +68,6 @@ def sample_shifts(n: int, seed: int) -> np.ndarray:
     reproducible regardless of n-order of evaluation.
     """
     return np.array([stream(seed, f"shift/{k}").random() for k in range(n)])
-
-
-def mode_shifts(mode: str, n: int, seed: int) -> np.ndarray:
-    """The shifts of a build mode: sampled ("shifted") or all zero ("zero")."""
-    if n < 1:
-        raise ValidationError("n", f"need at least one family, got n={n}")
-    return MODES[_check_mode(mode)][1](n, seed)
 
 
 def check_lattice(body: ConvexBody, n: int, eps: float) -> None:
@@ -272,11 +265,18 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def mode_set(body: ConvexBody, n: int, eps: float, mode: str, seed: int) -> SteinhausSet:
+    """The set of a build mode at (n, eps): check_lattice admits the lattice
+    before the mode's shifts are drawn, sampled ("shifted") or all zero ("zero")."""
+    check_lattice(body, n, eps)
+    shifts = MODES[_check_mode(mode)][1](n, seed)
+    return SteinhausSet(body=body, n=n, eps=eps, shifts=shifts, seed=seed)
+
+
 def _plan(body: ConvexBody, target_length: float, mode: str,
           slack: float) -> tuple[float, int, float]:
     """(M, n, eps): the grid aims at expected length M = L - slack, n from the
-    mode's rule and eps = n |Omega| / M, refused before any shift is drawn
-    unless check_lattice admits the lattice."""
+    mode's rule and eps = n |Omega| / M; mode_set admits the lattice."""
     if not (math.isfinite(target_length) and target_length > 1.0):
         raise ValidationError("L", "target length must be finite and > 1")
     m_expected = target_length - slack
@@ -295,7 +295,6 @@ def _plan(body: ConvexBody, target_length: float, mode: str,
             f"target length {target_length} gives lattice pitch eps={eps:.3g} > 1 for "
             f"this body; increase L or shrink the body",
         )
-    check_lattice(body, n, eps)
     return float(m_expected), n, float(eps)
 
 
@@ -370,14 +369,7 @@ def adjust_length(sset: SteinhausSet, target_length: float) -> SteinhausSet:
             f"grid length {base:.6g} already exceeds target {target_length:.6g}",
         )
     padding = make_padding(sset.body, sset.n, delta) if delta > tol else np.zeros((0, 2, 2))
-    padded = SteinhausSet(
-        body=sset.body,
-        n=sset.n,
-        eps=sset.eps,
-        shifts=sset.shifts.copy(),
-        padding=padding,
-        seed=sset.seed,
-    )
+    padded = replace(sset, padding=padding)
     padded.measured_grid_length = base  # the same grid, so the same sum
     return padded
 
@@ -391,16 +383,17 @@ def build_exact(
     The plan reserves a slack s of one body diameter below the target; the
     padding tops up what the grid falls short of L (missing L by 1e-9 L is an
     internal error).  Should the grid still overshoot L, s doubles and the set
-    is rebuilt.  At every pitch check_lattice admits, each family lies within
-    2 diam of |Omega| / eps, so s >= 2 n diam cannot overshoot, and the
-    planner refuses once L - s <= e: the doubling ends either way.
+    is rebuilt.  Each attempt's set comes from mode_set, so its lattice is
+    admitted before a shift is drawn.  At every pitch check_lattice admits,
+    each family lies within 2 diam of |Omega| / eps, so s >= 2 n diam cannot
+    overshoot, and the planner refuses once L - s <= e: the doubling ends
+    either way.
     """
     _check_mode(mode)
     slack = body.diameter
     while True:
         m_expected, n, eps = _plan(body, target_length, mode, slack)
-        sset = SteinhausSet(body=body, n=n, eps=eps, shifts=mode_shifts(mode, n, seed),
-                            seed=seed)
+        sset = mode_set(body, n, eps, mode, seed)
         if sset.measured_grid_length <= target_length:
             padded = adjust_length(sset, target_length)
             l_actual = total_length(padded)

@@ -310,17 +310,23 @@ def test_length_study_refuses_a_pitch_within_the_clip_band(tmp_path, capsys):
     assert captured.err.startswith("error: eps: ") and captured.out == ""
 
 
-@pytest.mark.parametrize("mode, length", [("zero", "1e300"), ("zero", "1e40"),
-                                          ("shifted", "1e25")])
-def test_build_refuses_an_unbuildable_length_before_drawing_a_shift(
-        tmp_path, body_path, capsys, monkeypatch, mode, length):
-    """The planner checks the lattice first: no shift is drawn (a drawn one
-    would exit 2), and the refusal comes at once."""
+@pytest.fixture()
+def no_shift_drawn(monkeypatch):
+    """Every mode's shift rule, and sample_shifts, raise: a drawn shift exits 2."""
     def draw(*args):
         raise AssertionError("a shift was drawn")
 
-    monkeypatch.setattr(sh, "mode_shifts", draw)
+    for mode, (n_rule, _) in sh.MODES.items():
+        monkeypatch.setitem(sh.MODES, mode, (n_rule, draw))
     monkeypatch.setattr(sh, "sample_shifts", draw)
+
+
+@pytest.mark.parametrize("mode, length", [("zero", "1e300"), ("zero", "1e40"),
+                                          ("shifted", "1e25")])
+def test_build_refuses_an_unbuildable_length_before_drawing_a_shift(
+        tmp_path, body_path, capsys, no_shift_drawn, mode, length):
+    """The lattice is checked first: no shift is drawn, and the refusal comes
+    at once."""
     out = tmp_path / "set.json"
     started = time.perf_counter()
     code = main(["build", "--body", body_path, "--mode", mode, "--length", length,
@@ -329,9 +335,23 @@ def test_build_refuses_an_unbuildable_length_before_drawing_a_shift(
     assert capsys.readouterr().err.startswith("error: eps: ") and not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["shifted", "zero"])
+def test_oracle_check_refuses_a_pitch_below_the_floor_before_drawing_a_shift(
+        body_path, capsys, no_shift_drawn, mode):
+    """200,000 families at pitch 1e-20: the set's lattice is refused before
+    any of its shifts is drawn."""
+    started = time.perf_counter()
+    code = main(["oracle-check", "--body", body_path, "--mode", mode, "--n", "200000",
+                 "--eps", "1e-20", "--lines", "1"])
+    assert code == 1 and time.perf_counter() - started < 2.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: eps: ") and captured.out == ""
+
+
 def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):
     bodies = [({"disk": {"center": [0, 0], "radius": "1"}}, "disk.radius"),
-              ({"polygon": [["a", 0], [1, 0], [1, 1]]}, "polygon")]
+              ({"polygon": [["a", 0], [1, 0], [1, 1]]}, "polygon"),
+              ({"polygon": [[0, 0], [1, 0, 5], [1, 1]]}, "polygon")]  # ragged
     for spec, field in bodies:
         path = tmp_path / "bad_body.json"
         path.write_text(json.dumps(spec))

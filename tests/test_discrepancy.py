@@ -304,6 +304,32 @@ def test_witness_recount_mismatch_names_the_witness(monkeypatch, small_set):
         f"theta={report.witness_theta!r} offset={report.witness_offset!r}")
 
 
+def test_witness_recounted_as_exceptional_is_an_internal_fault(
+        monkeypatch, small_set, tmp_path, capsys):
+    """The witness's search row was not exceptional, so a recount that finds it
+    exceptional is the kernel disagreeing with itself: an AssertionError that
+    names the witness, and `buffon disc` exits 2, not 1."""
+    sset, length = small_set
+    config = SupConfig(theta_resolution=16, offset_resolution=16, refine_rounds=0)
+    report = estimate_sup(sset, length, config)
+
+    def exceptional(sset, line):
+        raise ExceptionalLineError(line.theta, line.offset, "recount")
+
+    monkeypatch.setattr(discrepancy, "count_line", exceptional)
+    with pytest.raises(AssertionError, match="^witness recomputation mismatch: ") as info:
+        estimate_sup(sset, length, config)
+    assert str(info.value).endswith(
+        f"theta={report.witness_theta!r} offset={report.witness_offset!r}")
+    set_path = tmp_path / "set.json"
+    sh.save_manifest(sset, set_path)
+    capsys.readouterr()
+    assert main(["disc", "--set", str(set_path), "--theta-res", "16",
+                 "--offset-res", "16", "--refine", "0"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "internal assertion failed: witness recomputation mismatch: ")
+
+
 def test_estimate_sup_counts_base_samples_exactly(small_set):
     sset, length = small_set
     config = SupConfig(theta_resolution=16, offset_resolution=16,

@@ -328,6 +328,8 @@ def test_validation_rejects_bad_polygons():
     with pytest.raises(ValidationError):
         # non-convex quad (reflex vertex)
         ConvexBody.polygon([(0, 0), (2, 0), (0.1, 0.1), (0, 2)])
+    with pytest.raises(ValidationError, match=r"^polygon: need numbers, got \[\[0, 0\], \[1, 0, 5\]"):
+        ConvexBody.polygon([[0, 0], [1, 0, 5], [1, 1]])  # ragged nesting
     with pytest.raises(ValidationError, match="^polygon: vertices must be finite"):
         ConvexBody.polygon([(0, 0), (1, 0), (math.inf, 1)])
     with pytest.raises(ValidationError, match="^disk.center: need a finite point"):

@@ -6,6 +6,7 @@ offset) that family_length_many replaces with one closed form per polygon
 piece.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -427,7 +428,20 @@ def test_unknown_mode_is_refused_naming_mode():
         sh.build_exact(unit_square(), 2.5, "bogus", 0)
     for mode in ("bogus", ["zero"]):
         with pytest.raises(ValidationError, match="^mode:"):
-            sh.mode_shifts(mode, 3, 0)
+            sh.mode_set(unit_square(), 3, 0.1, mode, 0)
+
+
+def test_mode_set_refuses_a_pitch_below_the_floor_before_drawing_a_shift(monkeypatch):
+    def draw(*args):
+        raise AssertionError("a shift was drawn")
+
+    for mode, (n_rule, _) in sh.MODES.items():
+        monkeypatch.setitem(sh.MODES, mode, (n_rule, draw))
+    for mode in sh.MODES:
+        with pytest.raises(ValidationError, match="^eps: "):
+            sh.mode_set(unit_square(), 3, 1e-20, mode, 0)
+        with pytest.raises(ValidationError, match="^n: need at least one family"):
+            sh.mode_set(unit_square(), 0, 0.1, mode, 0)
 
 
 def test_padding_direction_never_parallel_to_families():
@@ -490,6 +504,17 @@ def test_adjust_length_exact_and_errors():
     assert sh.total_length(same) == pytest.approx(base, rel=1e-12)
     with pytest.raises(ValidationError, match="exceeds target"):
         sh.adjust_length(sset, base - 1.0)
+
+
+def test_adjust_length_changes_only_the_padding():
+    """Every other field of the set, a seed included, is carried over as it is."""
+    sset = sh.mode_set(unit_square(), 8, 0.07, "shifted", 5)
+    padded = sh.adjust_length(sset, sh.grid_length(sset) + 3.21)
+    assert padded.padding_count > 0 and sset.padding_count == 0
+    for f in dataclasses.fields(sh.SteinhausSet):
+        if f.name != "padding":
+            ours, theirs = getattr(padded, f.name), getattr(sset, f.name)
+            assert ours is theirs or np.array_equal(ours, theirs), f.name
 
 
 def test_build_exact_hits_target_both_modes():
@@ -604,6 +629,10 @@ def test_manifest_round_trip_and_strictness(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["n"] = 2.5
     with pytest.raises(ValidationError, match="^n: need an integer"):
+        sh.set_from_manifest(manifest)
+    manifest = json.loads(path.read_text())
+    manifest["padding"] = [[[0.2, 0.2], [0.3, 0.3]], [[0.2, 0.4], [0.3]]]  # ragged
+    with pytest.raises(ValidationError, match="^padding: need numbers"):
         sh.set_from_manifest(manifest)
 
 
