@@ -4,9 +4,11 @@ oracle-check / plot.
 Every subcommand is a thin adapter over the library modules; no numeric
 logic lives here.  Exit codes: 0 success, 1 validation error (message names
 the offending field), I/O error or an allocation refused for want of
-memory, 2 internal assertion failure (full counterexample printed).  A
---config JSON file supplies defaults for any flag of its subcommand
-(unknown keys rejected); explicit flags win.
+memory, 2 internal assertion failure (full counterexample printed).  Each
+entry of a --config JSON object is read as the flag `--key=value`, placed
+before the explicit flags, so explicit flags win; `null` leaves the flag's
+default, and an unknown key is refused as an unknown flag would be.  Flags
+are never abbreviated, and argparse names a missing required flag.
 """
 
 from __future__ import annotations
@@ -29,113 +31,98 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError("arguments", message)
 
 
-def _build_parser() -> tuple[_Parser, argparse.Action]:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="buffon", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", metavar="command")
+    subs = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def sub(name, run, help_text, *required):
-        p = subs.add_parser(name, help=help_text)
+    def sub(name, run, help_text):
+        p = subs.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", default=None,
-                       help="JSON file of flag defaults (strict keys)")
+                       help="JSON file of flag values (strict keys)")
         p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(run=run, required=required)
+        p.set_defaults(run=run)
         return p
 
-    p = sub("build", _cmd_build, "build a set at an exact target length, save a manifest",
-            "body", "length", "out")
-    p.add_argument("--body", help="body JSON file")
-    p.add_argument("--length", type=float, help="target total length L")
+    p = sub("build", _cmd_build, "build a set at an exact target length, save a manifest")
+    p.add_argument("--body", required=True, help="body JSON file")
+    p.add_argument("--length", type=float, required=True, help="target total length L")
     p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
-    p.add_argument("--out", help="manifest output path")
+    p.add_argument("--out", required=True, help="manifest output path")
 
-    p = sub("disc", _cmd_disc, "estimate the discrepancy sup of a saved set", "set")
-    p.add_argument("--set", dest="set", help="set manifest path")
+    p = sub("disc", _cmd_disc, "estimate the discrepancy sup of a saved set")
+    p.add_argument("--set", dest="set", required=True, help="set manifest path")
     p.add_argument("--theta-res", type=int, default=192)
     p.add_argument("--offset-res", type=int, default=192)
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--out", default=None, help="report JSON output path")
 
-    p = sub("sweep", _cmd_sweep, "scaling sweep over a geometric grid of target lengths",
-            "body", "l_min", "l_max", "out")
-    p.add_argument("--body", help="body JSON file")
+    p = sub("sweep", _cmd_sweep, "scaling sweep over a geometric grid of target lengths")
+    p.add_argument("--body", required=True, help="body JSON file")
     p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
-    p.add_argument("--l-min", type=float)
-    p.add_argument("--l-max", type=float)
+    p.add_argument("--l-min", type=float, required=True)
+    p.add_argument("--l-max", type=float, required=True)
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--theta-res", type=int, default=96)
     p.add_argument("--offset-res", type=int, default=96)
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--workers", type=int, default=1,
                    help="row parallelism (0 = one per CPU)")
-    p.add_argument("--out", help="CSV output path")
+    p.add_argument("--out", required=True, help="CSV output path")
 
-    p = sub("tails", _cmd_tails, "empirical |Z| tail of a fixed segment vs the bound",
-            "body", "n", "eps", "x0", "y0", "x1", "y1")
-    p.add_argument("--body", help="body JSON file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--x0", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--x1", type=float)
-    p.add_argument("--y1", type=float)
+    p = sub("tails", _cmd_tails, "empirical |Z| tail of a fixed segment vs the bound")
+    p.add_argument("--body", required=True, help="body JSON file")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--y0", type=float, required=True)
+    p.add_argument("--x1", type=float, required=True)
+    p.add_argument("--y1", type=float, required=True)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--s-values", default="8,16,24,32",
                    help="comma-separated thresholds")
     p.add_argument("--out", default=None, help="also write the table here")
 
-    p = sub("length-study", _cmd_length_study, "Monte Carlo length concentration check",
-            "body", "n", "eps")
-    p.add_argument("--body", help="body JSON file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
+    p = sub("length-study", _cmd_length_study, "Monte Carlo length concentration check")
+    p.add_argument("--body", required=True, help="body JSON file")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--out", default=None, help="also write the summary here")
 
-    p = sub("oracle-check", _cmd_oracle_check, "cross-validate counting against the oracle",
-            "body", "n", "eps")
-    p.add_argument("--body", help="body JSON file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
+    p = sub("oracle-check", _cmd_oracle_check, "cross-validate counting against the oracle")
+    p.add_argument("--body", required=True, help="body JSON file")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
     p.add_argument("--lines", type=int, default=10_000)
 
-    p = sub("plot", _cmd_plot, "emit a gnuplot data+script pair from a sweep CSV", "csv", "out")
-    p.add_argument("--csv", help="sweep CSV path")
+    p = sub("plot", _cmd_plot, "emit a gnuplot data+script pair from a sweep CSV")
+    p.add_argument("--csv", required=True, help="sweep CSV path")
     p.add_argument("--y-field", default="sup_estimate")
     p.add_argument("--deflate", type=float, default=None,
                    help="divide y by (log L)^this before plotting")
-    p.add_argument("--out", help="output prefix (.dat and .gp)")
+    p.add_argument("--out", required=True, help="output prefix (.dat and .gp)")
 
-    return parser, subs
+    return parser
 
 
-def _merge_config(parser, subs, argv):
-    ns = parser.parse_args(argv)
-    if ns.command is None:
-        raise ValidationError("command", "a subcommand is required")
-    if ns.config:
-        cfg = read_json(ns.config, "config")
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv once, each --config entry read as the flag `--key=value`
+    placed after the subcommand and before the explicit flags, so that an
+    explicit flag wins; a null entry leaves the flag's default."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is not None:
+        cfg = read_json(path, "config")
         if not isinstance(cfg, dict):
             raise ValidationError("config", "config file must hold a JSON object")
-        sub = subs.choices[ns.command]
-        flags = {a.dest: a.option_strings[0] for a in sub._actions
-                 if a.dest not in ("help", "config")}
-        for key, value in cfg.items():
-            if key not in flags:
-                raise ValidationError(
-                    "config", f"unknown field {key!r} for {ns.command}; "
-                    f"known: {sorted(flags)}")
-            if value is not None:  # parsed as the same text on the command line
-                try:
-                    cfg[key] = getattr(sub.parse_args([f"{flags[key]}={value}"]), key)
-                except ValidationError as exc:
-                    raise ValidationError(key, f"config value {value!r}: {exc}") from exc
-        sub.set_defaults(**cfg)
-        ns = parser.parse_args(argv)  # explicit flags still win
-    for field in ns.required:
-        if getattr(ns, field) is None:
-            raise ValidationError(field, f"--{field.replace('_', '-')} is required")
-    return ns
+        if "config" in cfg:
+            raise ValidationError("config", "a config file cannot set --config")
+        flags = [f"--{key.replace('_', '-')}={value}"
+                 for key, value in cfg.items() if value is not None]
+        argv = [*argv[:1], *flags, *argv[1:]]
+    return parser.parse_args(argv)
 
 
 def _sup_config(ns) -> SupConfig:
@@ -260,9 +247,8 @@ def _cmd_plot(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser, subs = _build_parser()
     try:
-        ns = _merge_config(parser, subs, sys.argv[1:] if argv is None else argv)
+        ns = _parse(_build_parser(), sys.argv[1:] if argv is None else argv)
         return ns.run(ns)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

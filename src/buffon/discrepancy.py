@@ -108,16 +108,13 @@ class SupConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("theta_resolution", "offset_resolution"):
+        """Each field an integer at or above its least value; a boolean is
+        refused, as load_report refuses it in a saved report."""
+        for name, least in (("theta_resolution", 8), ("offset_resolution", 8),
+                            ("refine_rounds", 0), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 8:
-                raise ValidationError(name, f"{name} must be an integer >= 8, got {value!r}")
-        if not isinstance(self.refine_rounds, int) or self.refine_rounds < 0:
-            raise ValidationError(
-                "refine_rounds", f"refine_rounds must be an integer >= 0, got {self.refine_rounds!r}"
-            )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValidationError("seed", f"seed must be a non-negative integer, got {self.seed!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValidationError(name, f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

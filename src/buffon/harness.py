@@ -215,12 +215,17 @@ def fit_points(
     x is the row's L_target and y its y_field; y_fitted is y divided by
     (log x)^log_correction when a correction is given, else y itself.  Rows
     are skipped when they carry an error, when n < MIN_ASYMPTOTIC_N
-    (non-asymptotic builds), when either coordinate is non-finite or
-    non-positive, or when a correction is given and x <= 1.
+    (non-asymptotic builds), when either coordinate or y_fitted is non-finite
+    or non-positive (the correction's power included: it may leave the float
+    range), or when a correction is given and x <= 1.  A non-finite
+    correction is refused.
     """
     if y_field not in SweepRow.CSV_FIELDS:
         raise ValidationError(
             "field", f"{y_field!r} is not one of the CSV columns {SweepRow.CSV_FIELDS}")
+    if log_correction is not None and not math.isfinite(log_correction):
+        raise ValidationError(
+            "log_correction", f"need a finite exponent, got {log_correction!r}")
     points = []
     for row in rows:
         if row.error is not None or row.n < MIN_ASYMPTOTIC_N:
@@ -232,7 +237,12 @@ def fit_points(
         if log_correction is not None:
             if x <= 1.0:
                 continue
-            fitted = y / math.log(x) ** log_correction
+            try:
+                fitted = y / math.log(x) ** log_correction
+            except (OverflowError, ZeroDivisionError):
+                continue
+            if not (math.isfinite(fitted) and fitted > 0):
+                continue
         points.append((x, y, fitted))
     return points
 

@@ -201,6 +201,18 @@ def test_plot_refuses_a_field_outside_the_csv(tmp_path, capsys):
     assert not (tmp_path / "fig.dat").exists()
 
 
+@pytest.mark.parametrize("deflate", ["=1e308", "=-1e308", "=inf", "=nan"])
+def test_plot_refuses_a_deflation_outside_the_float_range(tmp_path, capsys, deflate):
+    """A non-finite exponent is refused; one whose power overflows or
+    underflows on every row leaves no usable row."""
+    csv_path = _four_row_csv(tmp_path)
+    assert main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "fig"),
+                 f"--deflate{deflate}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "fig.dat").exists()
+
+
 @pytest.mark.parametrize("column, cell", [
     *((column, "abc") for column in hz.SweepRow.CSV_FIELDS), ("n", "1.5")])
 def test_plot_refuses_a_cell_that_does_not_parse(tmp_path, capsys, column, cell):
@@ -379,12 +391,14 @@ def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):
 
 def test_config_file_strict_and_overridable(tmp_path, body_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
-    # run and required are set on the parsed arguments, but are no flags
-    for unknown in ("oops", "run", "required"):
+    # run is set on the parsed arguments but is no flag; line abbreviates --lines
+    for unknown in ("oops", "run", "required", "line", "config"):
         cfg.write_text(json.dumps({"n": 8, "eps": 0.1, "lines": 200, unknown: 1}))
         assert main(["oracle-check", "--body", body_path,
                      "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: config: unknown field {unknown!r}")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"--{unknown}" in err
+        assert "Traceback" not in err
     cfg.write_text(json.dumps({"n": 8, "eps": 0.1, "lines": 200}))
     assert main(["oracle-check", "--body", body_path,
                  "--config", str(cfg)]) == 0
@@ -402,13 +416,46 @@ def test_config_file_strict_and_overridable(tmp_path, body_path, capsys, monkeyp
         cfg.write_text(json.dumps({**fields, field: value}))
         assert main([command, "--body", body_path, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
-    # and null still means no value
+        assert err.startswith("error: ") and f"argument --{field}: " in err
+        assert "Traceback" not in err
+    # and null leaves the flag's default
     monkeypatch.chdir(tmp_path)
     cfg.write_text(json.dumps({"n": 16, "eps": 0.05, "trials": 1000, "out": None}))
     assert main(["length-study", "--body", body_path, "--config", str(cfg)]) == 0
     assert "mean_L=" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "square.json"]
+
+
+def test_a_null_config_entry_leaves_the_flag_default(tmp_path, body_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(hz, "length_study", lambda body, n, eps, trials, seed: {
+        "trials": trials})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 16, "eps": 0.05, "trials": None}))
+    assert main(["length-study", "--body", body_path, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "trials=10000\n"
+    called = {}
+
+    def run_sweep(body, l_values, *args, **kwargs):
+        called["points"] = len(l_values)
+        return []
+
+    monkeypatch.setattr(hz, "run_sweep", run_sweep)
+    cfg.write_text(json.dumps({"l_min": 2000, "l_max": 4000, "points": None,
+                               "out": str(tmp_path / "x.csv")}))
+    assert main(["sweep", "--body", body_path, "--config", str(cfg)]) == 0
+    assert called == {"points": 8}
+
+
+def test_flags_are_not_abbreviated(tmp_path, body_path, capsys):
+    """--theta was once taken as --theta-res."""
+    set_path = str(tmp_path / "set.json")
+    assert main(["build", "--body", body_path, "--length", "2000",
+                 "--out", set_path]) == 0
+    capsys.readouterr()
+    assert main(["disc", "--set", set_path, "--theta", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--theta 16" in err and "Traceback" not in err
 
 
 def test_malformed_config_is_a_config_error(tmp_path, body_path, capsys):

@@ -183,6 +183,9 @@ def test_sup_config_validation(small_set):
         SupConfig(refine_rounds=-1)
     with pytest.raises(ValidationError):
         SupConfig(seed=-2)
+    for name in ("theta_resolution", "offset_resolution", "refine_rounds", "seed"):
+        with pytest.raises(ValidationError, match=f"^{name}:"):
+            SupConfig(**{name: True})  # a saved report may hold no boolean
 
 
 @pytest.fixture(scope="module")

@@ -192,6 +192,18 @@ def test_fit_points_skip_non_positive_values_and_small_lengths(tmp_path):
         (1e3, 2.0), (6e3, 3.0)]
 
 
+def test_fit_points_refuse_a_non_finite_correction_and_skip_an_overflowing_one():
+    xs = [2.0, 1e3, 1e6]
+    rows = _synthetic_rows(xs, [1.0] * 3)
+    for correction in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="^log_correction:"):
+            hz.fit_points(rows, log_correction=correction)
+    # (log 2)^±400 is 2.1e-64 or 4.7e63; (log 1e3)^400 overflows, ^-400 underflows to 0
+    for correction in (400.0, -400.0):
+        assert [x for x, _, _ in hz.fit_points(rows, log_correction=correction)] == [2.0]
+    assert hz.fit_points(rows, log_correction=1e308) == []
+
+
 def test_fit_slope_validation():
     xs = [10.0, 100.0, 1000.0]
     with pytest.raises(ValidationError):
