@@ -327,7 +327,9 @@ def estimate_sup(
     points, then refine_rounds rounds of 10x-finer local grids around the top
     candidates so far (an empty phase when there are none).  The report is
     built from the phase list at the end.  It carries a certified lower bound:
-    the reported value is re-attained by the witness line at report time.
+    the reported value is re-attained by the witness line at report time.  A
+    search in which no line could be counted is refused (a ValidationError of
+    eps), since it bounds nothing.
     """
     if not (length >= 0.0) or not math.isfinite(length):
         raise ValidationError("length", f"length must be finite and >= 0, got {length}")
@@ -354,23 +356,23 @@ def estimate_sup(
         nth, npo = Line.normalize_many(grid_t.ravel(), grid_p.ravel())
         phases.append(_phase(sset, length, nth, npo))
 
+    lines, excluded, *_, quad, z, hits, norm = zip(*phases)
     wth, wpo, wlv = _top(phases, 1)
     if wth.size == 0:
-        # no admissible sample at all: report a line that misses the body
-        miss = float(lo.min()) - 1.0 - sset.body.diameter
-        witness = Line(0.0, miss)
-    else:
-        witness = Line(float(wth[0]), float(wpo[0]))
+        raise ValidationError(
+            "eps", f"no sampled line could be counted at pitch {sset.eps:.3g}: "
+                   f"{sum(excluded)} of {sum(lines)} were exceptional and the rest "
+                   f"missed the body; a coarser pitch (a smaller L) is needed")
+    witness = Line(float(wth[0]), float(wpo[0]))
     at = f"theta={witness.theta!r} offset={witness.offset!r}"
     try:
         terms = decompose(sset, witness, length)
     except ExceptionalLineError as exc:  # its search row was not exceptional
         raise AssertionError(f"witness recomputation mismatch: exceptional at {at}") from exc
     sup_value = abs(terms.pop("signed_error"))
-    if wth.size and sup_value != wlv[0]:  # the same kernel row, so the same bits
+    if sup_value != wlv[0]:  # the same kernel row, so the same bits
         raise AssertionError("witness recomputation mismatch: "
                              f"search={float(wlv[0])!r} recomputed={sup_value!r} {at}")
-    lines, excluded, *_, quad, z, hits, norm = zip(*phases)
     max_quad, max_z, max_hits, max_norm = (max(m).item() for m in (quad, z, hits, norm))
     return DiscrepancyReport(
         sup_estimate=sup_value,

@@ -386,35 +386,6 @@ class ConvexBody:
         normals = np.broadcast_to(nu[..., None, :], s.shape + (2,)).reshape(-1, 2)
         return self._clip(normals, s.ravel())[2].reshape(s.shape)
 
-    # -- inscribed disk ------------------------------------------------------
-
-    @cached_property
-    def inscribed_disk(self) -> tuple[np.ndarray, float]:
-        """(center, radius) of the largest disk inside the body.
-
-        A disk body is its own.  For a polygon, move every edge line inward at
-        unit speed and drop each edge as it vanishes (ties: lowest position
-        first); the circle touching the last three lines is the disk."""
-        if self.kind == "disk":
-            return self.center.copy(), self.radius
-        # Disk (c, r) lies inside edge j iff nu_j . c + r <= b_j (nu_j: unit outward
-        # normal); live edges j-1, j, j+1 as equalities give the circle touching all
-        # three, whose r is when edge j vanishes.  Exact, because convex interior
-        # angles are below pi (so every offset edge shrinks linearly), a vanished
-        # edge's two neighbours imply its constraint, and three distinct unit
-        # normals never lie on one line (so no system is singular).
-        v, e, elen = self._edge_data
-        outward = np.column_stack([e[:, 1], -e[:, 0]]) / elen[:, None]
-        rows = np.column_stack([outward, np.ones(len(v))])
-        b = np.sum(outward * v, axis=1)
-        live = np.arange(len(v))
-        while True:
-            trio = np.column_stack([np.roll(live, 1), live, np.roll(live, -1)])
-            sol = np.linalg.solve(rows[trio], b[trio][:, :, None])[:, :, 0]
-            if live.size == 3:
-                return sol[0, :2], float(sol[0, 2])
-            live = np.delete(live, np.argmin(sol[:, 2]))
-
 
 def unit_square() -> ConvexBody:
     return ConvexBody.polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])

@@ -292,7 +292,7 @@ def _plan(body: ConvexBody, target_length: float, mode: str,
     if eps > 1.0:
         raise ValidationError(
             "L",
-            f"target length {target_length} gives lattice pitch eps={eps:.3g} > 1 for "
+            f"target length {target_length} gives lattice pitch eps={eps:.6g} > 1 for "
             f"this body; increase L or shrink the body",
         )
     return float(m_expected), n, float(eps)
@@ -312,11 +312,20 @@ def padding_direction(n: int) -> np.ndarray:
 
 
 def padding_disk(body: ConvexBody) -> tuple[np.ndarray, float]:
-    """Disk that receives padding: largest inscribed disk at the Chebyshev
-    center for polygons, the concentric half-radius disk for a disk body."""
+    """Disk that receives padding: the concentric half-radius disk of a disk
+    body; for a polygon, the disk at its area centroid that reaches the nearest
+    edge line.  Any disk inside the body will do, and the centroid lies at
+    least a third of the least width from every supporting line
+    (Minkowski-Radon), so rho >= (2/3) inradius."""
     if body.kind == "disk":
         return body.center.copy(), 0.5 * body.radius
-    return body.inscribed_disk
+    v = body.vertices
+    nxt = np.roll(v, -1, axis=0)
+    cross = v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]
+    center = np.sum((v + nxt) * cross[:, None], axis=0) / (6.0 * body.area)
+    e, rel = nxt - v, center - v  # inward distance to edge line i: e_i x rel_i / |e_i|
+    return center, float(np.min((e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0])
+                                / np.hypot(e[:, 0], e[:, 1])))
 
 
 def make_padding(body: ConvexBody, n: int, delta: float) -> np.ndarray:

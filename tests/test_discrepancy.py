@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buffon.cli import main
-from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
+from buffon.geometry import ConvexBody, Line, ValidationError, dump_body, unit_square
 from buffon import discrepancy
 from buffon import steinhaus as sh
 from buffon.rng import stream
@@ -367,24 +367,38 @@ def test_estimate_sup_handles_single_family():
     assert report.witness_total == 0
 
 
-def _all_excluded_disk_set():
+def test_estimate_sup_without_admissible_lines_is_refused():
+    """At a pitch below twice an endpoint's tolerance every valid line is
+    exceptional, so the refine round has no candidate (an empty phase) and
+    the search, having counted no line, is refused with its counts.
+    (total_length is never asked for: the disk's slice sum would run over
+    about 6e13 lattice lines.)"""
     # just above the pitch floor of 3.42e-14: an endpoint's tolerance, at least
     # 3 rounding_bound(1) = 2.13e-14 (kappa >= 1), exceeds half a pitch
     sset = sh.SteinhausSet(body=ConvexBody.disk((0, 0), 1), n=1, eps=3.5e-14,
                            shifts=[0.5])
-    return sset, 40.0, SupConfig(8, 8, 1, 0)
+    with pytest.raises(ValidationError, match=r"^eps: no sampled line could be counted "
+                       r"at pitch 3.5e-14: 64 of 72 were exceptional"):
+        estimate_sup(sset, 40.0, SupConfig(8, 8, 1, 0))
 
 
-def test_estimate_sup_without_admissible_lines_reports_a_miss():
-    """At a pitch below twice an endpoint's tolerance every valid line is
-    exceptional, so the refine round has no candidate (an empty phase) and
-    the witness is a line that misses the body.  (total_length is never asked for: the disk's
-    slice sum would run over about 6e13 lattice lines.)"""
-    report = estimate_sup(*_all_excluded_disk_set())
-    assert report.samples_evaluated == 8 * 8 + 8 and report.excluded_lines == 64
-    assert report.sup_estimate == 0.0
-    assert (report.witness_theta, report.witness_offset) == (0.0, -4.0)
-    assert report.witness_total == 0 and report.witness_chord_length == 0.0
+def test_search_that_counts_no_line_is_refused_at_1e14(tmp_path, capsys):
+    """The planner admits the zero-shift square at L = 1e14, but every sampled
+    line that meets the body is exceptional there: the library refuses the
+    search, and `buffon disc` exits 1 with one error line."""
+    body_path, set_path = tmp_path / "square.json", tmp_path / "set.json"
+    dump_body(unit_square(), body_path)
+    assert main(["build", "--body", str(body_path), "--mode", "zero", "--length", "1e14",
+                 "--out", str(set_path)]) == 0
+    sset = sh.load_manifest(set_path)
+    with pytest.raises(ValidationError, match=r"^eps: .* 269 of 288 were exceptional "
+                                              r"and the rest missed the body"):
+        estimate_sup(sset, sh.total_length(sset), SupConfig(16, 16, 1, 0))
+    capsys.readouterr()
+    assert main(["disc", "--set", str(set_path), "--theta-res", "16",
+                 "--offset-res", "16", "--refine", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: eps: ") and out.err.count("\n") == 1
 
 
 def _padded_polygon_set():
@@ -396,7 +410,15 @@ def _padded_polygon_set():
     return sset, sh.total_length(sset), SupConfig(16, 16, 2, 3)
 
 
-@pytest.mark.parametrize("case", [_padded_polygon_set, _all_excluded_disk_set])
+def _padded_disk_set():
+    base = sh.SteinhausSet(body=ConvexBody.disk((0.3, -0.2), 0.6), n=12, eps=0.05,
+                           shifts=np.random.default_rng(63).uniform(0, 1, 12))
+    sset = sh.adjust_length(base, sh.grid_length(base) + 2.9)
+    assert sset.padding_count >= 3
+    return sset, sh.total_length(sset), SupConfig(16, 16, 2, 3)
+
+
+@pytest.mark.parametrize("case", [_padded_polygon_set, _padded_disk_set])
 def test_report_counts_and_maxima_are_those_of_the_evaluated_lines(monkeypatch, case):
     """One evaluate_lines call per phase (grid, targeted, each refine round),
     then one decompose recount of the witness; the report's counts and
@@ -424,10 +446,7 @@ def test_report_counts_and_maxima_are_those_of_the_evaluated_lines(monkeypatch, 
     assert report.envelope_upper == max_quad + max_z + sset.padding_count + max_norm
     assert type(report.max_abs_z) is float and type(report.max_padding_hits) is int
     assert "np." not in format_report(report)
-    if case is _padded_polygon_set:
-        assert include.any() and report.max_padding_hits > 0
-    else:
-        assert not include.any() and report.envelope_upper == 0.0
+    assert include.any() and report.max_padding_hits > 0
 
 
 def test_report_round_trip_and_strict_keys(tmp_path, small_set):

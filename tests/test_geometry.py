@@ -5,7 +5,6 @@ independently (no interval clipping), so agreement with ``chord_batch`` is a
 real cross-check, not a tautology.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -334,65 +333,6 @@ def test_validation_rejects_bad_polygons():
         ConvexBody.polygon([(0, 0), (1, 0), (math.inf, 1)])
     with pytest.raises(ValidationError, match="^disk.center: need a finite point"):
         ConvexBody.disk((math.inf, 0), 1.0)
-
-
-def test_inscribed_disk_of_square_and_disk():
-    sq = unit_square()
-    center, rho = sq.inscribed_disk
-    # exact, so padding (and with it every sweep byte) sits where it always did
-    assert center.tolist() == [0.5, 0.5] and rho == 0.5
-    d = ConvexBody.disk((3.0, -1.0), 0.7)
-    center, rho = d.inscribed_disk
-    assert np.allclose(center, [3.0, -1.0])
-    assert rho == pytest.approx(0.7)
-    # a rectangle's centre is not unique: any point on its midline will do
-    center, rho = ConvexBody.polygon([(0, 0), (3, 0), (3, 1), (0, 1)]).inscribed_disk
-    assert rho == pytest.approx(0.5, abs=1e-12)
-    assert center[1] == pytest.approx(0.5, abs=1e-12) and 0.5 <= center[0] <= 2.5
-    # regular m-gon with circumradius R: inradius R cos(pi / m).  Adjacent edge
-    # lines are nearly parallel, so the 3x3 solves lose about 1e-12.
-    m, big_r = 1000, 2.0
-    a = 2 * math.pi * np.arange(m) / m
-    center, rho = ConvexBody.polygon(
-        big_r * np.column_stack([np.cos(a), np.sin(a)])).inscribed_disk
-    assert rho == pytest.approx(big_r * math.cos(math.pi / m), rel=1e-11)
-    assert np.allclose(center, 0.0, atol=1e-9)
-
-
-def brute_inscribed_disk(body):
-    """Reference: of the circles touching any three edge lines, the largest
-    that fits inside every edge (the LP optimum sits on such a vertex)."""
-    v = body.vertices
-    e = np.roll(v, -1, axis=0) - v
-    nu = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
-    rows = np.column_stack([nu, np.ones(len(v))])
-    b = np.sum(nu * v, axis=1)
-    trios = np.array(list(itertools.combinations(range(len(v)), 3)))
-    sol = np.linalg.solve(rows[trios], b[trios][:, :, None])[:, :, 0]
-    fits = np.all(sol @ rows.T <= b + 1e-12 * body.diameter, axis=1)
-    best = sol[fits][np.argmax(sol[fits, 2])]
-    return best[:2], best[2]
-
-
-def test_inscribed_disk_inside_random_polygons():
-    rng = np.random.default_rng(4)
-    bodies = list(get_bodies()[:5])
-    while len(bodies) < 200:  # points on a circle, then a random shear
-        angles = np.sort(rng.uniform(0, 2 * math.pi, int(rng.integers(3, 13))))
-        if np.min(np.diff(angles, append=angles[0] + 2 * math.pi)) < 0.02:
-            continue
-        shear = np.array([[1.0, rng.uniform(-2, 2)], [0.0, rng.uniform(0.1, 3)]])
-        circle = np.column_stack([np.cos(angles), np.sin(angles)])
-        bodies.append(ConvexBody.polygon(circle @ shear.T))
-    for body in bodies:
-        center, rho = body.inscribed_disk
-        assert rho > 0
-        _, want = brute_inscribed_disk(body)
-        assert rho == pytest.approx(want, rel=1e-12), body.vertices
-        for _ in range(200):
-            phi = rng.uniform(0, 2 * math.pi)
-            pt = center + (rho * 0.999) * np.array([math.cos(phi), math.sin(phi)])
-            assert body.contains(pt), body.vertices
 
 
 def test_body_dict_round_trip():

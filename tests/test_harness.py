@@ -202,6 +202,10 @@ def test_fit_points_refuse_a_non_finite_correction_and_skip_an_overflowing_one()
     for correction in (400.0, -400.0):
         assert [x for x, _, _ in hz.fit_points(rows, log_correction=correction)] == [2.0]
     assert hz.fit_points(rows, log_correction=1e308) == []
+    # the power is finite but the quotient is not: 1e300 / 2.1e-64 overflows to
+    # inf and 1e-300 / 4.7e63 underflows to 0, so both rows are skipped
+    for y, correction in ((1e300, 400.0), (1e-300, -400.0)):
+        assert hz.fit_points(_synthetic_rows([2.0], [y]), log_correction=correction) == []
 
 
 def test_fit_slope_validation():

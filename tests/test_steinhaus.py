@@ -7,6 +7,7 @@ piece.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from buffon.counting import count_line
 from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
 from buffon import geometry, steinhaus as sh
 
-from test_geometry import random_polygon
+from test_geometry import get_bodies, random_polygon
 
 
 def test_direction_exact_formula():
@@ -487,6 +488,60 @@ def test_padding_disk_for_disk_body_is_half_radius():
     center, rho = sh.padding_disk(body)
     assert np.allclose(center, [2.0, 1.0])
     assert rho == pytest.approx(0.4)
+
+
+def test_padding_disk_of_square_rectangle_and_regular_polygon():
+    center, rho = sh.padding_disk(unit_square())
+    # exact, so padding (and with it every sweep byte) sits where it always did
+    assert center.tolist() == [0.5, 0.5] and rho == 0.5
+    # the centroid, not one of the largest disks' centres on the midline
+    center, rho = sh.padding_disk(ConvexBody.polygon([(0, 0), (3, 0), (3, 1), (0, 1)]))
+    assert center.tolist() == [1.5, 0.5] and rho == 0.5
+    # regular m-gon with circumradius R: inradius R cos(pi / m)
+    m, big_r = 1000, 2.0
+    a = 2 * math.pi * np.arange(m) / m
+    center, rho = sh.padding_disk(
+        ConvexBody.polygon(big_r * np.column_stack([np.cos(a), np.sin(a)])))
+    assert rho == pytest.approx(big_r * math.cos(math.pi / m), rel=1e-14)
+    assert np.allclose(center, 0.0, atol=1e-12)
+
+
+def brute_inscribed_disk(body):
+    """Reference: of the circles touching any three edge lines, the largest
+    that fits inside every edge (the LP optimum sits on such a vertex)."""
+    v = body.vertices
+    e = np.roll(v, -1, axis=0) - v
+    nu = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    rows = np.column_stack([nu, np.ones(len(v))])
+    b = np.sum(nu * v, axis=1)
+    trios = np.array(list(itertools.combinations(range(len(v)), 3)))
+    sol = np.linalg.solve(rows[trios], b[trios][:, :, None])[:, :, 0]
+    fits = np.all(sol @ rows.T <= b + 1e-12 * body.diameter, axis=1)
+    best = sol[fits][np.argmax(sol[fits, 2])]
+    return best[:2], best[2]
+
+
+def test_padding_disk_inside_random_polygons():
+    """The centroid's disk lies inside the body, and its radius is at least
+    2/3 of the inradius: the centroid is a third of the least width from every
+    supporting line, and the inradius is at most half that width."""
+    rng = np.random.default_rng(4)
+    bodies = list(get_bodies()[:5])
+    while len(bodies) < 200:  # points on a circle, then a random shear
+        angles = np.sort(rng.uniform(0, 2 * math.pi, int(rng.integers(3, 13))))
+        if np.min(np.diff(angles, append=angles[0] + 2 * math.pi)) < 0.02:
+            continue
+        shear = np.array([[1.0, rng.uniform(-2, 2)], [0.0, rng.uniform(0.1, 3)]])
+        circle = np.column_stack([np.cos(angles), np.sin(angles)])
+        bodies.append(ConvexBody.polygon(circle @ shear.T))
+    for body in bodies:
+        center, rho = sh.padding_disk(body)
+        _, largest = brute_inscribed_disk(body)
+        assert (2.0 / 3.0) * (1 - 1e-12) * largest <= rho <= largest * (1 + 1e-12), body.vertices
+        for _ in range(200):
+            phi = rng.uniform(0, 2 * math.pi)
+            pt = center + (rho * 0.999) * np.array([math.cos(phi), math.sin(phi)])
+            assert body.contains(pt), body.vertices
 
 
 def test_adjust_length_exact_and_errors():
