@@ -177,74 +177,38 @@ def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
 
     Rows draw a fixed number of uniforms each, so the first k lines of a
     longer stream equal the k lines of a shorter one (doubling monotonicity).
-    Three variants: (A) a line through two independently chosen near-lattice
-    points; (B) a line at a uniform angle through a perturbed intersection
-    point of two lattice lines from distinct families, with indices biased
-    toward the lattice lines nearest the origin (where all unshifted families
-    meet); (C) a line through a perturbed body vertex, tilted off an adjacent
-    edge direction by a log-spread angle — endpoint errors align along chords
-    that hug a boundary edge near a lattice-heavy corner.
+    Two variants: (A) a line through two independently chosen near-lattice
+    points; (C) on a polygon, for half the rows, a line through a perturbed
+    body vertex, tilted off an adjacent edge direction by a log-spread angle —
+    endpoint errors align along chords that hug a boundary edge near a
+    lattice-heavy corner.
     """
     n, eps = sset.n, sset.eps
     body = sset.body
     dirs = sset.directions
     tangents = np.column_stack([-dirs[:, 1], dirs[:, 0]])
     qlo = sset.q_ranges[:, 0].astype(float)
-    qhi = sset.q_ranges[:, 1].astype(float)
-    qspan = qhi - qlo + 1.0
-    q_anchor = np.clip(np.rint(-sset.shifts), qlo, qhi)
+    qspan = sset.q_ranges[:, 1] - qlo + 1.0
 
     u = rng_mod.stream(seed, "targeted").random((count, 12))
-
-    def lattice_offset(k, col_q, anchored):
-        """Lattice offset of family k; anchored rows favor small offsets."""
-        if anchored:
-            anchor = col_q < 0.25
-            rescaled = qlo[k] + np.floor((col_q - 0.25) / 0.75 * qspan[k])
-            q = np.where(anchor, q_anchor[k], np.clip(rescaled, qlo[k], qhi[k]))
-        else:
-            q = qlo[k] + np.floor(col_q * qspan[k])
-        return eps * (q + sset.shifts[k])
-
     delta = eps * np.exp2(DELTA_LOG2_MIN + (DELTA_LOG2_MAX - DELTA_LOG2_MIN) * u[:, 4])
-    sign1 = np.where(u[:, 5] < 0.5, -1.0, 1.0)
-    sign2 = np.where(u[:, 10] < 0.5, -1.0, 1.0)
 
-    # variant A: two near-lattice points, the line through them
-    k1, ka2 = np.minimum((u[:, [1, 6]] * n).astype(np.int64), n - 1).T
-    s1 = lattice_offset(k1, u[:, 2], anchored=False)
-    sa2 = lattice_offset(ka2, u[:, 7], anchored=False)
-    tan1, tan2 = tangents[k1], tangents[ka2]
+    # variant A: the line through two points, each within delta of a uniformly
+    # chosen lattice line of a uniformly chosen family
+    k1, k2 = k = np.minimum((u[:, [1, 6]] * n).astype(np.int64), n - 1).T
+    s1, s2 = (eps * (qlo[k] + np.floor(u[:, [2, 7]].T * qspan[k]) + sset.shifts[k])
+              + np.where(u[:, [5, 10]].T < 0.5, -delta, delta))
+    tan1, tan2 = tangents[k1], tangents[k2]
     t1lo, t1hi = body.support_many(tan1)
     t2lo, t2hi = body.support_many(tan2)
-    p1 = (s1 + sign1 * delta)[:, None] * dirs[k1] + (
-        t1lo + u[:, 3] * (t1hi - t1lo))[:, None] * tan1
-    p2 = (sa2 + sign2 * delta)[:, None] * dirs[ka2] + (
-        t2lo + u[:, 8] * (t2hi - t2lo))[:, None] * tan2
+    p1 = s1[:, None] * dirs[k1] + (t1lo + u[:, 3] * (t1hi - t1lo))[:, None] * tan1
+    p2 = s2[:, None] * dirs[k2] + (t2lo + u[:, 8] * (t2hi - t2lo))[:, None] * tan2
     d = p2 - p1
     dist = np.hypot(d[:, 0], d[:, 1])
     tiny = dist < 1e-9 * body.diameter
     d[tiny] = tan1[tiny]
     thetas = np.arctan2(d[:, 1], d[:, 0]) + math.pi / 2.0
     offsets = np.cos(thetas) * p1[:, 0] + np.sin(thetas) * p1[:, 1]
-
-    # variant B: perturbed intersection of two distinct families' lattice lines
-    if n >= 2:
-        s1b = lattice_offset(k1, u[:, 2], anchored=True)
-        kb2 = (k1 + 1 + np.minimum((u[:, 6] * (n - 1)).astype(np.int64), n - 2)) % n
-        sb2 = lattice_offset(kb2, u[:, 7], anchored=True)
-        n1, n2 = dirs[k1], dirs[kb2]
-        det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
-        bx = (s1b * n2[:, 1] - sb2 * n1[:, 1]) / det
-        by = (sb2 * n1[:, 0] - s1b * n2[:, 0]) / det
-        wobble = 2.0 * math.pi * u[:, 9]
-        bx = bx + delta * np.cos(wobble)
-        by = by + delta * np.sin(wobble)
-        theta_b = math.pi * u[:, 3]
-        offs_b = np.cos(theta_b) * bx + np.sin(theta_b) * by
-        pick_b = u[:, 0] >= 0.5
-        thetas = np.where(pick_b, theta_b, thetas)
-        offsets = np.where(pick_b, offs_b, offsets)
 
     # variant C: perturbed body vertex, tilted off an adjacent edge direction
     if body.kind == "polygon":
@@ -253,11 +217,9 @@ def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
         vidx = np.minimum((u[:, 1] * n_verts).astype(np.int64), n_verts - 1)
         edge_prev = verts[vidx] - verts[(vidx - 1) % n_verts]
         edge_next = verts[(vidx + 1) % n_verts] - verts[vidx]
-        pick_edge = u[:, 7] < 0.5
-        ex = np.where(pick_edge, edge_prev[:, 0], edge_next[:, 0])
-        ey = np.where(pick_edge, edge_prev[:, 1], edge_next[:, 1])
+        edge = np.where(u[:, 7, None] < 0.5, edge_prev, edge_next)
         # lines parallel to the edge have normal angle = edge angle + pi/2
-        base_angle = np.arctan2(ey, ex) + math.pi / 2.0
+        base_angle = np.arctan2(edge[:, 1], edge[:, 0]) + math.pi / 2.0
         tilt = (math.pi / 2.0) * np.exp2(-20.0 * u[:, 8]) * np.where(
             u[:, 5] < 0.5, -1.0, 1.0)
         theta_c = np.where(u[:, 6] < 0.5, math.pi * u[:, 3], base_angle + tilt)
@@ -265,7 +227,7 @@ def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
         cx = verts[vidx, 0] + delta * np.cos(wobble)
         cy = verts[vidx, 1] + delta * np.sin(wobble)
         offs_c = np.cos(theta_c) * cx + np.sin(theta_c) * cy
-        pick_c = u[:, 0] >= 0.75
+        pick_c = u[:, 0] >= 0.5
         thetas = np.where(pick_c, theta_c, thetas)
         offsets = np.where(pick_c, offs_c, offsets)
     return Line.normalize_many(thetas, offsets)

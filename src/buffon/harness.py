@@ -317,7 +317,8 @@ def z_tail_study(
     seed: int = 0,
 ) -> ZTailStudy:
     """Empirical tail of |Z(x, y)| over independently resampled shifts,
-    against the bound 2 exp(-2 s^2 / n) plus a 3-sigma binomial band.
+    against the bound 2 exp(-2 s^2 / n) plus a 3-sigma binomial band, at
+    one or more thresholds s, each finite and >= 0 (where the bound holds).
 
     The segment endpoints are fixed; only the lattice shifts resample.  The
     body argument pins the study to a concrete geometry (endpoints should
@@ -325,6 +326,10 @@ def z_tail_study(
     """
     if trials < 10_000:
         raise ValidationError("trials", "tail study needs at least 10^4 trials")
+    s_values = [float(s) for s in s_values]
+    if not s_values or not all(0.0 <= s < math.inf for s in s_values):
+        raise ValidationError(
+            "s_values", f"need one or more finite thresholds >= 0, got {s_values}")
     check_lattice(body, n, eps)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -340,7 +345,6 @@ def z_tail_study(
         for lo in range(0, trials, block)])
     rows = []
     for s in s_values:
-        s = float(s)
         empirical = float(np.count_nonzero(np.abs(z) > s)) / trials
         bound = 2.0 * math.exp(-2.0 * s * s / n)
         p_eff = min(bound, 1.0)

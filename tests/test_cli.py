@@ -261,6 +261,12 @@ def test_validation_exit_codes(tmp_path, body_path, capsys):
                  "--x0", "0.1", "--y0", "0.1", "--x1", "0.9", "--y1", "0.8",
                  "--s-values", "1,zap"]) == 1
     assert "s_values" in capsys.readouterr().err
+    for s_values in ("nan,8", "-3", ""):
+        assert main(["tails", "--body", body_path, "--n", "8", "--eps", "0.1",
+                     "--x0", "0.1", "--y0", "0.1", "--x1", "0.9", "--y1", "0.8",
+                     f"--s-values={s_values}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: s_values: ") and err.count("\n") == 1
     assert main([]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()

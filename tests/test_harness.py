@@ -253,6 +253,12 @@ def test_z_tail_study_validation():
         hz.z_tail_study(body, 64, 0.02, (0.1, 0.1), (0.9, 0.8), 100, [1])
     with pytest.raises(ValidationError):
         hz.z_tail_study(body, 64, 0.02, (5.0, 5.0), (0.9, 0.8), 10_000, [1])
+    # the bound 2 exp(-2 s^2 / n) holds only at finite s >= 0, and an empty
+    # list checks nothing
+    for s_values in ([], [math.nan, 8], [-3], [math.inf], [8, -1e-300]):
+        with pytest.raises(ValidationError) as info:
+            hz.z_tail_study(body, 64, 0.02, (0.1, 0.1), (0.9, 0.8), 10_000, s_values)
+        assert info.value.field == "s_values"
 
 
 def test_length_study_square_and_disk():
