@@ -303,17 +303,30 @@ def test_studies_refuse_a_non_finite_or_negative_eps(tmp_path, capsys, command, 
     assert captured.err.startswith("error: eps: ") and captured.out == ""
 
 
-@pytest.mark.parametrize("command", [["length-study", "--trials", "1000"],
-                                     ["oracle-check", "--lines", "1"]])
-def test_a_lattice_too_large_to_allocate_exits_1(tmp_path, capsys, command):
+def test_a_lattice_too_large_to_allocate_exits_1(tmp_path, capsys):
     """A unit-area disk at pitch 2e-14, just above its floor of 1.93e-14, has
-    about 6e13 lattice lines: numpy refuses their array at once (it exceeds the
-    address space), and the command says so in an error line, not a traceback."""
+    about 6e13 lattice lines: the oracle check clips every one, numpy refuses
+    their array at once (it exceeds the address space), and the command says
+    so in an error line, not a traceback."""
     path = tmp_path / "disk.json"
     dump_body(ConvexBody.disk((0.0, 0.0), 1.0 / math.sqrt(math.pi)), path)
-    assert main([*command, "--body", str(path), "--n", "1", "--eps", "2e-14"]) == 1
+    assert main(["oracle-check", "--lines", "1", "--body", str(path), "--n", "1",
+                 "--eps", "2e-14"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: memory: ") and "Traceback" not in captured.err
+
+
+def test_length_study_of_a_disk_at_its_pitch_floor_exits_0(tmp_path, capsys):
+    """The same disk and pitch in a length study: a disk's family length takes
+    a fixed number of slices per family whatever the pitch, so the study runs
+    and its families stay within its 2 diam bound."""
+    path = tmp_path / "disk.json"
+    dump_body(ConvexBody.disk((0.0, 0.0), 1.0 / math.sqrt(math.pi)), path)
+    assert main(["length-study", "--trials", "1000", "--body", str(path), "--n", "1",
+                 "--eps", "2e-14"]) == 0
+    captured = capsys.readouterr()
+    fields = dict(line.split("=") for line in captured.out.splitlines())
+    assert captured.err == "" and float(fields["max_abs_deviation"]) <= 4.0 / math.sqrt(math.pi)
 
 
 def test_length_study_refuses_a_pitch_within_the_clip_band(tmp_path, capsys):

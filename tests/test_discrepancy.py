@@ -398,8 +398,7 @@ def test_estimate_sup_without_admissible_lines_is_refused():
     """At a pitch below twice an endpoint's tolerance every valid line is
     exceptional, so the refine round has no candidate (an empty phase) and
     the search, having counted no line, is refused with its counts.
-    (total_length is never asked for: the disk's slice sum would run over
-    about 6e13 lattice lines.)"""
+    (No set length is measured: the search takes the length, 40, as given.)"""
     # just above the pitch floor of 3.42e-14: an endpoint's tolerance, at least
     # 3 rounding_bound(1) = 2.13e-14 (kappa >= 1), exceeds half a pitch
     sset = sh.SteinhausSet(body=ConvexBody.disk((0, 0), 1), n=1, eps=3.5e-14,

@@ -3,7 +3,7 @@
 Length oracles: the grid length must match the sum of chord lengths of every
 clipped lattice line, and the slice sum (slice_lengths at every lattice
 offset) that family_length_many replaces with one closed form per polygon
-piece.
+piece, and on a disk with Euler-Maclaurin between each family's end lines.
 """
 
 import dataclasses
@@ -54,9 +54,9 @@ def test_sample_shifts_deterministic_and_uniform():
     assert abs(big.mean() - 0.5) < 0.01
 
 
-def slice_sum(body, eps, shifts):
-    """Oracle: each family's slice lengths summed at every lattice offset
-    eps (q + u) that can meet the body, shape (trials, n)."""
+def slice_sum(body, eps, shifts, add=lambda g: g.sum(axis=1)):
+    """Oracle: each family's slice lengths summed by add at every lattice
+    offset eps (q + u) that can meet the body, shape (trials, n)."""
     dirs = sh.directions(shifts.shape[1])
     smin, smax = body.support_many(dirs)
     lengths = np.empty(shifts.shape)
@@ -64,7 +64,7 @@ def slice_sum(body, eps, shifts):
         q = np.arange(math.floor(smin[k] / eps) - 2, math.ceil(smax[k] / eps) + 2, dtype=float)
         offsets = eps * (q[None, :] + shifts[:, k, None])
         g = body.slice_lengths(nu, offsets.ravel()).reshape(offsets.shape)
-        lengths[:, k] = g.sum(axis=1)
+        lengths[:, k] = add(g)
     return lengths
 
 
@@ -225,20 +225,42 @@ def test_family_length_many_lattice_on_breakpoints(vertices, eps, u, slices):
     assert_grid_length_is_the_clipped_length(sset)
 
 
-def test_family_length_many_disk_sums_each_set_range():
-    """A disk's family length is the slice sum over the set's own lattice
-    range, so a set's grid length keeps its bits."""
+def test_family_length_many_disk_matches_slice_sum():
+    """A disk's closed form is within 1e-13 of the fsum of its slices per
+    (row, family) and 1e-14 on each row's fsum total: random centres and radii,
+    pitches from 3e-5 r to r / 2 (the coarse ones leave families of at most
+    2K + 1 lines, which take the slice sum alone), zero and random shifts,
+    1 to 3 rows."""
     rng = np.random.default_rng(22)
-    body = ConvexBody.disk((0.2, -0.1), 0.7)
-    for shifts in (rng.uniform(0, 1, size=37), np.zeros(37)):
-        sset = sh.SteinhausSet(body=body, n=37, eps=0.003, shifts=shifts)
-        want = [
-            float(body.slice_lengths(
-                sset.directions[k],
-                sset.eps * (np.arange(lo, hi + 1, dtype=float) + shifts[k])).sum())
-            for k, (lo, hi) in enumerate(sset.q_ranges)]
-        assert np.array_equal(sh.family_length_many(body, sset.eps, shifts[None, :])[0], want)
-        assert sh.grid_length(sset) == math.fsum(want)
+    short = 0
+    for case in range(40):
+        r = float(10 ** rng.uniform(-1.5, 0.5))
+        body = ConvexBody.disk(rng.uniform(-1, 1, 2), r)
+        eps = r * float(10 ** rng.uniform(-4.5, -0.3))
+        n, trials = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        shifts = rng.uniform(0, 1, (trials, n)) if case % 2 else np.zeros((trials, n))
+        short += 2 * r / eps + 3 <= 2 * sh.END_LINES + 1  # at most that many lines
+        got = sh.family_length_many(body, eps, shifts)
+        want = slice_sum(body, eps, shifts, lambda g: [math.fsum(row) for row in g])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        for row_got, row_want in zip(got, want):
+            assert math.fsum(row_got) == pytest.approx(math.fsum(row_want), rel=1e-14)
+    assert short >= 4
+
+
+@pytest.mark.parametrize("center, eps", [((0.0, 0.0), 2e-14), ((0.0, 0.0), 1e-12),
+                                         ((0.0, 0.0), 1e-10), ((0.3, -0.2), 4e-14)])
+def test_disk_family_lengths_hold_2_diam_at_tiny_pitch(center, eps):
+    """Down to just above a unit-area disk's pitch floor (1.93e-14 centred,
+    3.16e-14 at (0.3, -0.2)) every family lies within 2 diam of |Omega| / eps.
+    The interior's integral is pi r^2 less two segments written in their
+    depths below the boundary: the antiderivative x g + r^2 asin(x / r) in
+    the coordinates amplifies their rounding by r / g near +-r, and at
+    2e-14 missed |Omega| / eps by thousands."""
+    body = ConvexBody.disk(center, 1.0 / math.sqrt(math.pi))
+    shifts = np.vstack([np.zeros(7), np.random.default_rng(3).uniform(0, 1, (50, 7))])
+    lengths = sh.family_length_many(body, eps, shifts)
+    assert np.max(np.abs(lengths - body.area / eps)) <= 2.0 * body.diameter
 
 
 def test_grid_length_requests_at_most_n_e_slices(monkeypatch):
@@ -333,17 +355,34 @@ def test_polygon_family_lengths_clip_within_a_bounded_peak():
     assert peak <= 16 * 2**20
 
 
-def test_disk_family_lengths_run_in_blocks_of_shift_rows(monkeypatch):
-    """A disk's family lengths take KERNEL_CHUNK // (lattice lines) shift rows
-    at a time: 1000 x 4 shifts at eps = 2e-4 peak within 16 MiB traced (122 MiB
-    with every row at once), and equal to the bit a run with one row per block,
-    since a row's sum runs along one contiguous row."""
+def test_disk_family_lengths_row_by_row_within_a_bounded_peak():
+    """A disk's family lengths hold 2K + 1 slices per (row, family), not one per
+    lattice line: 1000 x 4 shifts at eps = 2e-4 (8,000 lines a family) peak
+    within 3 MiB traced (one float per lattice line of every row would take
+    244 MiB), and each row equals to the bit its own one-row call."""
     body = ConvexBody.disk((0.1, -0.05), 0.8)
     shifts = np.random.default_rng(7).uniform(0, 1, (1000, 4))
     lengths, peak = _traced(lambda: sh.family_length_many(body, 2e-4, shifts))
-    assert peak <= 16 * 2**20
-    monkeypatch.setattr(sh, "KERNEL_CHUNK", 1)  # one row per block
-    assert np.array_equal(lengths, sh.family_length_many(body, 2e-4, shifts))
+    assert peak <= 3 * 2**20
+    for row, u in zip(lengths, shifts):
+        assert np.array_equal(row, sh.family_length_many(body, 2e-4, u[None, :])[0])
+
+
+def test_disk_grid_length_takes_2k_plus_5_square_roots_per_family(monkeypatch):
+    """A disk's grid length takes 2K + 1 slices per family and two square roots
+    at each end of its interior, whatever L: at L = 1e8 and 1e12 (about 9e4 and
+    2.4e7 lattice lines per family) at most (2K + 5) n square roots."""
+    body = ConvexBody.disk((0.1, -0.05), 0.8)
+    rng = np.random.default_rng(8)
+    sqrt, taken = np.sqrt, []
+    monkeypatch.setattr(np, "sqrt", lambda x, *a, **kw: taken.append(np.size(x)) or sqrt(x, *a, **kw))
+    for length in (1e8, 1e12):
+        _, n, eps = _plan(body, length)
+        sset = sh.SteinhausSet(body=body, n=n, eps=eps, shifts=rng.uniform(0, 1, n))
+        assert 2 * body.radius / eps > 8e4
+        taken.clear()
+        sh.grid_length(sset)
+        assert 0 < sum(taken) <= (2 * sh.END_LINES + 5) * n
 
 
 def _plan(body, length, mode="shifted"):
