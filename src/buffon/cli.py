@@ -35,11 +35,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="buffon", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def sub(name, run, help_text):
+    def sub(name, run, help_text, seeded=True):
         p = subs.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="JSON file of flag values (strict keys)")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         p.set_defaults(run=run)
         return p
 
@@ -66,7 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--offset-res", type=int, default=96)
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--workers", type=int, default=1,
-                   help="row parallelism (0 = one per CPU)")
+                   help="processes running rows at once (>= 1)")
     p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub("tails", _cmd_tails, "empirical |Z| tail of a fixed segment vs the bound")
@@ -96,7 +97,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=tuple(sh.MODES), default="shifted")
     p.add_argument("--lines", type=int, default=10_000)
 
-    p = sub("plot", _cmd_plot, "emit a gnuplot data+script pair from a sweep CSV")
+    p = sub("plot", _cmd_plot, "emit a gnuplot data+script pair from a sweep CSV",
+            seeded=False)
     p.add_argument("--csv", required=True, help="sweep CSV path")
     p.add_argument("--y-field", default="sup_estimate")
     p.add_argument("--deflate", type=float, default=None,

@@ -165,15 +165,16 @@ class ConvexBody:
             raise ValidationError("polygon", "need an (m, 2) array with m >= 3")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("polygon", "vertices must be finite")
-        nxt = np.roll(arr, -1, axis=0)
-        edges = nxt - arr
-        scale2 = float(np.max(np.abs(arr))) ** 2 + 1.0
+        edges = np.roll(arr, -1, axis=0) - arr
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        if np.any(lengths == 0.0):
+            raise ValidationError("polygon", "repeated consecutive vertices")
         nxt_edges = np.roll(edges, -1, axis=0)
         crosses = edges[:, 0] * nxt_edges[:, 1] - edges[:, 1] * nxt_edges[:, 0]
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) == 0.0):
-            raise ValidationError("polygon", "repeated consecutive vertices")
-        if np.any(np.abs(crosses) <= 1e-12 * scale2):
-            i = int(np.argmin(np.abs(crosses)))
+        # a turn of sine at most 1e-12 is flat; a sine, as PARALLEL is one, is scale-free
+        flat = np.abs(crosses) <= 1e-12 * lengths * np.roll(lengths, -1)
+        if np.any(flat):
+            i = int(np.argmax(flat))
             raise ValidationError(
                 "polygon", f"collinear triple at vertex index {i} (not strictly convex)"
             )

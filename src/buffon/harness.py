@@ -153,12 +153,8 @@ def run_sweep(
     l_values = [float(l) for l in l_values]
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
         raise ValidationError("l_values", "target lengths must be increasing")
-    if workers < 0:
-        raise ValidationError("workers", "worker count must be >= 0")
-    if workers == 0:
-        import os
-
-        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValidationError("workers", f"worker count must be >= 1, got {workers}")
     payloads = [(body, l, mode, _row_seed(seed, mode, l), config) for l in l_values]
     if workers == 1 or len(payloads) <= 1:
         return [_sweep_worker(p) for p in payloads]

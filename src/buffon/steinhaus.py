@@ -10,11 +10,14 @@ length up to an exact target.
 Parameter planning reserves a slack of one body diameter below the target
 length L, aims the grid at M = L - diam, and couples the lattice pitch
 through eps = n |Omega| / M so the expected total grid length is exactly M.
-A build mode is the pair of rules in MODES, the only place a mode is looked
-up: "shifted" takes n ~ M^(2/5) (log M)^(-1/5) directions and samples the
-shifts, "zero" (the unshifted baseline) takes n = floor(L^(1/3)) and zero
-shifts.  The pitch is fixed, and mode_set admits it, before the shifts are
-drawn; only a grid that overshoots L (rare) is rebuilt with a doubled slack.
+The rules read the lengths in the body's own unit, l = L / sqrt|Omega| and
+m = M / sqrt|Omega|, so scaling the body and L together scales eps with them
+and leaves n as it was.  A build mode is the pair of rules in MODES, the only
+place a mode is looked up: "shifted" takes n ~ m^(2/5) (log m)^(-1/5)
+directions and samples the shifts, "zero" (the unshifted baseline) takes
+n = floor(l^(1/3)) and zero shifts.  The pitch is fixed, and mode_set admits
+it, before the shifts are drawn; only a grid that overshoots L (rare) is
+rebuilt with a doubled slack.
 """
 
 from __future__ import annotations
@@ -272,14 +275,15 @@ def total_length(sset: SteinhausSet) -> float:
 
 
 def _cube_root_floor(length: float) -> int:
-    """floor(L^(1/3)): exact while the float root is off by less than 1/2, as it
-    is at every L whose zero-mode plan check_lattice admits; finite for any L."""
+    """floor(l^(1/3)) of a length l in body units: exact while the float root is
+    off by less than 1/2, as it is at every l whose zero-mode plan check_lattice
+    admits; finite for any l."""
     n = round(length ** (1.0 / 3.0))
     return n - (n**3 > length)
 
 
 MODES = {
-    # mode: (n from (L, M), shifts from (n, seed))
+    # mode: (n from (l, m), L and M in body units; shifts from (n, seed))
     "shifted": (lambda length, m: int(m**0.4 / math.log(m) ** 0.2), sample_shifts),
     "zero": (lambda length, m: _cube_root_floor(length), lambda n, seed: np.zeros(n)),
 }
@@ -302,26 +306,21 @@ def mode_set(body: ConvexBody, n: int, eps: float, mode: str, seed: int) -> Stei
 def _plan(body: ConvexBody, target_length: float, mode: str,
           slack: float) -> tuple[float, int, float]:
     """(M, n, eps): the grid aims at expected length M = L - slack, n from the
-    mode's rule and eps = n |Omega| / M; mode_set admits the lattice."""
-    if not (math.isfinite(target_length) and target_length > 1.0):
-        raise ValidationError("L", "target length must be finite and > 1")
+    mode's rule at l = L / sqrt|Omega| and m = M / sqrt|Omega|, and eps =
+    n |Omega| / M; mode_set admits the lattice.  Refuses an unknown mode, then
+    any L unless it is finite with m > e."""
+    rule = MODES[_check_mode(mode)][0]
+    unit = math.sqrt(body.area)
     m_expected = target_length - slack
-    if m_expected <= math.e:
+    if not (math.isfinite(target_length) and m_expected / unit > math.e):
         raise ValidationError(
             "L",
-            f"target length {target_length} too small: expected grid length "
-            f"M = L - {slack:.6g} must exceed e, so L must exceed e + {slack:.6g} "
-            f"= {math.e + slack:.6g}",
+            f"target length {target_length} must be finite, and M = L - {slack:.6g} "
+            f"must exceed e sqrt|Omega|: L must exceed e sqrt|Omega| + {slack:.6g} "
+            f"= {math.e * unit + slack:.6g}",
         )
-    n = MODES[mode][0](target_length, m_expected)
-    eps = n * body.area / m_expected
-    if eps > 1.0:
-        raise ValidationError(
-            "L",
-            f"target length {target_length} gives lattice pitch eps={eps:.6g} > 1 for "
-            f"this body; increase L or shrink the body",
-        )
-    return float(m_expected), n, float(eps)
+    n = rule(target_length / unit, m_expected / unit)
+    return float(m_expected), n, float(n * body.area / m_expected)
 
 
 # -- exact-length padding ---------------------------------------------------
@@ -397,7 +396,7 @@ def adjust_length(sset: SteinhausSet, target_length: float) -> SteinhausSet:
     """
     base = sset.measured_grid_length
     delta = target_length - base
-    tol = 1e-9 * max(abs(target_length), 1.0)
+    tol = 1e-9 * abs(target_length)
     if delta < -tol:
         raise ValidationError(
             "target_length",
@@ -421,10 +420,9 @@ def build_exact(
     is rebuilt.  Each attempt's set comes from mode_set, so its lattice is
     admitted before a shift is drawn.  At every pitch check_lattice admits,
     each family lies within 2 diam of |Omega| / eps, so s >= 2 n diam cannot
-    overshoot, and the planner refuses once L - s <= e: the doubling ends
-    either way.
+    overshoot, and the planner refuses once (L - s) / sqrt|Omega| <= e: the
+    doubling ends either way.  An unknown mode is refused before L is read.
     """
-    _check_mode(mode)
     slack = body.diameter
     while True:
         m_expected, n, eps = _plan(body, target_length, mode, slack)
@@ -479,7 +477,7 @@ def set_from_manifest(manifest: dict) -> SteinhausSet:
     if not math.isfinite(stored):
         raise ValidationError("total_length", f"need a finite length, got {stored!r}")
     actual = total_length(sset)
-    if not abs(actual - stored) <= 1e-9 * max(abs(stored), 1.0):
+    if not abs(actual - stored) <= 1e-9 * abs(stored):
         raise ValidationError(
             "total_length",
             f"manifest states {stored!r} but the set measures {actual!r}",

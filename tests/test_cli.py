@@ -341,6 +341,41 @@ def test_length_study_refuses_a_pitch_within_the_clip_band(tmp_path, capsys):
     assert captured.err.startswith("error: eps: ") and captured.out == ""
 
 
+def test_build_and_disc_a_large_body_at_the_unit_squares_relative_length(tmp_path, capsys):
+    """A 100 x 100 square at L = 1e6 is the unit square at L = 1e4: it builds
+    (n = 25, eps = 0.25) and its set is searched; a 10 x 10 square at L = 30 is
+    short of e sqrt|Omega| + diam = 41.325, and the one message names that."""
+    path = tmp_path / "big.json"
+    dump_body(ConvexBody.polygon([[0, 0], [100, 0], [100, 100], [0, 100]]), path)
+    set_path = str(tmp_path / "set.json")
+    assert main(["build", "--body", str(path), "--length", "1e6", "--out", set_path]) == 0
+    assert capsys.readouterr().out.startswith("n=25 eps=0.25")
+    assert main(["disc", "--set", set_path, "--theta-res", "16", "--offset-res", "16",
+                 "--refine", "0"]) == 0
+    dump_body(ConvexBody.polygon([[0, 0], [10, 0], [10, 10], [0, 10]]), path)
+    capsys.readouterr()
+    assert main(["build", "--body", str(path), "--length", "30", "--out", set_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: L: ") and err.endswith("= 41.325\n") and err.count("\n") == 1
+
+
+def test_sweep_refuses_zero_workers(tmp_path, body_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--body", body_path, "--l-min", "1e3", "--l-max", "2e3",
+                 "--workers", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: workers: ") and not out.exists()
+
+
+def test_plot_takes_no_seed(tmp_path, capsys):
+    """plot draws nothing at random, so --seed is an unknown flag there."""
+    csv_path = _four_row_csv(tmp_path)
+    assert main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "fig"),
+                 "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: arguments: ") and err.count("\n") == 1
+    assert not (tmp_path / "fig.dat").exists()
+
+
 @pytest.fixture()
 def no_shift_drawn(monkeypatch):
     """Every mode's shift rule, and sample_shifts, raise: a drawn shift exits 2."""

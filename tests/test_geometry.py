@@ -335,6 +335,18 @@ def test_validation_rejects_bad_polygons():
         ConvexBody.disk((math.inf, 0), 1.0)
 
 
+def test_strict_convexity_check_is_scale_free():
+    """A turn is flat when its sine is at most 1e-12, whatever the size: the
+    unit square scaled by 2^-20 and 2^20 is accepted, an exactly collinear
+    triple is refused at either scale."""
+    square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+    collinear = np.array([(0, 0), (1, 0), (2, 0), (0, 1)], dtype=float)
+    for factor in (2.0**-20, 2.0**20):
+        assert ConvexBody.polygon(square * factor).area == factor**2
+        with pytest.raises(ValidationError, match="^polygon: collinear triple at vertex index 0"):
+            ConvexBody.polygon(collinear * factor)
+
+
 def test_body_dict_round_trip():
     for body in get_bodies():
         again = body_from_dict(body_to_dict(body))

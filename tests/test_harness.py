@@ -71,6 +71,8 @@ def test_sweep_requires_increasing_lengths():
     ("points", lambda: hz.length_grid(1e3, 1e4, 1)),
     ("workers", lambda: hz.run_sweep(unit_square(), [1e3], "shifted", SMALL_CONFIG,
                                      workers=-1)),
+    pytest.param("workers", lambda: hz.run_sweep(unit_square(), [1e3], "shifted",
+                                                 SMALL_CONFIG, workers=0), id="workers-0"),
     ("n_values", lambda: hz.coherence_study(unit_square(), [16, 32], [0.01], trials=10)),
 ])
 def test_sweep_and_study_refusals_name_their_field(field, call):

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from buffon.counting import count_line
+from buffon.discrepancy import SupConfig, estimate_sup
 from buffon.geometry import ConvexBody, Line, ValidationError, unit_square
 from buffon import geometry, steinhaus as sh
 
@@ -267,9 +268,9 @@ def test_grid_length_requests_at_most_n_e_slices(monkeypatch):
     """A polygon's grid length asks for one slice per family and vertex, plus
     the lattice lines next outside a family's extremes where an edge sits at
     one (its slice there is nonzero): at most 2 per such family.  Here the
-    bottom edge is parallel to family n/2's lattice lines."""
+    bottom edge is parallel to family n/2's lattice lines (n = 554 is even)."""
     body = ConvexBody.polygon([(0, 0), (1, 0), (1.2, 0.7), (0.4, 1.1), (-0.1, 0.6)])
-    sset, _ = sh.build_exact(body, 3e7, "shifted", seed=3)
+    sset = sh.mode_set(body, 554, 554 * body.area / (3e7 - body.diameter), "shifted", 3)
     z = np.sort(body.vertex_projections(sset.directions), axis=1)[:, [0, -1]]
     with_edge = np.count_nonzero(np.any(body.slice_lengths(sset.directions, z) != 0.0, axis=1))
     assert sset.n % 2 == 0 and with_edge == 1
@@ -407,11 +408,51 @@ def test_plan_build_margin_and_errors():
     with pytest.raises(ValidationError, match="^L:"):
         sh.build_exact(unit_square(), 2.5, "shifted", seed=0)
     for length in (1.0, math.inf):
-        with pytest.raises(ValidationError, match="^L: target length must be finite and > 1$"):
+        with pytest.raises(ValidationError, match=r"^L: target length \S+ must be finite"):
             sh.build_exact(unit_square(), length, "shifted", seed=0)
+    # (30 - 10 sqrt 2) / 10 = 1.59 <= e: too short in the body's unit
     big = ConvexBody.polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-    with pytest.raises(ValidationError, match="eps"):
+    with pytest.raises(ValidationError, match=r"^L: .* = 41\.325$"):
         sh.build_exact(big, 30.0, "shifted", seed=0)
+
+
+def _scaled(body, factor):
+    if body.kind == "disk":
+        return ConvexBody.disk(body.center * factor, body.radius * factor)
+    return ConvexBody.polygon(body.vertices * factor)
+
+
+def test_build_and_search_are_scale_covariant_to_the_bit():
+    """Scaling the body and L by 2^k scales eps, the padding, the length and
+    the witness offset by 2^k to the bit, and leaves n, the shifts, the sup
+    and the line counts as they were: the plan reads L in the body's unit.  At
+    k = -40 the padding residual is about 1e-12 (L = 9.1e-9): a padding
+    tolerance of 1e-9 max(L, 1) would skip it and miss L by 1e-4 L."""
+    angles = np.sort(np.random.default_rng(11).uniform(0, 2 * np.pi, 9))
+    bodies = [unit_square(), ConvexBody.disk((0.1, -0.05), 0.8),
+              ConvexBody.polygon([(0, 0), (1, 0), (0, 1)]),
+              ConvexBody.polygon(np.column_stack([np.cos(angles), np.sin(angles)]))]
+    config = SupConfig(32, 32, 1, 0)
+
+    def run(body, mode, factor):
+        sset, _ = sh.build_exact(_scaled(body, factor), 1e4 * factor, mode, seed=5)
+        return sset, estimate_sup(sset, sh.total_length(sset), config)
+
+    for body, mode in itertools.product(bodies, sh.MODES):
+        base, base_report = run(body, mode, 1.0)
+        for k in (-40, -20, 3, 20):
+            factor = 2.0**k
+            sset, report = run(body, mode, factor)
+            case = (body.kind, body.area, mode, k)
+            assert sset.n == base.n and np.array_equal(sset.shifts, base.shifts), case
+            assert sset.eps == base.eps * factor, case
+            assert np.array_equal(sset.padding, base.padding * factor), case
+            assert sh.total_length(sset) == sh.total_length(base) * factor, case
+            assert (report.sup_estimate, report.witness_theta, report.witness_offset,
+                    report.excluded_lines, report.samples_evaluated) == (
+                base_report.sup_estimate, base_report.witness_theta,
+                base_report.witness_offset * factor, base_report.excluded_lines,
+                base_report.samples_evaluated), case
 
 
 def test_plan_build_zero_exact_cube_root():
