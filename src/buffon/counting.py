@@ -116,7 +116,7 @@ class LineBatch:
     jittered: np.ndarray
 
 
-def _workspace(sset: SteinhausSet, lines: int) -> tuple:
+def _workspace(sset: SteinhausSet) -> tuple:
     """Lines per line block, lines per family block, and the five flat float
     planes that every block of a batch of lines takes its views from.
 
@@ -124,15 +124,13 @@ def _workspace(sset: SteinhausSet, lines: int) -> tuple:
     at most KERNEL_CHUNK elements, and it holds at most KERNEL_CHUNK // 16
     lines (16 at least); the clip bounds its own temporaries.
     A family block bounds the (families x lines) planes: KERNEL_CHUNK // n of
-    a line block's lines (16 at least).  From one family block on, a plane
-    takes KERNEL_CHUNK elements (16 lines if wider) whatever n is, so sets
-    reuse one heap block."""
+    a line block's lines (16 at least).  A plane takes KERNEL_CHUNK elements
+    (16 lines if wider) whatever n and the batch are, so sets reuse one heap
+    block; np.empty commits only the pages a short batch touches."""
     fams, pads = sset.n, sset.padding_count
     line_rows = max(16, KERNEL_CHUNK // max(16, pads))
     fam_rows = min(line_rows, max(16, KERNEL_CHUNK // fams))
-    width = max(fams, pads)
-    size = max(KERNEL_CHUNK, 16 * width) if lines >= fam_rows else lines * width
-    return line_rows, fam_rows, np.empty((5, size))
+    return line_rows, fam_rows, np.empty((5, max(KERNEL_CHUNK, 16 * max(fams, pads))))
 
 
 def _new_batch(thetas, offsets) -> LineBatch:
@@ -207,21 +205,20 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
     z = total - h / eps * angular_sum(n, thetas + math.pi / 2)
     mean_term = total - z
 
-    hits = np.zeros(len(h), dtype=np.int64)
-    if sset.padding_count:
-        # (padding x lines) views of the planes the family blocks are done with
-        shape = (sset.padding_count, len(h))
-        sig0, sig1, product = planes[:3, : math.prod(shape)].reshape(3, *shape)
-        near = planes[3].view(bool)[: math.prod(shape)].reshape(shape)
-        nu = np.stack([np.cos(thetas), np.sin(thetas)])
-        np.matmul(sset.padding[:, 0, :], nu, out=sig0)
-        sig0 -= ps
-        np.matmul(sset.padding[:, 1, :], nu, out=sig1)
-        sig1 -= ps
-        crossing = np.less(np.multiply(sig0, sig1, out=product), 0.0, out=near)
-        hits = np.sum(crossing, axis=0, dtype=np.int64)
-        np.minimum(np.abs(sig0, out=sig0), np.abs(sig1, out=sig1), out=sig0)
-        exceptional |= np.any(np.less_equal(sig0, lattice, out=near), axis=0)
+    # (padding x lines) views of the planes the family blocks are done with;
+    # without padding they are empty, so no line hits or nears a segment
+    shape = (sset.padding_count, len(h))
+    sig0, sig1, product = planes[:3, : math.prod(shape)].reshape(3, *shape)
+    near = planes[3].view(bool)[: math.prod(shape)].reshape(shape)
+    nu = np.stack([np.cos(thetas), np.sin(thetas)])
+    np.matmul(sset.padding[:, 0, :], nu, out=sig0)
+    sig0 -= ps
+    np.matmul(sset.padding[:, 1, :], nu, out=sig1)
+    sig1 -= ps
+    crossing = np.less(np.multiply(sig0, sig1, out=product), 0.0, out=near)
+    hits = np.sum(crossing, axis=0, dtype=np.int64)
+    np.minimum(np.abs(sig0, out=sig0), np.abs(sig1, out=sig1), out=sig0)
+    exceptional |= np.any(np.less_equal(sig0, lattice, out=near), axis=0)
 
     exceptional &= valid
     zero = ~valid | exceptional
@@ -238,7 +235,7 @@ def _eval_blocks(sset: SteinhausSet, batch: LineBatch):
     memory neither grows with the lines nor is allocated again per block.
     Yields every family block's (rows, per-family counts) as _line_block
     does; the batch is complete once the generator is exhausted."""
-    line_rows, fam_rows, planes = _workspace(sset, len(batch.theta))
+    line_rows, fam_rows, planes = _workspace(sset)
     for lo in range(0, len(batch.theta), line_rows):
         yield from _line_block(sset, batch, slice(lo, lo + line_rows), planes, fam_rows)
 
@@ -320,7 +317,7 @@ def segment_crossings(segments: np.ndarray, thetas, offsets,
     widest = np.max(tolerance, initial=0.0)
     # one workspace for every block: fresh arrays this size are page-faulted in again
     work = np.empty((min(rows, len(thetas)), 3, len(segments)))
-    for lo in range(0, len(thetas) if len(segments) else 0, rows):
+    for lo in range(0, len(thetas), rows):
         nu = normals[lo : lo + rows, None, :]
         sig, product = work[: len(nu), :2], work[: len(nu), 2]
         np.matmul(nu[:, None], ends[None], out=sig[:, :, None])  # a gemv per line and endpoint
@@ -328,7 +325,7 @@ def segment_crossings(segments: np.ndarray, thetas, offsets,
         crossing = np.multiply(sig[:, 0], sig[:, 1], out=product) < 0.0
         hits[lo : lo + rows] = np.count_nonzero(crossing, axis=1)
         # only a line within the widest tolerance of some endpoint needs the full test
-        close = lo + np.flatnonzero(np.abs(sig, out=sig).min(axis=(1, 2)) <= widest)
+        close = lo + np.flatnonzero(np.abs(sig, out=sig).min(axis=(1, 2), initial=np.inf) <= widest)
         near[close] = (sig[close - lo] <= tolerance).any(axis=(1, 2))
     return hits, near
 

@@ -20,8 +20,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .geometry import (Line, ValidationError, as_float_array, check_object, read_json,
-                       write_json)
+from .geometry import (Line, ValidationError, as_float_array, check_count, check_object,
+                       read_json, write_json)
 from .steinhaus import SteinhausSet, angular_sum
 from .counting import ExceptionalLineError, count_line, evaluate_lines
 from . import rng as rng_mod
@@ -112,9 +112,7 @@ class SupConfig:
         refused, as load_report refuses it in a saved report."""
         for name, least in (("theta_resolution", 8), ("offset_resolution", 8),
                             ("refine_rounds", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValidationError(name, f"{name} must be an integer >= {least}, got {value!r}")
+            check_count(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -146,15 +144,15 @@ class DiscrepancyReport:
 
     @staticmethod
     def from_dict(data: dict) -> "DiscrepancyReport":
-        """The report of a JSON object with exactly its fields, each a number of
-        its field's type (no booleans); the first field that is not is refused."""
+        """The report of a JSON object with exactly its fields, each a number of its
+        field's type, an int one a count >= 0 (no booleans); the first that is not is refused."""
         types = get_type_hints(DiscrepancyReport)
         values = dict(check_object(data, "report", types))
         for name, kind in types.items():
             if kind is float:
                 values[name] = float(as_float_array(values[name], name, ndim=0))
-            elif isinstance(values[name], bool) or not isinstance(values[name], int):
-                raise ValidationError(name, f"need an integer, got {values[name]!r}")
+            else:
+                check_count(name, values[name], 0)
         return DiscrepancyReport(**values)
 
 

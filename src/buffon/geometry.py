@@ -97,6 +97,12 @@ def check_object(value, field: str, keys) -> dict:
     return value
 
 
+def check_count(field: str, value, least: int) -> None:
+    """Refuse a count, naming the field, unless it is an int (a bool is not) >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValidationError(field, f"need an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Line:
     """An unoriented line with normal angle in [0, pi) and signed offset."""

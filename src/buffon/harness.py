@@ -6,6 +6,10 @@ Determinism contract: every study takes an integer seed and derives all
 randomness from named streams, so identical inputs give byte-identical CSV
 output regardless of worker count or completion order.  Wall-clock timings
 are kept on the row objects for console display but never serialized.
+
+Lengths are read in the body's unit sqrt|Omega| (seeds by L / sqrt|Omega|, slack 1e-9 sqrt|Omega|,
+coherence log(n sqrt|Omega| / eps), probe cutoff TANGENCY_CUTOFF diam), so scaling every length
+by 2^k scales each output length by 2^k and keeps every other output, to the bit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from . import rng
 # count_line and oracle_count are not called here: perfbench/tracing.py wraps these names
 from .counting import count_line, count_lines, oracle_count, segment_crossings, z_samples
 from .discrepancy import SupConfig, estimate_sup
-from .geometry import KERNEL_CHUNK, ConvexBody, ValidationError, rounding_bound
+from .geometry import (KERNEL_CHUNK, TANGENCY_CUTOFF, ConvexBody, ValidationError,
+                       check_count, rounding_bound)
 from .steinhaus import (SteinhausSet, build_exact, check_lattice, family_length_many,
                         total_length)
 
@@ -89,10 +94,6 @@ class SlopeFit:
     points_used: int
 
 
-def _row_seed(seed: int, mode: str, l_target: float) -> int:
-    return rng.derive_seed(seed, f"sweep/{mode}/{float(l_target)!r}")
-
-
 def _sweep_worker(payload) -> SweepRow:
     """Run one sweep row from a picklable payload.  A length the planner
     refuses or a lattice too fine to allocate is recorded on the row; any
@@ -145,17 +146,19 @@ def run_sweep(
     workers: int = 1,
 ) -> list[SweepRow]:
     """Full pipeline per target length: plan, build, pad to exact length,
-    estimate the sup.  Rows are deterministic per (L, seed) — each draws its
-    own derived seed — so worker count never changes the result, only the
-    wall time.  A length the planner refuses, or a lattice too fine to
-    allocate, is recorded on its row; an internal assertion propagates.
+    estimate the sup.  Each row draws its own seed, derived from (L / sqrt|Omega|,
+    seed), so worker count never changes the result, only the wall time.  A
+    length the planner refuses, or a lattice too fine to allocate, is recorded
+    on its row; an internal assertion propagates.
     """
     l_values = [float(l) for l in l_values]
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
         raise ValidationError("l_values", "target lengths must be increasing")
     if workers < 1:
         raise ValidationError("workers", f"worker count must be >= 1, got {workers}")
-    payloads = [(body, l, mode, _row_seed(seed, mode, l), config) for l in l_values]
+    unit = math.sqrt(body.area)
+    payloads = [(body, l, mode, rng.derive_seed(seed, f"sweep/{mode}/{l / unit!r}"), config)
+                for l in l_values]
     if workers == 1 or len(payloads) <= 1:
         return [_sweep_worker(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -320,8 +323,7 @@ def z_tail_study(
     body argument pins the study to a concrete geometry (endpoints should
     lie inside it) but Z itself depends only on the segment.
     """
-    if trials < 10_000:
-        raise ValidationError("trials", "tail study needs at least 10^4 trials")
+    check_count("trials", trials, 10_000)
     s_values = [float(s) for s in s_values]
     if not s_values or not all(0.0 <= s < math.inf for s in s_values):
         raise ValidationError(
@@ -359,18 +361,17 @@ def length_study(
 ) -> dict:
     """Monte Carlo check of grid-length concentration.
 
-    Every per-direction deviation from area/eps is asserted <= 2 * diameter
-    (a hard geometric bound); the returned band is a 3-sigma sub-Gaussian
-    envelope for the mean of the total over trials.
+    Every per-direction deviation from area/eps is asserted <= 2 * diameter (a
+    hard geometric bound) + 1e-9 sqrt|Omega|; the returned band is a 3-sigma
+    sub-Gaussian envelope for the mean of the total over trials.
     """
-    if trials < 1_000:
-        raise ValidationError("trials", "length study needs at least 10^3 trials")
+    check_count("trials", trials, 1_000)
     check_lattice(body, n, eps)
     lengths = family_length_many(body, eps, rng.stream(seed, "length").random((trials, n)))
     worst = np.max(np.abs(lengths - body.area / eps), axis=0)
     k = int(np.argmax(worst))
     bound = 2.0 * body.diameter
-    if worst[k] > bound + 1e-9:
+    if worst[k] > bound + 1e-9 * math.sqrt(body.area):
         raise AssertionError(
             f"family {k} deviates by {float(worst[k])!r} > 2*diameter = {bound!r}")
     return {
@@ -385,14 +386,14 @@ def length_study(
 
 
 def _probe_exits(body: ConvexBody, n: int) -> list[np.ndarray]:
-    """Boundary exit points of the PROBE_FAN rays from the origin whose
-    angles split the window (pi/2 - pi/n, pi/2] evenly; a ray that leaves
-    the body at once (t <= 1e-9) has none."""
+    """Boundary exit points of the PROBE_FAN rays from the origin whose angles
+    split the window (pi/2 - pi/n, pi/2] evenly; a ray that leaves the body
+    within the clip's tangency scale (t <= TANGENCY_CUTOFF diam) has none."""
     angles = np.linspace(math.pi / 2 - math.pi / n, math.pi / 2, PROBE_FAN + 1)[1:]
     # the line through the origin along each ray: its chord ends at the exit
     _, end, _, valid = body.chord_batch(angles - math.pi / 2, np.zeros(PROBE_FAN))
     t = end[:, 0] * np.cos(angles) + end[:, 1] * np.sin(angles)
-    return list(end[valid & (t > 1e-9)])
+    return list(end[valid & (t > TANGENCY_CUTOFF * body.diameter)])
 
 
 @dataclass(frozen=True)
@@ -417,21 +418,24 @@ def coherence_study(
     With zero shifts every family has a lattice line through the origin, so
     chords leaving it within pi/n of the steepest direction (the fan's
     window) add same-sign errors over all families: |Z| grows like n.
-    Random shifts keep the max over trials below ~ sqrt(n log(n/eps)).  One
-    z_samples call per exit point evaluates both: row 0 of the shift matrix
+    Random shifts keep the max over trials below 4 sqrt(n log(n sqrt|Omega| /
+    eps)); an eps >= n sqrt|Omega|, where that log is not positive, is refused.
+    One z_samples call per exit point evaluates both: row 0 of the shift matrix
     is zero, rows 1: are the trials.  An empty fan reads 0.0 on both sides.
     """
     if len(n_values) != len(eps_values):
         raise ValidationError("n_values", "need one eps per n")
-    if trials < 1:
-        raise ValidationError("trials", f"coherence study needs at least 1 trial, got {trials}")
+    check_count("trials", trials, 1)
     if not body.contains(np.zeros(2)):
         raise ValidationError(
             "body", "coherence study needs the origin inside the body")
+    unit = math.sqrt(body.area)
     rows = []
     for n, eps in zip(n_values, eps_values):
-        n, eps = int(n), float(eps)
+        eps = float(eps)
         check_lattice(body, n, eps)
+        if not n * unit / eps > 1.0:  # the bound's log(n sqrt|Omega| / eps) is positive
+            raise ValidationError("eps", f"need eps < n sqrt|Omega| = {n * unit:.6g}, got {eps}")
         # filled in place after the stream: np.zeros or the other order peaks 0.2 MB higher
         draws = rng.stream(seed, f"coherence/{n}")
         shifts = np.empty((trials + 1, n))
@@ -445,7 +449,7 @@ def coherence_study(
         rows.append(CoherenceRow(
             n=n, eps=eps, zero_probe=zero,
             random_max=random_max,
-            random_bound=4.0 * math.sqrt(n * math.log(n / eps)),
+            random_bound=4.0 * math.sqrt(n * math.log(n * unit / eps)),
         ))
     return rows
 
@@ -475,8 +479,7 @@ def run_oracle_check(sset: SteinhausSet, lines: int, seed: int = 0) -> OracleChe
     hits must both agree; a mismatch records the line.  A line either side
     screens out as exceptional is not compared but counted in ``skipped``.
     """
-    if lines < 1:
-        raise ValidationError("lines", "need at least one line")
+    check_count("lines", lines, 1)
     u = rng.stream(seed, "oracle").random((lines, 2))
     thetas = math.pi * u[:, 0]
     lo, hi = sset.body.offset_extents(thetas)

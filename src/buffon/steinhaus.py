@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (PARALLEL, ConvexBody, ValidationError, as_float_array,
-                       body_from_dict, body_to_dict, check_object, read_json,
+                       body_from_dict, body_to_dict, check_count, check_object, read_json,
                        rounding_bound, unit_vector, write_json)
 from .rng import stream
 
@@ -57,8 +57,7 @@ def angular_sum(n: int, theta):
     """sum_k |cos(theta - pi k / n)| over the n family normals, elementwise
     in theta, in closed form: the sum has period pi/n, and on one period it
     is cos(pi/(2n) - s) / sin(pi/(2n)) with s = (theta + pi/2) mod (pi/n)."""
-    if n < 1:
-        raise ValidationError("n", f"n must be >= 1, got {n}")
+    check_count("n", n, 1)
     half = math.pi / (2 * n)
     s = np.mod(np.asarray(theta, dtype=float) + math.pi / 2, math.pi / n)
     return np.cos(half - s) / math.sin(half)
@@ -74,12 +73,11 @@ def sample_shifts(n: int, seed: int) -> np.ndarray:
 
 
 def check_lattice(body: ConvexBody, n: int, eps: float) -> None:
-    """Refuse, naming the field, unless n >= 1 and the pitch eps is finite and above
-    twice the clip's along-edge band at S = body.scale, rounding_bound(S) + PARALLEL S:
-    then at most one lattice line runs along each extreme edge of a family, which keeps
-    the family within 2 diam of |Omega| / eps, and S / eps < 2^45 keeps indices exact."""
-    if n < 1:
-        raise ValidationError("n", f"need at least one family, got n={n}")
+    """Refuse, naming the field, unless n is an integer >= 1 and the pitch eps is finite and
+    above twice the clip's along-edge band at S = body.scale, rounding_bound(S) + PARALLEL S:
+    then at most one lattice line runs along each extreme edge of a family, which keeps the
+    family within 2 diam of |Omega| / eps, and S / eps < 2^45 keeps indices exact."""
+    check_count("n", n, 1)
     floor = 2.0 * (rounding_bound(body.scale) + PARALLEL * body.scale)
     if not (math.isfinite(eps) and eps > floor):
         raise ValidationError("eps", f"need a finite pitch above {floor:.6g}, got {eps}")
@@ -136,8 +134,6 @@ class SteinhausSet:
 
     @cached_property
     def padding_length(self) -> float:
-        if self.padding_count == 0:
-            return 0.0
         d = self.padding[:, 1] - self.padding[:, 0]
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
@@ -215,8 +211,7 @@ def family_length_many(body: ConvexBody, eps: float, shifts: np.ndarray) -> np.n
     # the lattice values next outside [z_min, z_max), where an edge sits there
     for q, extreme in ((bottom - 1.0, g[:, 0]), (lo, g[:, -1])):
         edge = extreme != 0.0
-        if np.any(edge):
-            lengths[:, edge] += body.slice_lengths(dirs[edge], eps * (q[:, edge] + u[:, edge]).T).T
+        lengths[:, edge] += body.slice_lengths(dirs[edge], eps * (q[:, edge] + u[:, edge]).T).T
     return lengths
 
 

@@ -97,7 +97,7 @@ def test_oracle_check_refuses_a_negative_family_count(body_path, capsys, mode):
     assert main(["oracle-check", "--body", body_path, "--mode", mode, "--n", "-1",
                  "--eps", "0.1", "--lines", "10"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: n: need at least one family")
+    assert captured.err.startswith("error: n: need an integer >= 1, got -1")
     assert "Traceback" not in captured.err and captured.out == ""
 
 

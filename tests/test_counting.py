@@ -536,7 +536,7 @@ def test_reused_workspace_leaks_nothing_between_blocks(monkeypatch, case):
     block = 16
     monkeypatch.setattr(counting, "KERNEL_CHUNK", block * max(sset.n, sset.padding_count))
     m = 6 * block + 5
-    line_rows, fam_rows, _ = counting._workspace(sset, m)
+    line_rows, fam_rows, _ = counting._workspace(sset)
     assert fam_rows == block and 2 * block < line_rows < m
     thetas, ps = _lines_through_endpoints(sset, rng, m, 12)
     batch, deviation = counting.count_lines(sset, thetas, ps)
@@ -552,7 +552,7 @@ def test_reused_workspace_leaks_nothing_between_blocks(monkeypatch, case):
             if f.name not in ("theta", "offset", "jittered"):
                 field = getattr(alone, f.name)
                 field.fill(np.nan if field.dtype == float else field.dtype.type(-1))
-        _, _, planes = counting._workspace(sset, len(alone.theta))
+        _, _, planes = counting._workspace(sset)
         planes.fill(np.nan)  # and True in its bool views
         want = np.empty(len(alone.theta))
         for rows, per_family in counting._line_block(
@@ -580,7 +580,7 @@ counting.evaluate_lines(sset, thetas, ps)  # warm: the set's caches, the allocat
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 counting.evaluate_lines(sset, thetas, ps)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, sset.padding_count,
-      counting._workspace(sset, chunk)[2].nbytes // resource.getpagesize())
+      counting._workspace(sset)[2].nbytes // resource.getpagesize())
 """
 
 
@@ -824,7 +824,7 @@ def test_min_reduced_screen_equals_the_per_element_screen(monkeypatch, case):
                                   shifts=rng.uniform(0, 1, 30)), 150
         monkeypatch.setattr(counting, "KERNEL_CHUNK", 16 * 30)
     thetas, ps = _stress_lines(sset, rng, m)
-    line_rows, fam_rows, _ = counting._workspace(sset, len(thetas))
+    line_rows, fam_rows, _ = counting._workspace(sset)
     assert line_rows < len(thetas)
     batch = counting._new_batch(thetas, ps)
     per_family = np.empty((len(thetas), sset.n))

@@ -1,5 +1,6 @@
 """Experiment drivers: sweep pipeline, CSV determinism, fits, studies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from buffon.counting import (ExceptionalLineError, count_line, oracle_count,
 from buffon.discrepancy import SupConfig
 
 from test_geometry import random_polygon
+from test_steinhaus import _scaled
 
 SMALL_CONFIG = SupConfig(
     theta_resolution=24, offset_resolution=24, refine_rounds=1, seed=0)
@@ -74,6 +76,28 @@ def test_sweep_requires_increasing_lengths():
     pytest.param("workers", lambda: hz.run_sweep(unit_square(), [1e3], "shifted",
                                                  SMALL_CONFIG, workers=0), id="workers-0"),
     ("n_values", lambda: hz.coherence_study(unit_square(), [16, 32], [0.01], trials=10)),
+    # eps >= n sqrt|Omega|: the coherence bound's log would not be positive
+    pytest.param("eps", lambda: hz.coherence_study(unit_square(), [1], [2.0]), id="eps-log"),
+    pytest.param("eps", lambda: hz.coherence_study(unit_square(), [16], [16.0], trials=10),
+                 id="eps-log-zero"),
+    # counts are integers, never floats or booleans, whatever their value
+    pytest.param("n", lambda: hz.coherence_study(unit_square(), [16.5], [0.01], trials=10),
+                 id="n-float"),
+    pytest.param("n", lambda: hz.coherence_study(unit_square(), [16.0], [0.01], trials=10),
+                 id="n-integral-float"),
+    pytest.param("trials", lambda: hz.coherence_study(unit_square(), [16], [0.01], trials=10.0),
+                 id="coherence-trials-float"),
+    pytest.param("trials", lambda: hz.coherence_study(unit_square(), [16], [0.01], trials=True),
+                 id="coherence-trials-bool"),
+    pytest.param("trials", lambda: hz.z_tail_study(unit_square(), 64, 0.02, (0.1, 0.1),
+                                                   (0.9, 0.8), 10_000.0, [1]),
+                 id="tail-trials-float"),
+    pytest.param("trials", lambda: hz.length_study(unit_square(), 16, 0.05, 1_000.0),
+                 id="length-trials-float"),
+    pytest.param("lines", lambda: hz.run_oracle_check(sh.SteinhausSet(
+        body=unit_square(), n=4, eps=0.25, shifts=np.zeros(4)), 10.0), id="lines-float"),
+    pytest.param("lines", lambda: hz.run_oracle_check(sh.SteinhausSet(
+        body=unit_square(), n=4, eps=0.25, shifts=np.zeros(4)), True), id="lines-bool"),
 ])
 def test_sweep_and_study_refusals_name_their_field(field, call):
     with pytest.raises(ValidationError) as info:
@@ -370,6 +394,48 @@ def test_coherence_study_equals_the_two_path_reference():
             assert (row.zero_probe, row.random_max) == (zero, random_max)
 
 
+@pytest.mark.parametrize("body", [unit_square(), ConvexBody.disk((0.1, -0.05), 0.8)],
+                         ids=["square", "disk"])
+def test_studies_and_sweep_are_scale_covariant_to_the_bit(body):
+    """Scaling the body, the lengths and the pitches by 2^k scales every length
+    the sweep and the studies report by 2^k to the bit, and leaves the rest as
+    it was: the row seeds, the length study's slack, the coherence bound and
+    the probe's cutoff are all read in the body's unit.  The coherence study
+    runs on the origin-centred square, so its probe chords start inside the
+    body rather than at a corner."""
+    centred = body if body.kind == "disk" else ConvexBody.polygon(
+        [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
+    point = body.vertices.mean(axis=0) if body.kind == "polygon" else body.center
+    x, y = point + (-0.3, -0.2), point + (0.35, 0.25)
+    config = SupConfig(16, 16, 1, 0)
+
+    def run(f):
+        scaled = _scaled(body, f)
+        sset, _ = sh.build_exact(scaled, 3000.0 * f, "shifted", 8)
+        return (hz.run_sweep(scaled, [1e4 * f, 1e5 * f], "shifted", config, seed=3),
+                hz.coherence_study(_scaled(centred, f), [16, 64], [16e-4 * f, 64e-4 * f],
+                                   trials=50, seed=1),
+                hz.length_study(scaled, 16, 0.05 * f, 1_000, seed=2),
+                hz.z_tail_study(scaled, 16, 0.02 * f, x * f, y * f, 10_000, [1.0, 3.0], seed=4),
+                hz.run_oracle_check(sset, 200, seed=5))
+
+    sweep, coherence, length, tails, oracle = run(1.0)
+    assert all(row.error is None for row in sweep) and oracle.comparisons > 150
+    assert all(row.zero_probe > 0.0 and row.random_max > 0.0 for row in coherence)
+    for k in (-40, -20, 20, 40):
+        f = 2.0**k
+        got = run(f)
+        assert got[0] == [dataclasses.replace(
+            row, L_target=row.L_target * f, M=row.M * f, eps=row.eps * f,
+            L_actual=row.L_actual * f, wall_time_seconds=new.wall_time_seconds)
+            for row, new in zip(sweep, got[0])], k
+        assert got[1] == [dataclasses.replace(row, eps=row.eps * f) for row in coherence], k
+        assert got[2] == {name: value * f for name, value in length.items()}, k
+        assert got[3] == dataclasses.replace(tails, eps=tails.eps * f), k
+        assert got[4] == dataclasses.replace(oracle, mismatches=tuple(
+            (theta, offset * f, a, b) for theta, offset, a, b in oracle.mismatches)), k
+
+
 def test_oracle_check_random_shifts():
     rng = np.random.default_rng(9)
     sset = sh.SteinhausSet(
@@ -488,7 +554,7 @@ def test_oracle_check_calls_do_not_grow_with_lines(monkeypatch):
         check = hz.run_oracle_check(sset, lines, seed=3)
         assert check.comparisons == lines
         # one kernel line block; one sign test for the grid, one for the padding
-        assert counting._workspace(sset, lines)[0] >= lines
+        assert counting._workspace(sset)[0] >= lines
         assert calls["kernel"] == 1
         assert calls["sign test"] <= 2
 

@@ -521,7 +521,7 @@ def test_mode_set_refuses_a_pitch_below_the_floor_before_drawing_a_shift(monkeyp
     for mode in sh.MODES:
         with pytest.raises(ValidationError, match="^eps: "):
             sh.mode_set(unit_square(), 3, 1e-20, mode, 0)
-        with pytest.raises(ValidationError, match="^n: need at least one family"):
+        with pytest.raises(ValidationError, match="^n: need an integer >= 1, got 0$"):
             sh.mode_set(unit_square(), 0, 0.1, mode, 0)
 
 
@@ -797,5 +797,9 @@ def test_set_validation():
         sh.SteinhausSet(body=body, n=1, eps=0.0, shifts=np.array([0.1]))
     with pytest.raises(ValidationError, match="n"):
         sh.SteinhausSet(body=body, n=0, eps=0.1, shifts=np.zeros(0))
+    # a count is an int: a float, even an integral one, or a boolean is refused
+    for n in (16.0, 2.5, True):
+        with pytest.raises(ValidationError, match="^n: need an integer >= 1"):
+            sh.SteinhausSet(body=body, n=n, eps=0.1, shifts=np.zeros(16))
     with pytest.raises(ValidationError, match="^padding: need segments"):
         sh.SteinhausSet(body=body, n=1, eps=0.1, shifts=np.zeros(1), padding=[0.2, 0.2, 0.3])
