@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--offset-res", type=int, default=96)
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--workers", type=int, default=1,
-                   help="processes running rows at once (>= 1)")
+                   help="processes running rows at once (>= 1), each counting on one CPU")
     p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub("tails", _cmd_tails, "empirical |Z| tail of a fixed segment vs the bound")

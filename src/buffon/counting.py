@@ -42,6 +42,9 @@ endpoint's tolerance (its clipping bound plus the sign test's rounding).
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,20 +120,20 @@ class LineBatch:
 
 
 def _workspace(sset: SteinhausSet) -> tuple:
-    """Lines per line block, lines per family block, and the five flat float
-    planes that every block of a batch of lines takes its views from.
+    """Lines per line block, lines per family block, and the planes every
+    block of a part takes its views from: 3 float, 1 for the padding's bools.
 
     A line block bounds the per-line work: its (padding x lines) planes hold
-    at most KERNEL_CHUNK elements, and it holds at most KERNEL_CHUNK // 16
+    at most KERNEL_CHUNK elements, and it holds at most KERNEL_CHUNK // 32
     lines (16 at least); the clip bounds its own temporaries.
     A family block bounds the (families x lines) planes: KERNEL_CHUNK // n of
     a line block's lines (16 at least).  A plane takes KERNEL_CHUNK elements
     (16 lines if wider) whatever n and the batch are, so sets reuse one heap
     block; np.empty commits only the pages a short batch touches."""
     fams, pads = sset.n, sset.padding_count
-    line_rows = max(16, KERNEL_CHUNK // max(16, pads))
+    line_rows = max(16, KERNEL_CHUNK // max(32, pads))
     fam_rows = min(line_rows, max(16, KERNEL_CHUNK // fams))
-    return line_rows, fam_rows, np.empty((5, max(KERNEL_CHUNK, 16 * max(fams, pads))))
+    return line_rows, fam_rows, np.empty((4, max(KERNEL_CHUNK, 16 * max(fams, pads))))
 
 
 def _new_batch(thetas, offsets) -> LineBatch:
@@ -167,7 +170,7 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
         m = len(h[block])
         # (families x lines) planes: a reduction over the families runs along
         # whole rows of lines, a few vector passes rather than a short one per line
-        at_s, at_e, n_lo, n_hi, per_family = planes[:, : n * m].reshape(5, n, m)
+        at_s, at_e, per_family = planes[:3, : n * m].reshape(3, n, m)
         # each endpoint's lattice coordinate x . nu_k / eps - U_k, every temporary
         # written with out=; rounding is monotone, so their min and max are
         # count_in_interval's a/eps - U_k and b/eps - U_k to the bit
@@ -175,8 +178,6 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
             np.matmul(sset.directions, point.T, out=at)
             at /= eps
             at -= sset.shifts[:, None]
-        np.ceil(np.minimum(at_s, at_e, out=n_lo), out=n_lo)
-        np.ceil(np.maximum(at_s, at_e, out=n_hi), out=n_hi)
 
         # An endpoint next to the point where a grid segment meets the boundary:
         # with g_k = |x_k - rint(x_k)|, fl(g eps) is monotone in g, so "some k has
@@ -191,13 +192,19 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
             for k, j, _ in sset.pinned_edges:
                 gap[k, edge == j] = np.inf
             exceptional[block] |= np.min(gap, axis=0) * eps <= tol[block]
+        s_is_min = {k: at_s[k] <= at_e[k] for k, _, _ in sset.pinned_edges}  # the raw order
+        # ceil is monotone, so |ceil(x_e) - ceil(x_s)| is ceil(max) - ceil(min)
+        np.ceil(at_s, out=at_s)
+        np.ceil(at_e, out=at_e)
+        np.abs(np.subtract(at_e, at_s, out=per_family), out=per_family)
+        # a pinned family's (min, max) sides, each of its edges applied in turn
+        ends = {k: np.where(s, [at_s[k], at_e[k]], [at_e[k], at_s[k]]) for k, s in s_is_min.items()}
         for k, j, q in sset.pinned_edges:
             on_s, on_e = edge_s[block] == j, edge_e[block] == j
-            s_is_min = at_s[k] <= at_e[k]
-            n_lo[k] = np.where(np.where(s_is_min, on_s, on_e), q, n_lo[k])
-            n_hi[k] = np.where(np.where(s_is_min, on_e, on_s), q + 1.0, n_hi[k])
+            ends[k][0, np.where(s_is_min[k], on_s, on_e)] = q
+            ends[k][1, np.where(s_is_min[k], on_e, on_s)] = q + 1.0
+            np.subtract(ends[k][1], ends[k][0], out=per_family[k])
 
-        np.subtract(n_hi, n_lo, out=per_family)
         total[block] = np.sum(per_family, axis=0)
         yield slice(rows.start + lo, rows.start + lo + m), per_family.T
 
@@ -229,15 +236,16 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
     batch.exceptional[rows] = exceptional
 
 
-def _eval_blocks(sset: SteinhausSet, batch: LineBatch):
-    """One kernel pass over a batch from _new_batch, filled in place: line
-    blocks of a few thousand lines, all in one workspace, so the working
+def _eval_blocks(sset: SteinhausSet, batch: LineBatch, rows: slice = slice(0, None)):
+    """One kernel pass over the batch's lines[rows] (a batch from _new_batch),
+    filled in place in line blocks, all in one workspace, so the working
     memory neither grows with the lines nor is allocated again per block.
     Yields every family block's (rows, per-family counts) as _line_block
-    does; the batch is complete once the generator is exhausted."""
+    does; those rows are complete once the generator is exhausted."""
     line_rows, fam_rows, planes = _workspace(sset)
-    for lo in range(0, len(batch.theta), line_rows):
-        yield from _line_block(sset, batch, slice(lo, lo + line_rows), planes, fam_rows)
+    start, stop, _ = rows.indices(len(batch.theta))
+    for lo in range(start, stop, line_rows):
+        yield from _line_block(sset, batch, slice(lo, min(lo + line_rows, stop)), planes, fam_rows)
 
 
 def family_deviation(sset: SteinhausSet, batch: LineBatch, rows: slice,
@@ -261,14 +269,21 @@ def count_lines(sset: SteinhausSet, thetas, offsets) -> tuple[LineBatch, np.ndar
     return batch, deviation
 
 
-def evaluate_lines(
-    sset: SteinhausSet, thetas: np.ndarray, offsets: np.ndarray
-) -> LineBatch:
-    """Count every line in one kernel pass.  Exceptional lines keep zeroed
-    counts; callers exclude them from suprema (a null set of line space)."""
-    batch = _new_batch(thetas, offsets)
-    for _ in _eval_blocks(sset, batch):
-        pass
+def evaluate_lines(sset: SteinhausSet, thetas: np.ndarray, offsets: np.ndarray) -> LineBatch:
+    """Count every line in one kernel pass, one contiguous part per usable CPU
+    (one in a process multiprocessing started, whose pool shares the CPUs) of
+    2 KERNEL_CHUNK line-families at least, each in its own workspace.  No row
+    depends on its part; exceptional lines keep zeroed counts, which suprema skip."""
+    batch, lines = _new_batch(thetas, offsets), len(thetas)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cpus = 1 if multiprocessing.parent_process() else cpus
+    count = max(1, min(cpus, lines * sset.n // (2 * KERNEL_CHUNK)))
+    first, *rest = (_eval_blocks(sset, batch, slice(lines * i // count, lines * (i + 1) // count))
+                    for i in range(count))
+    with ThreadPoolExecutor(count) as pool:
+        others = pool.map(list, rest)  # each part's blocks, run to the end on a thread of its own
+        list(first)
+        list(others)  # re-raises a part's exception
     return batch
 
 

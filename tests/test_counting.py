@@ -467,35 +467,49 @@ def _lines_through_endpoints(sset, rng, m, through):
     return thetas, ps
 
 
+def _tiled(blocks, rows):
+    """Whether the slices, in any order, tile the rows one after another."""
+    blocks = sorted(blocks, key=lambda block: block.start)
+    return ([block.start for block in blocks] + [rows.stop]
+            == [rows.start] + [block.stop for block in blocks])
+
+
 def _evaluate_in_recorded_blocks(monkeypatch, sset, m):
-    """evaluate_lines on m lines, with the lines of each line block and the
-    (lines, families) shape of each family block it ran.  Every block holds
-    at most KERNEL_CHUNK elements of each of its planes and the family blocks
-    tile each line block."""
-    line_blocks, family_blocks = [], []
-    line_block = counting._line_block
+    """evaluate_lines on m lines over 3 CPUs, with the rows of each part, each
+    line block and each family block it ran, and each family block's (lines,
+    families) shape; the parts' threads append them in any order.  The parts
+    tile the batch, the line blocks each part and the family blocks each
+    line block; every block holds at most KERNEL_CHUNK elements of each of
+    its planes."""
+    parts, line_blocks, family_blocks = [], [], []
+    eval_blocks, line_block = counting._eval_blocks, counting._line_block
+
+    def recorded_part(sset, batch, rows=slice(0, None)):
+        parts.append(rows)
+        yield from eval_blocks(sset, batch, rows)
 
     def recorded(sset, batch, rows, planes, fam_rows):
-        line_blocks.append(len(batch.theta[rows]))
+        line_blocks.append(rows)
         for part, per_family in line_block(sset, batch, rows, planes, fam_rows):
-            family_blocks.append(per_family.shape)
+            family_blocks.append((part, per_family.shape))
             yield part, per_family
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(counting, "_eval_blocks", recorded_part)
     monkeypatch.setattr(counting, "_line_block", recorded)
     thetas, ps = _lines_through_endpoints(sset, np.random.default_rng(52), m, 0)
     batch = evaluate_lines(sset, thetas, ps)
-    assert sum(line_blocks) == m
+    assert _tiled(parts, slice(0, m))
+    for part in parts:
+        assert _tiled([rows for rows in line_blocks if part.start <= rows.start < part.stop], part)
     edges = 0 if sset.body.vertices is None else len(sset.body.vertices)
-    assert max(line_blocks) * max(sset.padding_count, edges) <= counting.KERNEL_CHUNK
-    assert {n for _, n in family_blocks} == {sset.n}
-    assert max(rows for rows, _ in family_blocks) * sset.n <= counting.KERNEL_CHUNK
-    rows = iter(rows for rows, _ in family_blocks)
-    for lines in line_blocks:
-        tiled = 0
-        while tiled < lines:
-            tiled += next(rows)
-        assert tiled == lines
-    return batch, line_blocks, family_blocks
+    longest = max(rows.stop - rows.start for rows in line_blocks)
+    assert longest * max(sset.padding_count, edges) <= counting.KERNEL_CHUNK
+    assert {n for _, (_, n) in family_blocks} == {sset.n}
+    assert max(lines for _, (lines, _) in family_blocks) * sset.n <= counting.KERNEL_CHUNK
+    for rows in line_blocks:
+        assert _tiled([block for block, _ in family_blocks if rows.start <= block.start < rows.stop], rows)
+    return batch, parts, line_blocks, family_blocks
 
 
 def test_kernel_blocks_count_padding_segments(monkeypatch):
@@ -504,7 +518,7 @@ def test_kernel_blocks_count_padding_segments(monkeypatch):
     block at most KERNEL_CHUNK elements of (lines x families)."""
     sset = _padded_disk_set(40, 0.01, 150.0, seed=51)
     assert sset.padding_count > 5 * sset.n
-    batch, line_blocks, _ = _evaluate_in_recorded_blocks(monkeypatch, sset, 1000)
+    batch, _, line_blocks, _ = _evaluate_in_recorded_blocks(monkeypatch, sset, 1000)
     assert batch.padding_hits.any()
     assert len(line_blocks) > 3
 
@@ -514,7 +528,8 @@ def test_family_blocks_tile_each_line_block(monkeypatch):
     (lines x edges) clip temporaries stay within KERNEL_CHUNK elements."""
     sset = sh.SteinhausSet(body=unit_square(), n=100, eps=0.01,
                            shifts=np.random.default_rng(50).uniform(0, 1, 100))
-    _, line_blocks, family_blocks = _evaluate_in_recorded_blocks(monkeypatch, sset, 10_000)
+    _, parts, line_blocks, family_blocks = _evaluate_in_recorded_blocks(monkeypatch, sset, 10_000)
+    assert len(parts) == 3
     assert len(line_blocks) > 2 and len(family_blocks) > 2 * len(line_blocks)
 
 
@@ -527,9 +542,9 @@ def test_reused_workspace_leaks_nothing_between_blocks(monkeypatch, case):
     endpoints; the square takes the pinned-edge path."""
     rng = np.random.default_rng(53)
     if case == "padded disk":
-        sset = _padded_disk_set(60, 0.02, 3.0, seed=54)
+        sset = _padded_disk_set(80, 0.02, 3.0, seed=54)
     else:
-        base = sh.SteinhausSet(body=unit_square(), n=40, eps=0.05, shifts=np.zeros(40))
+        base = sh.SteinhausSet(body=unit_square(), n=80, eps=0.05, shifts=np.zeros(80))
         sset = sh.adjust_length(base, sh.grid_length(base) + 1.3)
         assert sset.pinned_edges
     assert sset.padding_count
@@ -801,16 +816,11 @@ def _per_element_batch(sset, thetas, ps):
     return per_family, fields
 
 
-@pytest.mark.parametrize("case", ["padded disk", "zero-shift square", "polygon"])
-def test_min_reduced_screen_equals_the_per_element_screen(monkeypatch, case):
-    """The kernel's near-lattice screen, one min over the families of
-    |x - rint(x)| per endpoint, flags exactly the lines a per-element screen
-    flags, and every other LineBatch field and per-family count is the same
-    to the bit, on lines a few ulps from grid-segment and padding endpoints
-    and nearly along edges.  The disk batch spans several line blocks, with
-    more padding segments than families; the square and the polygon run in
-    small line and family blocks."""
-    rng = np.random.default_rng(57)
+def _screen_case(monkeypatch, case, rng):
+    """A set and its _stress_lines: a padded disk with more padding segments
+    than families over 900 random lines, or a zero-shift square with pinned
+    edges or a random polygon over 150, the last two in small line and
+    family blocks."""
     if case == "padded disk":
         sset, m = _padded_disk_set(40, 0.01, 150.0, seed=58), 900
         assert sset.padding_count > sset.n
@@ -823,7 +833,20 @@ def test_min_reduced_screen_equals_the_per_element_screen(monkeypatch, case):
         sset, m = sh.SteinhausSet(body=random_polygon(rng), n=30, eps=0.02,
                                   shifts=rng.uniform(0, 1, 30)), 150
         monkeypatch.setattr(counting, "KERNEL_CHUNK", 16 * 30)
-    thetas, ps = _stress_lines(sset, rng, m)
+    return (sset, *_stress_lines(sset, rng, m))
+
+
+@pytest.mark.parametrize("case", ["padded disk", "zero-shift square", "polygon"])
+def test_min_reduced_screen_equals_the_per_element_screen(monkeypatch, case):
+    """The kernel's near-lattice screen, one min over the families of
+    |x - rint(x)| per endpoint, flags exactly the lines a per-element screen
+    flags, and every other LineBatch field and per-family count is the same
+    to the bit, on lines a few ulps from grid-segment and padding endpoints
+    and nearly along edges.  The disk batch spans several line blocks, with
+    more padding segments than families; the square and the polygon run in
+    small line and family blocks."""
+    rng = np.random.default_rng(57)
+    sset, thetas, ps = _screen_case(monkeypatch, case, rng)
     line_rows, fam_rows, _ = counting._workspace(sset)
     assert line_rows < len(thetas)
     batch = counting._new_batch(thetas, ps)
@@ -851,3 +874,85 @@ def test_random_lines_at_large_length_are_counted(body):
     batch = evaluate_lines(sset, thetas, rng.uniform(lo, hi))
     assert batch.valid.all()
     assert batch.exceptional.sum() <= 20
+
+
+@pytest.mark.parametrize("case", ["padded disk", "zero-shift square", "polygon"])
+def test_split_batches_keep_every_bit(monkeypatch, case):
+    """evaluate_lines cut into the parts of 1, 2, 3 or 7 CPUs (more threads
+    than this machine may have, switching as often as they can), on a batch
+    that no part count divides, fills every LineBatch field with the same
+    bits, and count_line of a line gives its row's: the lines of
+    test_min_reduced_screen_equals_the_per_element_screen, pinned edges and
+    padding included."""
+    sset, thetas, ps = _screen_case(monkeypatch, case, np.random.default_rng(57))
+    if case == "padded disk":
+        monkeypatch.setattr(counting, "KERNEL_CHUNK", 16 * sset.n)
+    keep = len(thetas) - (len(thetas) - 1) % 42  # 1 more than a multiple of 2, 3 and 7
+    thetas, ps = thetas[:keep], ps[:keep]
+    assert keep * sset.n >= 7 * counting.KERNEL_CHUNK  # 7 CPUs get 7 parts
+    batches, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the parts' threads take turns as often as they can
+    try:
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            batches.append(evaluate_lines(sset, thetas, ps))
+    finally:
+        sys.setswitchinterval(interval)
+    for batch in batches[1:]:
+        for f in fields(counting.LineBatch):
+            assert getattr(batch, f.name).tobytes() == getattr(batches[0], f.name).tobytes(), f.name
+    batch = batches[-1]
+    assert batch.exceptional.any() and (batch.valid & ~batch.exceptional).any()
+    for i in range(0, keep, 7):
+        if batch.exceptional[i]:
+            with pytest.raises(ExceptionalLineError):
+                count_line(sset, Line(thetas[i], ps[i]))
+            continue
+        bd = count_line(sset, Line(thetas[i], ps[i]))
+        row = (batch.total[i], batch.z[i], batch.mean_term[i], batch.padding_hits[i], batch.h[i])
+        got = (bd.total, bd.z, bd.mean_term, bd.padding_hits, bd.chord_length)
+        assert np.array(got).tobytes() == np.array(row, dtype=float).tobytes(), i
+
+
+def _recorded_parts(monkeypatch, sset, thetas, ps):
+    """evaluate_lines' batch, and the rows of each part it cut the batch into."""
+    parts, eval_blocks = [], counting._eval_blocks
+
+    def recorded(sset, batch, rows=slice(0, None)):
+        parts.append(rows)
+        yield from eval_blocks(sset, batch, rows)
+
+    monkeypatch.setattr(counting, "_eval_blocks", recorded)
+    batch = evaluate_lines(sset, thetas, ps)
+    monkeypatch.setattr(counting, "_eval_blocks", eval_blocks)
+    assert _tiled(parts, slice(0, len(thetas)))
+    return batch, parts
+
+
+@pytest.mark.parametrize("cpu_count, parts", [(None, 1), (1, 1), (3, 3)])
+def test_split_without_an_affinity_mask_uses_the_cpu_count(monkeypatch, cpu_count, parts):
+    """Where os has no sched_getaffinity (macOS, Windows), a batch is cut into
+    os.cpu_count() parts, one when that is unknown, with the bytes of one
+    part."""
+    sset, thetas, ps = _screen_case(monkeypatch, "polygon", np.random.default_rng(57))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one, single = _recorded_parts(monkeypatch, sset, thetas, ps)
+    assert len(single) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    batch, cut = _recorded_parts(monkeypatch, sset, thetas, ps)
+    assert len(cut) == parts
+    for f in fields(counting.LineBatch):
+        assert getattr(batch, f.name).tobytes() == getattr(one, f.name).tobytes(), f.name
+
+
+@pytest.mark.parametrize("started_by_multiprocessing, parts", [(False, 4), (True, 1)])
+def test_a_pool_worker_counts_in_one_part(monkeypatch, started_by_multiprocessing, parts):
+    """A process that multiprocessing started, such as one of run_sweep's
+    workers, shares the CPUs with its pool, so it does not split a batch."""
+    sset, thetas, ps = _screen_case(monkeypatch, "polygon", np.random.default_rng(57))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    parent = object() if started_by_multiprocessing else None
+    monkeypatch.setattr(counting.multiprocessing, "parent_process", lambda: parent)
+    _, cut = _recorded_parts(monkeypatch, sset, thetas, ps)
+    assert len(cut) == parts
