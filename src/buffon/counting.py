@@ -17,7 +17,8 @@ with h the chord length and t the line's unit tangent, taken in closed form
 are functions of the line's angle, chord length and integer total alone, so
 they do not depend on the batch the line is evaluated in.  The
 per-family deviation max_k |N_k - (b_k - a_k)/eps| is family_deviation,
-which count_line and count_lines report (a LineBatch does not carry it).
+which count_lines reports (a LineBatch does not carry it).  count_line is
+a line's row of evaluate_lines.
 
 A line is *exceptional* when float rounding could change its count (a
 measure-zero set of line space): ConvexBody.chord_bounds gives each
@@ -31,7 +32,9 @@ passes within rounding_bound(sset.scale) of a padding-segment endpoint.
 An endpoint on an edge that the clip finds a lattice line along (pinned,
 SteinhausSet.pinned_edges: e.g. an axis-aligned body under zero shifts) is
 a stable crossing: it is counted on either side, though the half-open
-convention would drop it on the max side.
+convention would drop it on the max side.  Its lattice coordinate becomes
+q - 1/2 when the chord's other end lies above the edge's lattice value q,
+else q + 1/2, so the one ceil counts q.
 
 Every other line is counted as exact arithmetic on the kernel's float
 inputs would count it; exceptional ones are not (count_line raises, batches
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import KERNEL_CHUNK, Line, rounding_bound
+from .geometry import KERNEL_CHUNK, Line, ValidationError, rounding_bound
 from .steinhaus import SteinhausSet, angular_sum, directions
 
 __all__ = [
@@ -89,18 +92,15 @@ def count_in_interval(a, b, eps: float, u, out=None):
 
 @dataclass(frozen=True, eq=False)
 class CountBreakdown:
-    """Per-family counts with the exact decomposition total = mean_term + z:
-    mean_term is the closed form, z its complement, chord_length the clipped
-    chord's (0 for a miss), and max_abs_dev the largest per-family
-    |N_k - mean_k| (a batch does not carry it)."""
+    """One line's count with the exact decomposition total = mean_term + z:
+    mean_term is the closed form, z its complement, and chord_length the
+    clipped chord's (0 for a miss)."""
 
-    per_family: np.ndarray
     total: int
     mean_term: float
     z: float
     padding_hits: int
     chord_length: float
-    max_abs_dev: float
 
 
 @dataclass(eq=False)
@@ -137,11 +137,16 @@ def _workspace(sset: SteinhausSet) -> tuple:
 
 
 def _new_batch(thetas, offsets) -> LineBatch:
-    """A batch of the lines, whose other fields the kernel fills."""
-    theta = np.array(thetas, dtype=float)
+    """A batch of the lines, whose other fields the kernel fills; refuses
+    anything but two equally long 1-D arrays of finite numbers."""
+    theta, offset = np.array(thetas, dtype=float), np.array(offsets, dtype=float)
+    if not (theta.ndim == 1 and theta.shape == offset.shape
+            and np.isfinite(theta).all() and np.isfinite(offset).all()):
+        raise ValidationError("lines", "need equally long 1-D arrays of finite angles and "
+                              f"offsets, got shapes {theta.shape} and {offset.shape}")
     lines = len(theta)
     return LineBatch(
-        theta=theta, offset=np.array(offsets, dtype=float), valid=np.empty(lines, dtype=bool),
+        theta=theta, offset=offset, valid=np.empty(lines, dtype=bool),
         h=np.empty(lines), total=np.empty(lines, dtype=np.int64), z=np.empty(lines),
         mean_term=np.empty(lines), padding_hits=np.empty(lines, dtype=np.int64),
         exceptional=np.empty(lines, dtype=bool), jittered=np.zeros(lines, dtype=bool))
@@ -154,8 +159,8 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
     block's (rows, raw (lines x families) counts), a view into the planes
     that the next family block overwrites.  h and valid of those rows are
     filled by then, the other fields once the line block is done; they
-    carry zero counts for invalid and exceptional lines, the raw counts do
-    not."""
+    carry zero counts for invalid and exceptional lines, the raw counts for
+    invalid lines only."""
     thetas, ps = batch.theta[rows], batch.offset[rows]
     start, end, h, valid, tol_s, tol_e, edge_s, edge_e, along = sset.body.chord_bounds(thetas, ps)
     batch.h[rows], batch.valid[rows] = h, valid
@@ -183,27 +188,26 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
         # with g_k = |x_k - rint(x_k)|, fl(g eps) is monotone in g, so "some k has
         # fl(g_k eps) <= tol" is the one test fl(min_k g_k eps) <= tol.  An
         # endpoint whose binding edge lies on a lattice line is a pinned, stable
-        # crossing (the lattice line there IS part of the set), so its gap is
-        # +inf; its count takes the edge's lattice value on the min side, and on
-        # the max side, where the half-open convention would drop it.
+        # crossing (the lattice line there IS part of the set), so its gap is +inf.
         for at, tol, edge in ((at_s, tol_s, edge_s[block]), (at_e, tol_e, edge_e[block])):
             gap = np.subtract(at, np.rint(at, out=per_family), out=per_family)
             np.abs(gap, out=gap)
             for k, j, _ in sset.pinned_edges:
                 gap[k, edge == j] = np.inf
             exceptional[block] |= np.min(gap, axis=0) * eps <= tol[block]
-        s_is_min = {k: at_s[k] <= at_e[k] for k, _, _ in sset.pinned_edges}  # the raw order
-        # ceil is monotone, so |ceil(x_e) - ceil(x_s)| is ceil(max) - ceil(min)
+        # A pinned endpoint of edge j takes the coordinate q - 1/2 when the
+        # chord's other end lies above q, else q + 1/2: the ceil below counts q
+        # on either side.  Another pinned q of the family lies at least 1 away,
+        # so its endpoint stays on its side of this q.
+        for k, j, q in sset.pinned_edges:
+            for at, other, edge in ((at_s, at_e, edge_s[block]), (at_e, at_s, edge_e[block])):
+                np.copyto(at[k], np.where(other[k] > q, q - 0.5, q + 0.5),
+                          where=valid[block] & (edge == j))
+        # ceil is monotone, so |ceil(x_e) - ceil(x_s)| is ceil(max) - ceil(min);
+        # an invalid line's endpoints are both 0, so its counts are 0
         np.ceil(at_s, out=at_s)
         np.ceil(at_e, out=at_e)
         np.abs(np.subtract(at_e, at_s, out=per_family), out=per_family)
-        # a pinned family's (min, max) sides, each of its edges applied in turn
-        ends = {k: np.where(s, [at_s[k], at_e[k]], [at_e[k], at_s[k]]) for k, s in s_is_min.items()}
-        for k, j, q in sset.pinned_edges:
-            on_s, on_e = edge_s[block] == j, edge_e[block] == j
-            ends[k][0, np.where(s_is_min[k], on_s, on_e)] = q
-            ends[k][1, np.where(s_is_min[k], on_e, on_s)] = q + 1.0
-            np.subtract(ends[k][1], ends[k][0], out=per_family[k])
 
         total[block] = np.sum(per_family, axis=0)
         yield slice(rows.start + lo, rows.start + lo + m), per_family.T
@@ -253,11 +257,11 @@ def family_deviation(sset: SteinhausSet, batch: LineBatch, rows: slice,
     """max_k |N_k - mean_k| of the batch's lines[rows], whose per-family counts
     are given, mean_k = (h/eps) |t . nu_k| with t the tangent; one
     matrix-vector product per line, so a row has one line's bits."""
-    theta, h, valid = batch.theta[rows], batch.h[rows], batch.valid[rows]
+    theta, h = batch.theta[rows], batch.h[rows]
     tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
     mean_k = h[:, None] / sset.eps * np.abs(
         (sset.directions[None] @ tangents[:, :, None])[..., 0])
-    return np.max(np.abs(np.where(valid[:, None], per_family, 0.0) - mean_k), axis=1)
+    return np.max(np.abs(per_family - mean_k), axis=1)
 
 
 def count_lines(sset: SteinhausSet, thetas, offsets) -> tuple[LineBatch, np.ndarray]:
@@ -272,12 +276,14 @@ def count_lines(sset: SteinhausSet, thetas, offsets) -> tuple[LineBatch, np.ndar
 def evaluate_lines(sset: SteinhausSet, thetas: np.ndarray, offsets: np.ndarray) -> LineBatch:
     """Count every line in one kernel pass, one contiguous part per usable CPU
     (one in a process multiprocessing started, whose pool shares the CPUs) of
-    2 KERNEL_CHUNK line-families at least, each in its own workspace.  No row
+    one line and 2 KERNEL_CHUNK line-families at least, each in its own
+    workspace; count_line's one line is one part, so no thread starts.  No row
     depends on its part; exceptional lines keep zeroed counts, which suprema skip."""
-    batch, lines = _new_batch(thetas, offsets), len(thetas)
+    batch = _new_batch(thetas, offsets)
+    lines = len(batch.theta)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cpus = 1 if multiprocessing.parent_process() else cpus
-    count = max(1, min(cpus, lines * sset.n // (2 * KERNEL_CHUNK)))
+    count = max(1, min(cpus, lines, lines * sset.n // (2 * KERNEL_CHUNK)))
     first, *rest = (_eval_blocks(sset, batch, slice(lines * i // count, lines * (i + 1) // count))
                     for i in range(count))
     with ThreadPoolExecutor(count) as pool:
@@ -288,32 +294,16 @@ def evaluate_lines(sset: SteinhausSet, thetas: np.ndarray, offsets: np.ndarray) 
 
 
 def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
-    """Exact per-family crossing counts of one line; raises on exceptional.
-
-    Invariants: total = sum(per_family) and mean_term = total - z exactly.
-    mean_term is the closed form of the summed per-family means
-    mean_k = (h/eps) |t . nu_k| = (h/eps) |sin(theta - pi k / n)|, and z its
-    complement, both bit-equal to the line's row in evaluate_lines;
-    max_abs_dev = max_k |per_family[k] - mean_k| is below one.
-    """
-    batch = _new_batch([line.theta], [line.offset])
-    for rows, per_family in _eval_blocks(sset, batch):
-        counts = np.where(batch.valid[0], per_family[0], 0.0).astype(np.int64)
-        deviation = float(family_deviation(sset, batch, rows, per_family)[0])
+    """The line's row of evaluate_lines; raises on an exceptional line."""
+    batch = evaluate_lines(sset, [line.theta], [line.offset])
     if batch.exceptional[0]:
         raise ExceptionalLineError(
             line.theta, line.offset, "line within its rounding bound of a "
             "grid-segment endpoint, along a grid line or boundary edge, or near "
             "a padding endpoint")
-    return CountBreakdown(
-        per_family=counts,
-        total=int(batch.total[0]),
-        mean_term=float(batch.mean_term[0]),
-        z=float(batch.z[0]),
-        padding_hits=int(batch.padding_hits[0]),
-        chord_length=float(batch.h[0]),
-        max_abs_dev=deviation,
-    )
+    return CountBreakdown(total=int(batch.total[0]), mean_term=float(batch.mean_term[0]),
+                          z=float(batch.z[0]), padding_hits=int(batch.padding_hits[0]),
+                          chord_length=float(batch.h[0]))
 
 
 def segment_crossings(segments: np.ndarray, thetas, offsets,
@@ -369,11 +359,14 @@ def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
     the angle of y - x; the segment is oriented canonically first, so
     Z(x, y) and Z(y, x) are equal to the bit.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("segment", f"need finite endpoints, got {x} and {y}")
     if tuple(y) < tuple(x):
         x, y = y, x
     shifts = np.asarray(shifts, dtype=float)
+    if shifts.ndim != 2 or shifts.shape[1] != n:
+        raise ValidationError("shifts", f"need a (trials, {n}) matrix, got shape {shifts.shape}")
     dx, dy = y - x
     mean = math.hypot(dx, dy) / eps * angular_sum(n, math.atan2(dy, dx))
     dirs = directions(n)

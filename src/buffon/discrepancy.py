@@ -2,9 +2,11 @@
 
 The estimator reports a certified lower bound for the essential supremum of
 |crossings - Crofton target| over lines: every value it returns was attained
-by an explicitly evaluated, non-exceptional line (the witness), and the
-witness value is recomputed independently at report time.  Alongside, the
-report carries the envelope upper bound implied by the exact decomposition
+by an explicitly evaluated, non-exceptional line (the witness).  At report
+time the witness is recounted by the same kernel: that guards the search's
+bookkeeping, not the count, until an exact recount (ROADMAP: certify the
+witness in exact arithmetic) makes it independent.  Alongside, the report
+carries the envelope upper bound implied by the exact decomposition
 
     count + padding_hits - crofton
         = quadrature_term + z_term + padding_term + length_normalization_term,

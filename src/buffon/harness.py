@@ -130,8 +130,7 @@ def _sweep_worker(payload) -> SweepRow:
 
 def length_grid(l_min: float, l_max: float, points: int) -> list[float]:
     """points target lengths from l_min to l_max, evenly spaced in log L."""
-    if points < 2:
-        raise ValidationError("points", "need at least 2 grid points")
+    check_count("points", points, 2)
     if not (0 < l_min < l_max):
         raise ValidationError("l_min", "need 0 < l-min < l-max")
     return [l_min * (l_max / l_min) ** (i / (points - 1)) for i in range(points)]
@@ -154,8 +153,8 @@ def run_sweep(
     l_values = [float(l) for l in l_values]
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
         raise ValidationError("l_values", "target lengths must be increasing")
-    if workers < 1:
-        raise ValidationError("workers", f"worker count must be >= 1, got {workers}")
+    check_count("seed", seed, 0)
+    check_count("workers", workers, 1)
     unit = math.sqrt(body.area)
     payloads = [(body, l, mode, rng.derive_seed(seed, f"sweep/{mode}/{l / unit!r}"), config)
                 for l in l_values]
@@ -324,6 +323,7 @@ def z_tail_study(
     lie inside it) but Z itself depends only on the segment.
     """
     check_count("trials", trials, 10_000)
+    check_count("seed", seed, 0)
     s_values = [float(s) for s in s_values]
     if not s_values or not all(0.0 <= s < math.inf for s in s_values):
         raise ValidationError(
@@ -366,6 +366,7 @@ def length_study(
     sub-Gaussian envelope for the mean of the total over trials.
     """
     check_count("trials", trials, 1_000)
+    check_count("seed", seed, 0)
     check_lattice(body, n, eps)
     lengths = family_length_many(body, eps, rng.stream(seed, "length").random((trials, n)))
     worst = np.max(np.abs(lengths - body.area / eps), axis=0)
@@ -426,6 +427,7 @@ def coherence_study(
     if len(n_values) != len(eps_values):
         raise ValidationError("n_values", "need one eps per n")
     check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
     if not body.contains(np.zeros(2)):
         raise ValidationError(
             "body", "coherence study needs the origin inside the body")
@@ -480,6 +482,7 @@ def run_oracle_check(sset: SteinhausSet, lines: int, seed: int = 0) -> OracleChe
     screens out as exceptional is not compared but counted in ``skipped``.
     """
     check_count("lines", lines, 1)
+    check_count("seed", seed, 0)
     u = rng.stream(seed, "oracle").random((lines, 2))
     thetas = math.pi * u[:, 0]
     lo, hi = sset.body.offset_extents(thetas)

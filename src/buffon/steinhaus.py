@@ -106,6 +106,8 @@ class SteinhausSet:
 
     def __post_init__(self):
         check_lattice(self.body, self.n, self.eps)
+        if self.seed is not None:
+            check_count("seed", self.seed, 0)
         self.shifts = np.asarray(self.shifts, dtype=float)
         if self.shifts.shape != (self.n,):
             raise ValidationError("shifts", f"need exactly n={self.n} shifts")
@@ -291,9 +293,11 @@ def _check_mode(mode: str) -> str:
 
 
 def mode_set(body: ConvexBody, n: int, eps: float, mode: str, seed: int) -> SteinhausSet:
-    """The set of a build mode at (n, eps): check_lattice admits the lattice
-    before the mode's shifts are drawn, sampled ("shifted") or all zero ("zero")."""
+    """The set of a build mode at (n, eps): the lattice and the seed (an int
+    >= 0) are admitted before the mode's shifts are drawn, sampled
+    ("shifted") or all zero ("zero")."""
     check_lattice(body, n, eps)
+    check_count("seed", seed, 0)
     shifts = MODES[_check_mode(mode)][1](n, seed)
     return SteinhausSet(body=body, n=n, eps=eps, shifts=shifts, seed=seed)
 
@@ -454,19 +458,13 @@ _MANIFEST_KEYS = {"body", "n", "eps", "seed", "shifts", "padding", "total_length
 
 def set_from_manifest(manifest: dict) -> SteinhausSet:
     check_object(manifest, "manifest", _MANIFEST_KEYS)
-    n = float(as_float_array(manifest["n"], "n", ndim=0))
-    if not n.is_integer():
-        raise ValidationError("n", f"need an integer, got {manifest['n']!r}")
-    seed = manifest["seed"]
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ValidationError("seed", f"need an integer or null, got {seed!r}")
-    sset = SteinhausSet(
+    sset = SteinhausSet(  # check_count refuses its n, and its seed unless null
         body=body_from_dict(manifest["body"]),
-        n=int(n),
+        n=manifest["n"],
         eps=float(as_float_array(manifest["eps"], "eps", ndim=0)),
         shifts=as_float_array(manifest["shifts"], "shifts"),
         padding=as_float_array(manifest["padding"], "padding"),
-        seed=seed,
+        seed=manifest["seed"],
     )
     stored = float(as_float_array(manifest["total_length"], "total_length", ndim=0))
     if not math.isfinite(stored):

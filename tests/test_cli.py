@@ -366,6 +366,22 @@ def test_sweep_refuses_zero_workers(tmp_path, body_path, capsys):
     assert capsys.readouterr().err.startswith("error: workers: ") and not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["build", "--length", "2000", "--out", "set.json"],
+    ["sweep", "--l-min", "1e3", "--l-max", "2e3", "--out", "sweep.csv"],
+    ["oracle-check", "--n", "3", "--eps", "0.1", "--lines", "10"],
+    ["tails", "--n", "16", "--eps", "0.05", "--x0", "0.1", "--y0", "0.1", "--x1", "0.9",
+     "--y1", "0.8", "--trials", "10000", "--s-values", "1"],
+    ["length-study", "--n", "4", "--eps", "0.1", "--trials", "1000"]], ids=lambda c: c[0])
+def test_a_negative_seed_exits_1(tmp_path, body_path, capsys, monkeypatch, command):
+    """--seed -1 is refused, naming the seed, as disc --seed -1 is."""
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--body", body_path, "--seed", "-1", *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed: ") and captured.out == ""
+    assert not list(tmp_path.glob("set.json")) + list(tmp_path.glob("sweep.csv"))
+
+
 def test_plot_takes_no_seed(tmp_path, capsys):
     """plot draws nothing at random, so --seed is an unknown flag there."""
     csv_path = _four_row_csv(tmp_path)
@@ -428,7 +444,10 @@ def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):
     set_path = tmp_path / "set.json"
     assert main(["build", "--body", body_path, "--length", "2000",
                  "--out", str(set_path)]) == 0
-    for key, value in (("n", "x"), ("eps", "a"), ("seed", "x"), ("seed", True)):
+    # a float n or seed is refused like any other non-integer, a negative seed
+    # as `buffon build --seed -1` refuses it
+    for key, value in (("n", "x"), ("n", 16.0), ("eps", "a"), ("seed", "x"), ("seed", True),
+                       ("seed", 1.0), ("seed", -1)):
         manifest = json.loads(set_path.read_text())
         manifest[key] = value
         bad = tmp_path / "bad_set.json"
@@ -437,10 +456,6 @@ def test_malformed_numbers_exit_1_naming_the_field(tmp_path, body_path, capsys):
         assert main(["disc", "--set", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ") and "Traceback" not in err
-    manifest = json.loads(set_path.read_text())
-    manifest["seed"] = -1  # as `buffon build --seed -1` writes it
-    bad.write_text(json.dumps(manifest))
-    assert sh.load_manifest(bad).seed == -1
 
 
 def test_config_file_strict_and_overridable(tmp_path, body_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from buffon.geometry import (PARALLEL, ConvexBody, Line, ValidationError, roundi
 from buffon import counting
 from buffon import harness as hz
 from buffon import steinhaus as sh
-from buffon.counting import (ExceptionalLineError, count_line, oracle_count,
+from buffon.counting import (ExceptionalLineError, count_line, count_lines, oracle_count,
                              segment_crossings)
 from buffon.discrepancy import SupConfig
 
@@ -100,6 +100,46 @@ def test_sweep_requires_increasing_lengths():
         body=unit_square(), n=4, eps=0.25, shifts=np.zeros(4)), True), id="lines-bool"),
 ])
 def test_sweep_and_study_refusals_name_their_field(field, call):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert info.value.field == field
+
+
+SEEDED = {
+    "mode_set": lambda seed: sh.mode_set(unit_square(), 3, 0.1, "shifted", seed),
+    "build_exact": lambda seed: sh.build_exact(unit_square(), 1e4, "shifted", seed),
+    "run_sweep": lambda seed: hz.run_sweep(unit_square(), [1e3, 1e4], "zero", SMALL_CONFIG,
+                                           seed=seed),
+    "run_oracle_check": lambda seed: hz.run_oracle_check(sh.SteinhausSet(
+        body=unit_square(), n=3, eps=0.1, shifts=np.zeros(3)), 10, seed=seed),
+    "length_study": lambda seed: hz.length_study(unit_square(), 4, 0.1, 1_000, seed=seed),
+    "z_tail_study": lambda seed: hz.z_tail_study(unit_square(), 16, 0.05, (0.1, 0.1),
+                                                 (0.9, 0.8), 10_000, [1.0], seed=seed),
+    "coherence_study": lambda seed: hz.coherence_study(
+        ConvexBody.disk((0.0, 0.0), 0.5), [4], [0.1], trials=10, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 1.0, True, None, "1"])
+@pytest.mark.parametrize("call", sorted(SEEDED))
+def test_every_seed_is_a_count_at_least_zero(call, seed):
+    """A seed is an int >= 0 wherever one is taken, as SupConfig requires: a
+    float seed once built a set whose manifest would not load, and True drew
+    the "True/..." streams."""
+    with pytest.raises(ValidationError) as info:
+        SEEDED[call](seed)
+    assert info.value.field == "seed"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("workers", True), ("workers", 1.5), ("workers", 2.0),
+    ("points", 2.5), ("points", 3.0), ("points", True)])
+def test_workers_and_points_are_counts(field, value):
+    """run_sweep's worker count and length_grid's point count are counts, never
+    floats or booleans; a float point count once raised a bare TypeError."""
+    call = {"workers": lambda: hz.run_sweep(unit_square(), [1e3, 1e4], "zero", SMALL_CONFIG,
+                                            workers=value),
+            "points": lambda: hz.length_grid(1e3, 1e4, value)}[field]
     with pytest.raises(ValidationError) as info:
         call()
     assert info.value.field == field
@@ -471,7 +511,8 @@ def per_line_check(sset, thetas, offsets):
         except ExceptionalLineError:
             skipped += 1
             continue
-        max_family_deviation = max(max_family_deviation, fast.max_abs_dev)
+        _, deviation = count_lines(sset, [line.theta], [line.offset])
+        max_family_deviation = max(max_family_deviation, float(deviation[0]))
         padding_hits, _ = segment_crossings(sset.padding, [line.theta], [line.offset],
                                             rounding_bound(sset.scale))
         if fast.total == reference and fast.padding_hits == padding_hits[0]:

@@ -787,6 +787,21 @@ def test_manifest_refuses_non_finite_values(field, value):
         sh.set_from_manifest(json.loads(json.dumps(manifest)))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 16.0), ("n", 0), ("n", True), ("n", "16"),
+    ("seed", 1.5), ("seed", 1.0), ("seed", -1), ("seed", True), ("seed", "1")])
+def test_manifest_n_and_seed_are_counts(field, value):
+    """A manifest's n is an int >= 1 and its seed null or an int >= 0, as
+    check_count reads every count; a float n once loaded, a float seed not."""
+    sset = sh.SteinhausSet(body=unit_square(), n=3, eps=0.1, shifts=np.array([0.1, 0.5, 0.7]),
+                           seed=7)
+    manifest = json.loads(json.dumps(sh.set_to_manifest(sset)))
+    assert sh.set_from_manifest(dict(manifest, seed=None)).seed is None
+    manifest[field] = value
+    with pytest.raises(ValidationError, match=f"^{field}: need an integer >= "):
+        sh.set_from_manifest(manifest)
+
+
 def test_set_validation():
     body = unit_square()
     with pytest.raises(ValidationError, match="shifts"):
