@@ -113,7 +113,6 @@ class LineBatch:
     h: np.ndarray
     total: np.ndarray
     z: np.ndarray
-    mean_term: np.ndarray
     padding_hits: np.ndarray
     exceptional: np.ndarray
     jittered: np.ndarray
@@ -148,7 +147,7 @@ def _new_batch(thetas, offsets) -> LineBatch:
     return LineBatch(
         theta=theta, offset=offset, valid=np.empty(lines, dtype=bool),
         h=np.empty(lines), total=np.empty(lines, dtype=np.int64), z=np.empty(lines),
-        mean_term=np.empty(lines), padding_hits=np.empty(lines, dtype=np.int64),
+        padding_hits=np.empty(lines, dtype=np.int64),
         exceptional=np.empty(lines, dtype=bool), jittered=np.zeros(lines, dtype=bool))
 
 
@@ -214,7 +213,6 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
 
     # mean term (h/eps) sum_k |t . nu_k| in closed form, t the line's tangent
     z = total - h / eps * angular_sum(n, thetas + math.pi / 2)
-    mean_term = total - z
 
     # (padding x lines) views of the planes the family blocks are done with;
     # without padding they are empty, so no line hits or nears a segment
@@ -235,7 +233,6 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
     zero = ~valid | exceptional
     batch.total[rows] = np.where(zero, 0.0, total)
     batch.z[rows] = np.where(zero, 0.0, z)
-    batch.mean_term[rows] = np.where(zero, 0.0, mean_term)
     batch.padding_hits[rows] = np.where(zero, 0, hits)
     batch.exceptional[rows] = exceptional
 
@@ -301,9 +298,9 @@ def count_line(sset: SteinhausSet, line: Line) -> CountBreakdown:
             line.theta, line.offset, "line within its rounding bound of a "
             "grid-segment endpoint, along a grid line or boundary edge, or near "
             "a padding endpoint")
-    return CountBreakdown(total=int(batch.total[0]), mean_term=float(batch.mean_term[0]),
-                          z=float(batch.z[0]), padding_hits=int(batch.padding_hits[0]),
-                          chord_length=float(batch.h[0]))
+    total, z = batch.total[0], batch.z[0]
+    return CountBreakdown(total=int(total), mean_term=float(total - z), z=float(z),
+                          padding_hits=int(batch.padding_hits[0]), chord_length=float(batch.h[0]))
 
 
 def segment_crossings(segments: np.ndarray, thetas, offsets,
@@ -359,9 +356,11 @@ def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
     the angle of y - x; the segment is oriented canonically first, so
     Z(x, y) and Z(y, x) are equal to the bit.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValidationError("eps", f"need a finite pitch > 0, got {eps!r}")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValidationError("segment", f"need finite endpoints, got {x} and {y}")
+    if not (x.shape == y.shape == (2,) and np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("segment", f"need finite points (x, y), got {x} and {y}")
     if tuple(y) < tuple(x):
         x, y = y, x
     shifts = np.asarray(shifts, dtype=float)

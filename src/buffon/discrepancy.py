@@ -1,4 +1,4 @@
-"""Crofton target, local discrepancy, quadrature sum, and a sup estimator.
+"""Crofton target, the per-line error decomposition, quadrature sum, and a sup estimator.
 
 The estimator reports a certified lower bound for the essential supremum of
 |crossings - Crofton target| over lines: every value it returns was attained
@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import get_type_hints
 
 import numpy as np
 
-from .geometry import (Line, ValidationError, as_float_array, check_count, check_object,
-                       read_json, write_json)
+from .geometry import Line, ValidationError, check_count, write_json
 from .steinhaus import SteinhausSet, angular_sum
 from .counting import ExceptionalLineError, count_line, evaluate_lines
 from . import rng as rng_mod
@@ -32,12 +30,10 @@ __all__ = [
     "crofton_target",
     "max_quadrature_deviation",
     "decompose",
-    "local_discrepancy",
     "SupConfig",
     "DiscrepancyReport",
     "format_report",
     "save_report",
-    "load_report",
     "estimate_sup",
 ]
 
@@ -97,11 +93,6 @@ def decompose(sset: SteinhausSet, line: Line, length: float) -> dict:
     }
 
 
-def local_discrepancy(sset: SteinhausSet, line: Line, length: float) -> float:
-    """|crossings + padding hits - crofton_target| at one line."""
-    return abs(decompose(sset, line, length)["signed_error"])
-
-
 @dataclass(frozen=True)
 class SupConfig:
     theta_resolution: int = 192
@@ -111,7 +102,7 @@ class SupConfig:
 
     def __post_init__(self):
         """Each field an integer at or above its least value; a boolean is
-        refused, as load_report refuses it in a saved report."""
+        refused, so a saved report holds JSON integers."""
         for name, least in (("theta_resolution", 8), ("offset_resolution", 8),
                             ("refine_rounds", 0), ("seed", 0)):
             check_count(name, getattr(self, name), least)
@@ -144,19 +135,6 @@ class DiscrepancyReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(data: dict) -> "DiscrepancyReport":
-        """The report of a JSON object with exactly its fields, each a number of its
-        field's type, an int one a count >= 0 (no booleans); the first that is not is refused."""
-        types = get_type_hints(DiscrepancyReport)
-        values = dict(check_object(data, "report", types))
-        for name, kind in types.items():
-            if kind is float:
-                values[name] = float(as_float_array(values[name], name, ndim=0))
-            else:
-                check_count(name, values[name], 0)
-        return DiscrepancyReport(**values)
-
 
 def format_report(report: DiscrepancyReport) -> str:
     """One `name = repr(value)` line per report field, in field order."""
@@ -166,10 +144,6 @@ def format_report(report: DiscrepancyReport) -> str:
 
 def save_report(report: DiscrepancyReport, path) -> None:
     write_json(report.to_dict(), path)
-
-
-def load_report(path) -> DiscrepancyReport:
-    return DiscrepancyReport.from_dict(read_json(path, "report"))
 
 
 def _targeted_lines(sset: SteinhausSet, count: int, seed: int):
@@ -243,12 +217,12 @@ def _phase(sset: SteinhausSet, length: float, thetas, offsets) -> tuple:
     """
     batch = evaluate_lines(sset, thetas, offsets)
     include = batch.valid & ~batch.exceptional
+    mean_term = batch.total - batch.z
     quad, norm, crof, signed = _terms(sset, length, batch.total,
-                                      batch.padding_hits, batch.mean_term, batch.h)
-    signed[~include] = 0.0
+                                      batch.padding_hits, mean_term, batch.h)
     local = np.abs(signed)
     # slack: 1e-9 absolute plus a few ulps of the large cancelling terms
-    slack = EQUALITY_TOL + 1e-13 * (np.abs(crof) + np.abs(batch.mean_term))
+    slack = EQUALITY_TOL + 1e-13 * (np.abs(crof) + np.abs(mean_term))
     envelope = (np.abs(quad) + np.abs(batch.z) + batch.padding_hits
                 + np.abs(norm) + slack)
     bad = include & (local > envelope)

@@ -131,6 +131,9 @@ def _sweep_worker(payload) -> SweepRow:
 def length_grid(l_min: float, l_max: float, points: int) -> list[float]:
     """points target lengths from l_min to l_max, evenly spaced in log L."""
     check_count("points", points, 2)
+    for name, value in (("l_min", l_min), ("l_max", l_max)):
+        if not math.isfinite(value):
+            raise ValidationError(name, f"need a finite length, got {value!r}")
     if not (0 < l_min < l_max):
         raise ValidationError("l_min", "need 0 < l-min < l-max")
     return [l_min * (l_max / l_min) ** (i / (points - 1)) for i in range(points)]
@@ -332,6 +335,8 @@ def z_tail_study(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for name, point in (("x", x), ("y", y)):
+        if point.shape != (2,):
+            raise ValidationError(name, f"need a point (x, y), got shape {point.shape}")
         if not body.contains(point):
             raise ValidationError(name, f"segment endpoint {point} outside body")
     # the shifts are drawn in row blocks, so the (trials, n) matrix is never

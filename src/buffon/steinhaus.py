@@ -67,8 +67,10 @@ def sample_shifts(n: int, seed: int) -> np.ndarray:
     """One uniform [0,1) shift per family, from a per-family labeled stream.
 
     Family k's shift depends only on (seed, k), so any prefix of families is
-    reproducible regardless of n-order of evaluation.
+    reproducible regardless of n-order of evaluation.  n is an int >= 1, seed an int >= 0.
     """
+    check_count("n", n, 1)
+    check_count("seed", seed, 0)
     return np.array([stream(seed, f"shift/{k}").random() for k in range(n)])
 
 

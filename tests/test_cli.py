@@ -13,7 +13,7 @@ import pytest
 from buffon import harness as hz
 from buffon import steinhaus as sh
 from buffon.cli import main
-from buffon.discrepancy import SupConfig, load_report, local_discrepancy
+from buffon.discrepancy import SupConfig, decompose
 from buffon.geometry import ConvexBody, Line, dump_body, unit_square
 
 
@@ -36,22 +36,25 @@ def test_build_then_disc_pipeline(tmp_path, body_path, capsys):
                  "--out", report_path]) == 0
     out = capsys.readouterr().out
     assert "sup_estimate = " in out and out.endswith("\n")
-    report = load_report(report_path)
+    report = json.loads(Path(report_path).read_text())
     sset = sh.load_manifest(set_path)
-    witness = Line(report.witness_theta, report.witness_offset)
-    assert local_discrepancy(sset, witness, sh.total_length(sset)) == report.sup_estimate
+    witness = Line(report["witness_theta"], report["witness_offset"])
+    terms = decompose(sset, witness, sh.total_length(sset))
+    assert abs(terms["signed_error"]) == report["sup_estimate"]
 
 
 _FRESH_WITNESS_SCRIPT = """
+import json
 import sys
+from pathlib import Path
 from buffon import steinhaus as sh
-from buffon.discrepancy import load_report, local_discrepancy
+from buffon.discrepancy import decompose
 from buffon.geometry import Line
 
 sset = sh.load_manifest(sys.argv[1])
-report = load_report(sys.argv[2])
-line = Line(report.witness_theta, report.witness_offset)
-print(repr(local_discrepancy(sset, line, sh.total_length(sset))))
+report = json.loads(Path(sys.argv[2]).read_text())
+line = Line(report["witness_theta"], report["witness_offset"])
+print(repr(abs(decompose(sset, line, sh.total_length(sset))["signed_error"])))
 """
 
 
@@ -64,7 +67,7 @@ def test_witness_reproducible_in_fresh_process(tmp_path, body_path, capsys):
                  "--offset-res", "16", "--refine", "0", "--seed", "12",
                  "--out", report_path]) == 0
     capsys.readouterr()
-    report = load_report(report_path)
+    report = json.loads(Path(report_path).read_text())
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -72,7 +75,7 @@ def test_witness_reproducible_in_fresh_process(tmp_path, body_path, capsys):
         [sys.executable, "-c", _FRESH_WITNESS_SCRIPT, set_path, report_path],
         capture_output=True, text=True, check=True, env=env)
     fresh = float(result.stdout.strip())
-    assert fresh == report.sup_estimate
+    assert fresh == report["sup_estimate"]
 
 
 def test_oracle_check_reports_agreement(body_path, capsys):
@@ -247,6 +250,18 @@ def test_length_study_prints_summary(body_path, capsys):
     out = capsys.readouterr().out
     for key in ("expected=", "hoeffding_band=", "max_abs_deviation=", "mean_L="):
         assert key in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("l_max", "inf"), ("l_max", "nan"), ("l_min", "nan"), ("l_min", "-inf")])
+def test_a_sweep_bound_that_is_not_finite_is_named(tmp_path, body_path, capsys, flag, value):
+    """A non-finite --l-min or --l-max exits 1 naming that flag's field: inf
+    was once refused as lengths not increasing, and nan as a bad l_min."""
+    bounds = {"l_min": "1e3", "l_max": "1e4", flag: value}
+    assert main(["sweep", "--body", body_path, f"--l-min={bounds['l_min']}",
+                 f"--l-max={bounds['l_max']}", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: need a finite length")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_validation_exit_codes(tmp_path, body_path, capsys):

@@ -301,17 +301,25 @@ def test_malformed_line_batches_are_refused(thetas, offsets):
                 entry(sset, thetas, offsets)
 
 
-@pytest.mark.parametrize("field, x, y, shifts", [
-    ("shifts", (0.1, 0.1), (0.9, 0.8), np.zeros(3)),
-    ("shifts", (0.1, 0.1), (0.9, 0.8), np.zeros((2, 4))),
-    ("segment", (0.1, math.nan), (0.9, 0.8), np.zeros((2, 3))),
-    ("segment", (0.1, 0.1), (math.inf, 0.8), np.zeros((2, 3)))],
-    ids=["1-d shifts", "wrong n", "nan endpoint", "inf endpoint"])
-def test_z_samples_refuses_malformed_input(field, x, y, shifts):
-    """z_samples takes a (trials, n) shift matrix and finite endpoints; a NaN
-    endpoint once gave a NaN Z."""
+@pytest.mark.parametrize("field, eps, x, y, shifts", [
+    ("shifts", 0.1, (0.1, 0.1), (0.9, 0.8), np.zeros(3)),
+    ("shifts", 0.1, (0.1, 0.1), (0.9, 0.8), np.zeros((2, 4))),
+    ("segment", 0.1, (0.1, math.nan), (0.9, 0.8), np.zeros((2, 3))),
+    ("segment", 0.1, (0.1, 0.1), (math.inf, 0.8), np.zeros((2, 3))),
+    ("segment", 0.1, (0.1, 0.1, 0.1), (0.9, 0.8), np.zeros((2, 3))),
+    ("segment", 0.1, (0.1, 0.1), 0.9, np.zeros((2, 3))),
+    ("eps", 0.0, (0.1, 0.1), (0.9, 0.8), np.zeros((2, 3))),
+    ("eps", -0.1, (0.1, 0.1), (0.9, 0.8), np.zeros((2, 3))),
+    ("eps", math.nan, (0.1, 0.1), (0.9, 0.8), np.zeros((2, 3))),
+    ("eps", math.inf, (0.1, 0.1), (0.9, 0.8), np.zeros((2, 3)))],
+    ids=["1-d shifts", "wrong n", "nan endpoint", "inf endpoint", "3-d endpoint",
+         "scalar endpoint", "zero eps", "negative eps", "nan eps", "inf eps"])
+def test_z_samples_refuses_malformed_input(field, eps, x, y, shifts):
+    """z_samples takes a pitch that is finite and > 0, two finite points and a
+    (trials, n) shift matrix; a NaN endpoint or pitch once gave a NaN Z, eps=0
+    a ZeroDivisionError and a 3-d endpoint numpy's bare broadcast error."""
     with pytest.raises(ValidationError) as info:
-        z_samples(3, 0.1, x, y, shifts)
+        z_samples(3, eps, x, y, shifts)
     assert info.value.field == field
 
 
@@ -349,7 +357,7 @@ def test_evaluate_lines_flags_exactly_grid_lines_and_endpoints():
 def test_evaluate_lines_across_chunks_matches_line_by_line():
     """Lines at n=8000 take several kernel blocks: 600 on the padded square,
     the last block partial, and 37 blocks and one line on an off-centre
-    padded disk.  Every field of a line, z and mean_term too, is the same to
+    padded disk.  Every field of a line, z and total - z too, is the same to
     the bit in a one-line evaluation and in count_line.  Lines through
     grid-segment endpoints in a later block are exceptional."""
     rng = np.random.default_rng(31)
@@ -387,7 +395,7 @@ def test_evaluate_lines_across_chunks_matches_line_by_line():
         for i in np.flatnonzero(batch.valid & ~batch.exceptional):
             bd = count_line(sset, Line(float(batch.theta[i]), float(batch.offset[i])))
             assert bd.total == batch.total[i] and bd.padding_hits == batch.padding_hits[i]
-            assert bd.z == batch.z[i] and bd.mean_term == batch.mean_term[i]
+            assert bd.z == batch.z[i] and bd.mean_term == batch.total[i] - batch.z[i]
 
 
 @pytest.mark.parametrize("n, eps, zero_shifts", [(2, 0.25, True), (6, 0.1, False)])
@@ -458,7 +466,7 @@ def test_chords_between_opposite_pinned_edges_count_both_edges(theta, family, st
     row = evaluate_lines(sset, [theta], [offset])
     bd = count_line(sset, Line(theta, offset))
     assert bd.total == row.total[0] == batch.total[0] == total
-    assert (bd.z, bd.mean_term, bd.chord_length) == (row.z[0], row.mean_term[0], row.h[0])
+    assert (bd.z, bd.mean_term, bd.chord_length) == (row.z[0], row.total[0] - row.z[0], row.h[0])
 
 
 @pytest.mark.parametrize("shift, pinned, compared", [
@@ -873,7 +881,7 @@ def _per_element_batch(sset, thetas, ps):
     z = total - h / sset.eps * sh.angular_sum(sset.n, thetas + math.pi / 2)
     fields = dict(theta=thetas, offset=ps, valid=valid, h=h,
                   total=np.where(zero, 0.0, total).astype(np.int64),
-                  z=np.where(zero, 0.0, z), mean_term=np.where(zero, 0.0, total - z),
+                  z=np.where(zero, 0.0, z),
                   padding_hits=np.where(zero, 0, hits), exceptional=exceptional,
                   jittered=np.zeros(len(thetas), dtype=bool))
     return per_family, fields
@@ -969,7 +977,8 @@ def test_split_batches_keep_every_bit(monkeypatch, case):
                 count_line(sset, Line(thetas[i], ps[i]))
             continue
         bd = count_line(sset, Line(thetas[i], ps[i]))
-        row = (batch.total[i], batch.z[i], batch.mean_term[i], batch.padding_hits[i], batch.h[i])
+        row = (batch.total[i], batch.z[i], batch.total[i] - batch.z[i], batch.padding_hits[i],
+               batch.h[i])
         got = (bd.total, bd.z, bd.mean_term, bd.padding_hits, bd.chord_length)
         assert np.array(got).tobytes() == np.array(row, dtype=float).tobytes(), i
 

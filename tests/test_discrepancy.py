@@ -2,7 +2,7 @@
 
 import json
 import math
-from typing import get_type_hints
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,8 +26,6 @@ from buffon.discrepancy import (
     decompose,
     estimate_sup,
     format_report,
-    load_report,
-    local_discrepancy,
     max_quadrature_deviation,
     save_report,
 )
@@ -121,7 +119,7 @@ def test_local_discrepancy_missing_line_is_zero():
     rng = np.random.default_rng(32)
     sset = sh.SteinhausSet(
         body=unit_square(), n=8, eps=0.05, shifts=rng.uniform(0, 1, 8))
-    assert local_discrepancy(sset, Line(0.3, 9.0), 100.0) == 0.0
+    assert decompose(sset, Line(0.3, 9.0), 100.0)["signed_error"] == 0.0
 
 
 def test_decomposition_reconstructs_signed_error():
@@ -142,8 +140,6 @@ def test_decomposition_reconstructs_signed_error():
                        + terms["padding_term"]
                        + terms["length_normalization_term"])
             assert terms["signed_error"] == pytest.approx(rebuilt, abs=1e-8)
-            assert local_discrepancy(sset, line, length) == abs(
-                terms["signed_error"])
             # triangle inequality form, term by term
             envelope = (abs(terms["quadrature_term"]) + abs(terms["z_term"])
                         + terms["padding_term"]
@@ -155,7 +151,7 @@ def test_local_discrepancy_propagates_exceptional():
     sset = sh.SteinhausSet(
         body=unit_square(), n=1, eps=0.25, shifts=np.array([0.0]))
     with pytest.raises(ExceptionalLineError):
-        local_discrepancy(sset, Line(0.0, 0.5), 4.0)
+        decompose(sset, Line(0.0, 0.5), 4.0)
 
 
 def test_unshifted_corner_chords_have_coherent_error():
@@ -208,7 +204,7 @@ def test_estimate_sup_dominates_grid_lines(small_set):
         for j in range(16):
             line = Line(float(theta), float(glo + (ghi - glo) * j / 16))
             try:
-                value = local_discrepancy(sset, line, length)
+                value = abs(decompose(sset, line, length)["signed_error"])
             except ExceptionalLineError:
                 continue
             assert report.sup_estimate >= value - 1e-9
@@ -246,10 +242,11 @@ def test_estimate_sup_witness_recomputes_and_is_deterministic(small_set):
     # the witness re-attains the estimate bit for bit, in its own kernel row
     # and in the search's batch
     witness = Line(r1.witness_theta, r1.witness_offset)
-    assert local_discrepancy(sset, witness, length) == r1.sup_estimate
+    assert abs(decompose(sset, witness, length)["signed_error"]) == r1.sup_estimate
     batch = evaluate_lines(sset, np.array([witness.theta]), np.array([witness.offset]))
     assert batch.h[0] == r1.witness_chord_length
-    signed = _terms(sset, length, batch.total, batch.padding_hits, batch.mean_term, batch.h)[3]
+    signed = _terms(sset, length, batch.total, batch.padding_hits,
+                    batch.total - batch.z, batch.h)[3]
     assert abs(signed[0]) == r1.sup_estimate
     assert r1.samples_evaluated >= 32 * 32 + (32 * 32) // 8
     assert r1.max_abs_z >= abs(r1.witness_z_term) - 1e-9
@@ -464,7 +461,7 @@ def test_report_counts_and_maxima_are_those_of_the_evaluated_lines(monkeypatch, 
                            np.concatenate([b.offset for b in batches]))
     include = batch.valid & ~batch.exceptional
     quad, norm, _, _ = _terms(sset, length, batch.total, batch.padding_hits,
-                              batch.mean_term, batch.h)
+                              batch.total - batch.z, batch.h)
     max_quad, max_z, max_norm = (float(np.abs(v[include]).max(initial=0.0))
                                  for v in (quad, batch.z, norm))
     assert report.max_abs_quadrature == max_quad and report.max_abs_z == max_z
@@ -476,49 +473,22 @@ def test_report_counts_and_maxima_are_those_of_the_evaluated_lines(monkeypatch, 
 
 
 def test_report_round_trip_and_strict_keys(tmp_path, small_set):
+    """A saved report is the JSON of to_dict: exactly the report's fields, each
+    value equal and of its field's type (an int count stays a JSON integer)."""
     sset, length = small_set
     config = SupConfig(theta_resolution=16, offset_resolution=16,
                        refine_rounds=0, seed=4)
     report = estimate_sup(sset, length, config)
     path = tmp_path / "report.json"
     save_report(report, path)
-    assert load_report(path) == report
-    data = report.to_dict()
-    data["unexpected"] = 1
-    with pytest.raises(ValidationError):
-        DiscrepancyReport.from_dict(data)
-    del data["unexpected"]
-    del data["sup_estimate"]
-    with pytest.raises(ValidationError):
-        DiscrepancyReport.from_dict(data)
+    saved, data = json.loads(path.read_text()), report.to_dict()
+    assert saved == data and list(data) == [f.name for f in fields(DiscrepancyReport)]
+    assert {k: type(v) for k, v in saved.items()} == {k: type(v) for k, v in data.items()}
+    assert {type(v) for v in data.values()} == {int, float}
     text = format_report(report)
     for name in ("sup_estimate", "witness_theta", "max_abs_z",
                  "envelope_upper", "samples_evaluated"):
         assert name in text
-
-
-@pytest.mark.parametrize("value", ["x", True, None])
-def test_report_refuses_a_value_of_the_wrong_type_naming_its_field(tmp_path, value):
-    """Every field is a number of its type: a string, a boolean or null is
-    refused, on loading as on from_dict, with the field's name."""
-    data = {name: 0 if kind is int else 1.5
-            for name, kind in get_type_hints(DiscrepancyReport).items()}
-    assert DiscrepancyReport.from_dict(data).to_dict() == data
-    path = tmp_path / "report.json"
-    for name in data:
-        path.write_text(json.dumps({**data, name: value}))
-        with pytest.raises(ValidationError) as info:
-            load_report(path)
-        assert info.value.field == name
-
-
-@pytest.mark.parametrize("text", ["{not json", "5"])
-def test_load_report_refuses_malformed_json_and_non_objects(tmp_path, text):
-    path = tmp_path / "report.json"
-    path.write_text(text)
-    with pytest.raises(ValidationError) as info:
-        load_report(path)
-    assert info.value.field == "report"
 
 
 def test_report_json_is_deterministic(tmp_path, small_set):

@@ -1,9 +1,12 @@
 """Every exported name resolves, so deleting a function cannot leave a stale
-export, and the benchmark's files still find what they call."""
+export, and the benchmark's files still find what they call; no function or
+class is kept for the tests alone, and README's library Quickstart runs."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -70,3 +73,53 @@ def test_the_benchmark_workload_op_runs_and_passes_its_checks(name, tmp_path):
     assert result.ok, [check for check, ok in result.checks if not ok]
     assert result.digests
     assert all((tmp_path / output).is_file() for output in result.digests)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _definitions(tree: ast.AST):
+    """Every function and class defined in the tree, at any depth, dunders aside."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _referenced(tree: ast.AST, strings: bool) -> set:
+    """The names and attributes the tree uses, and its string constants if asked."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_function_and_class_is_used_outside_the_tests():
+    """No code that only the tests call: each function and class of the package
+    is named in the package beyond its definition and __all__, used by the
+    benchmark's files (a string counts, as the tracer looks names up), or
+    named in the CI workflow or pyproject.toml."""
+    package = [ast.parse(path.read_text()) for path in (ROOT / "src" / "buffon").glob("*.py")]
+    used = set()
+    for tree in package:
+        used |= _referenced(tree, strings=False)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        used |= _referenced(ast.parse(path.read_text()), strings=True)
+    for path in [*(ROOT / ".github" / "workflows").glob("*.yml"), ROOT / "pyproject.toml"]:
+        used |= set(re.findall(r"\w+", path.read_text()))
+    unused = sorted({name for tree in package for name in _definitions(tree)} - used)
+    assert not unused
+
+
+def test_the_readme_library_quickstart_runs(capsys):
+    """README's library Quickstart block runs as printed."""
+    readme = (ROOT / "README.md").read_text()
+    fence = "```python\n"
+    start = readme.index(fence, readme.index("## Quickstart (library)")) + len(fence)
+    code = readme[start:readme.index("```\n", start)]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == code.count("print(")

@@ -94,6 +94,14 @@ def test_sweep_requires_increasing_lengths():
                  id="tail-trials-float"),
     pytest.param("trials", lambda: hz.length_study(unit_square(), 16, 0.05, 1_000.0),
                  id="length-trials-float"),
+    # an endpoint is a point (x, y): a 3-vector once ended in numpy's bare
+    # broadcast error from inside ConvexBody.contains
+    pytest.param("x", lambda: hz.z_tail_study(unit_square(), 64, 0.02, (0.1, 0.1, 0.1),
+                                              (0.9, 0.8), 10_000, [8]), id="tail-x-3d"),
+    pytest.param("y", lambda: hz.z_tail_study(unit_square(), 64, 0.02, (0.1, 0.1), (0.9,),
+                                              10_000, [8]), id="tail-y-1d"),
+    pytest.param("y", lambda: hz.z_tail_study(unit_square(), 64, 0.02, (0.1, 0.1), 0.9,
+                                              10_000, [8]), id="tail-y-scalar"),
     pytest.param("lines", lambda: hz.run_oracle_check(sh.SteinhausSet(
         body=unit_square(), n=4, eps=0.25, shifts=np.zeros(4)), 10.0), id="lines-float"),
     pytest.param("lines", lambda: hz.run_oracle_check(sh.SteinhausSet(
@@ -115,6 +123,7 @@ SEEDED = {
     "length_study": lambda seed: hz.length_study(unit_square(), 4, 0.1, 1_000, seed=seed),
     "z_tail_study": lambda seed: hz.z_tail_study(unit_square(), 16, 0.05, (0.1, 0.1),
                                                  (0.9, 0.8), 10_000, [1.0], seed=seed),
+    "sample_shifts": lambda seed: sh.sample_shifts(3, seed),
     "coherence_study": lambda seed: hz.coherence_study(
         ConvexBody.disk((0.0, 0.0), 0.5), [4], [0.1], trials=10, seed=seed),
 }

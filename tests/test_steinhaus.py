@@ -55,6 +55,14 @@ def test_sample_shifts_deterministic_and_uniform():
     assert abs(big.mean() - 0.5) < 0.01
 
 
+@pytest.mark.parametrize("n", [3.0, 0, -1, True])
+def test_sample_shifts_refuses_a_family_count_that_is_not_a_count(n):
+    """n is an int >= 1, as in check_lattice: 3.0 once ended in a TypeError."""
+    with pytest.raises(ValidationError) as info:
+        sh.sample_shifts(n, 1)
+    assert info.value.field == "n"
+
+
 def slice_sum(body, eps, shifts, add=lambda g: g.sum(axis=1)):
     """Oracle: each family's slice lengths summed by add at every lattice
     offset eps (q + u) that can meet the body, shape (trials, n)."""
