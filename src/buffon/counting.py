@@ -5,8 +5,10 @@ the number of lattice lines of that family the chord crosses is
 
     N_k = #{q : eps (q + U_k) in [a, b)} = ceil(b/eps - U_k) - ceil(a/eps - U_k),
 
-an O(1) integer formula.  The half-open convention resolves boundary ties
-deterministically; N_k differs from the mean (b - a)/eps by less than one.
+an O(1) integer formula: _lattice_count of the endpoints' lattice coordinates
+x . nu_k / eps - U_k, for chords and z_samples alike.  The half-open
+convention resolves boundary ties deterministically; N_k differs from the
+mean (b - a)/eps by less than one.
 
 Summed over the families, the means are the mean term
 
@@ -34,7 +36,8 @@ SteinhausSet.pinned_edges: e.g. an axis-aligned body under zero shifts) is
 a stable crossing: it is counted on either side, though the half-open
 convention would drop it on the max side.  Its lattice coordinate becomes
 q - 1/2 when the chord's other end lies above the edge's lattice value q,
-else q + 1/2, so the one ceil counts q.
+else q + 1/2, so the one ceil counts q; the screen reads it 1/2 from the
+lattice, which flags nothing when n >= 2 and only a bound of eps/2 when n = 1.
 
 Every other line is counted as exact arithmetic on the kernel's float
 inputs would count it; exceptional ones are not (count_line raises, batches
@@ -57,7 +60,6 @@ from .steinhaus import SteinhausSet, angular_sum, directions
 
 __all__ = [
     "ExceptionalLineError",
-    "count_in_interval",
     "CountBreakdown",
     "LineBatch",
     "evaluate_lines",
@@ -78,16 +80,13 @@ class ExceptionalLineError(ValueError):
         )
 
 
-def count_in_interval(a, b, eps: float, u, out=None):
-    """#{q : eps (q + u) in [a, b)}; zero when a == b.  Broadcasts over
-    arrays; the counts are integer-valued floats.  out, two float buffers of
-    the broadcast shape, takes the counts in out[0] (out[1] is scratch)."""
-    if out is None:
-        out = np.empty((2, *np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(u))))
-    hi, lo = out[0, ...], out[1, ...]
-    np.ceil(np.subtract(np.divide(b, eps), u, out=hi), out=hi)
-    np.ceil(np.subtract(np.divide(a, eps), u, out=lo), out=lo)
-    return np.subtract(hi, lo, out=hi)[()]  # a scalar for scalar input
+def _lattice_count(at_s, at_e):
+    """The integers in [min, max) of lattice coordinates x_s, x_e (p/eps - U),
+    |ceil(x_e) - ceil(x_s)| as ceil is monotone: ceils both equally shaped
+    arrays in place and returns the integer-valued float counts in at_s."""
+    np.ceil(at_s, out=at_s)
+    np.ceil(at_e, out=at_e)
+    return np.abs(np.subtract(at_e, at_s, out=at_s), out=at_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +118,8 @@ class LineBatch:
 
 
 def _workspace(sset: SteinhausSet) -> tuple:
-    """Lines per line block, lines per family block, and the planes every
-    block of a part takes its views from: 3 float, 1 for the padding's bools.
+    """Lines per line block, lines per family block, and the three float
+    planes every block of a part takes its views from.
 
     A line block bounds the per-line work: its (padding x lines) planes hold
     at most KERNEL_CHUNK elements, and it holds at most KERNEL_CHUNK // 32
@@ -132,7 +131,7 @@ def _workspace(sset: SteinhausSet) -> tuple:
     fams, pads = sset.n, sset.padding_count
     line_rows = max(16, KERNEL_CHUNK // max(32, pads))
     fam_rows = min(line_rows, max(16, KERNEL_CHUNK // fams))
-    return line_rows, fam_rows, np.empty((4, max(KERNEL_CHUNK, 16 * max(fams, pads))))
+    return line_rows, fam_rows, np.empty((3, max(KERNEL_CHUNK, 16 * max(fams, pads))))
 
 
 def _new_batch(thetas, offsets) -> LineBatch:
@@ -174,40 +173,33 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
         m = len(h[block])
         # (families x lines) planes: a reduction over the families runs along
         # whole rows of lines, a few vector passes rather than a short one per line
-        at_s, at_e, per_family = planes[:3, : n * m].reshape(3, n, m)
+        at_s, at_e, scratch = planes[:, : n * m].reshape(3, n, m)
         # each endpoint's lattice coordinate x . nu_k / eps - U_k, every temporary
-        # written with out=; rounding is monotone, so their min and max are
-        # count_in_interval's a/eps - U_k and b/eps - U_k to the bit
+        # written with out=
         for point, at in ((start[block], at_s), (end[block], at_e)):
             np.matmul(sset.directions, point.T, out=at)
             at /= eps
             at -= sset.shifts[:, None]
-
-        # An endpoint next to the point where a grid segment meets the boundary:
-        # with g_k = |x_k - rint(x_k)|, fl(g eps) is monotone in g, so "some k has
-        # fl(g_k eps) <= tol" is the one test fl(min_k g_k eps) <= tol.  An
-        # endpoint whose binding edge lies on a lattice line is a pinned, stable
-        # crossing (the lattice line there IS part of the set), so its gap is +inf.
-        for at, tol, edge in ((at_s, tol_s, edge_s[block]), (at_e, tol_e, edge_e[block])):
-            gap = np.subtract(at, np.rint(at, out=per_family), out=per_family)
-            np.abs(gap, out=gap)
-            for k, j, _ in sset.pinned_edges:
-                gap[k, edge == j] = np.inf
-            exceptional[block] |= np.min(gap, axis=0) * eps <= tol[block]
-        # A pinned endpoint of edge j takes the coordinate q - 1/2 when the
-        # chord's other end lies above q, else q + 1/2: the ceil below counts q
-        # on either side.  Another pinned q of the family lies at least 1 away,
-        # so its endpoint stays on its side of this q.
+        # An endpoint whose binding edge j lies on the lattice line q is a pinned,
+        # stable crossing (that lattice line IS part of the set): it takes the
+        # coordinate q - 1/2 when the chord's other end lies above q, else q + 1/2,
+        # so the count below counts q on either side.  Another pinned q of the
+        # family lies at least 1 away, so its endpoint stays on its side of this q.
         for k, j, q in sset.pinned_edges:
             for at, other, edge in ((at_s, at_e, edge_s[block]), (at_e, at_s, edge_e[block])):
                 np.copyto(at[k], np.where(other[k] > q, q - 0.5, q + 0.5),
                           where=valid[block] & (edge == j))
-        # ceil is monotone, so |ceil(x_e) - ceil(x_s)| is ceil(max) - ceil(min);
-        # an invalid line's endpoints are both 0, so its counts are 0
-        np.ceil(at_s, out=at_s)
-        np.ceil(at_e, out=at_e)
-        np.abs(np.subtract(at_e, at_s, out=per_family), out=per_family)
 
+        # An endpoint next to the point where a grid segment meets the boundary:
+        # with g_k = |x_k - rint(x_k)|, fl(g eps) is monotone in g, so "some k has
+        # fl(g_k eps) <= tol" is the one test fl(min_k g_k eps) <= tol.  A pinned
+        # coordinate's g is 1/2, which no other family's g exceeds
+        for at, tol in ((at_s, tol_s), (at_e, tol_e)):
+            gap = np.subtract(at, np.rint(at, out=scratch), out=scratch)
+            np.abs(gap, out=gap)
+            exceptional[block] |= np.min(gap, axis=0) * eps <= tol[block]
+        # an invalid line's endpoints are both 0, so its counts are 0
+        per_family = _lattice_count(at_s, at_e)
         total[block] = np.sum(per_family, axis=0)
         yield slice(rows.start + lo, rows.start + lo + m), per_family.T
 
@@ -217,17 +209,15 @@ def _line_block(sset: SteinhausSet, batch: LineBatch, rows: slice, planes, fam_r
     # (padding x lines) views of the planes the family blocks are done with;
     # without padding they are empty, so no line hits or nears a segment
     shape = (sset.padding_count, len(h))
-    sig0, sig1, product = planes[:3, : math.prod(shape)].reshape(3, *shape)
-    near = planes[3].view(bool)[: math.prod(shape)].reshape(shape)
+    sig0, sig1, product = planes[:, : math.prod(shape)].reshape(3, *shape)
     nu = np.stack([np.cos(thetas), np.sin(thetas)])
     np.matmul(sset.padding[:, 0, :], nu, out=sig0)
     sig0 -= ps
     np.matmul(sset.padding[:, 1, :], nu, out=sig1)
     sig1 -= ps
-    crossing = np.less(np.multiply(sig0, sig1, out=product), 0.0, out=near)
-    hits = np.sum(crossing, axis=0, dtype=np.int64)
+    hits = np.sum(np.multiply(sig0, sig1, out=product) < 0.0, axis=0, dtype=np.int64)
     np.minimum(np.abs(sig0, out=sig0), np.abs(sig1, out=sig1), out=sig0)
-    exceptional |= np.any(np.less_equal(sig0, lattice, out=near), axis=0)
+    exceptional |= np.any(sig0 <= lattice, axis=0)
 
     exceptional &= valid
     zero = ~valid | exceptional
@@ -307,7 +297,7 @@ def segment_crossings(segments: np.ndarray, thetas, offsets,
                       tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Strict sign-change crossings of each line with the (S, 2, 2) segments, and
     whether a segment endpoint lies within its tolerance of it (a scalar, or
-    (S, 2) per endpoint); no arithmetic shared with count_in_interval.  Lines go
+    (S, 2) per endpoint); no arithmetic shared with _lattice_count.  Lines go
     in blocks of at most KERNEL_CHUNK line-segment elements; a line's signs do
     not depend on its block."""
     offsets = np.asarray(offsets, dtype=float)
@@ -369,15 +359,14 @@ def z_samples(n: int, eps: float, x, y, shifts: np.ndarray) -> np.ndarray:
     dx, dy = y - x
     mean = math.hypot(dx, dy) / eps * angular_sum(n, math.atan2(dy, dx))
     dirs = directions(n)
-    px = dirs @ x
-    py = dirs @ y
-    a = np.minimum(px, py)[None, :]
-    b = np.maximum(px, py)[None, :]
+    px, py = dirs @ x / eps, dirs @ y / eps
     out = np.empty(len(shifts))
     rows = max(1, KERNEL_CHUNK // max(n, 1))
     work = np.empty((2, min(rows, len(shifts)), n))  # every block counts into it
     for lo in range(0, len(shifts), rows):
         block = shifts[lo : lo + rows]
-        counts = count_in_interval(a, b, eps, block, out=work[:, : len(block)])
-        out[lo : lo + rows] = np.sum(counts, axis=1) - mean
+        at_x, at_y = work[:, : len(block)]
+        np.subtract(px, block, out=at_x)
+        np.subtract(py, block, out=at_y)
+        out[lo : lo + rows] = np.sum(_lattice_count(at_x, at_y), axis=1) - mean
     return out

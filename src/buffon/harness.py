@@ -136,7 +136,10 @@ def length_grid(l_min: float, l_max: float, points: int) -> list[float]:
             raise ValidationError(name, f"need a finite length, got {value!r}")
     if not (0 < l_min < l_max):
         raise ValidationError("l_min", "need 0 < l-min < l-max")
-    return [l_min * (l_max / l_min) ** (i / (points - 1)) for i in range(points)]
+    ratio = l_max / l_min
+    if not math.isfinite(ratio):
+        raise ValidationError("l_max", f"l-max / l-min overflows, got {l_max!r} / {l_min!r}")
+    return [l_min * ratio ** (i / (points - 1)) for i in range(points)]
 
 
 def run_sweep(

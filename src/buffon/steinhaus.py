@@ -468,6 +468,9 @@ def set_from_manifest(manifest: dict) -> SteinhausSet:
         padding=as_float_array(manifest["padding"], "padding"),
         seed=manifest["seed"],
     )
+    for point in sset.padding.reshape(-1, 2):
+        if not sset.body.contains(point):
+            raise ValidationError("padding", f"endpoint {point.tolist()} lies outside the body")
     stored = float(as_float_array(manifest["total_length"], "total_length", ndim=0))
     if not math.isfinite(stored):
         raise ValidationError("total_length", f"need a finite length, got {stored!r}")

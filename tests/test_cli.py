@@ -144,6 +144,22 @@ def test_disc_refuses_a_manifest_with_a_nan_shift(tmp_path, body_path, capsys):
     assert "error: shifts" in capsys.readouterr().err
 
 
+def test_disc_refuses_a_manifest_whose_padding_leaves_the_body(tmp_path, body_path, capsys):
+    """A padding segment moved 5 units off the unit square keeps the stated
+    total length, yet a set's padding must lie in its body: disc exits 1."""
+    set_path = tmp_path / "set.json"
+    assert main(["build", "--body", body_path, "--length", "2000", "--seed", "1",
+                 "--out", str(set_path)]) == 0
+    manifest = json.loads(set_path.read_text())
+    assert manifest["padding"]
+    manifest["padding"][0] = [[x + 5.0, y] for x, y in manifest["padding"][0]]
+    set_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["disc", "--set", str(set_path), "--theta-res", "8",
+                 "--offset-res", "8"]) == 1
+    assert capsys.readouterr().err.startswith("error: padding: endpoint")
+
+
 def test_sweep_and_plot_are_byte_deterministic(tmp_path, body_path, capsys):
     args = ["sweep", "--body", body_path, "--mode", "shifted",
             "--l-min", "2000", "--l-max", "20000", "--points", "4",
@@ -261,6 +277,15 @@ def test_a_sweep_bound_that_is_not_finite_is_named(tmp_path, body_path, capsys, 
     assert main(["sweep", "--body", body_path, f"--l-min={bounds['l_min']}",
                  f"--l-max={bounds['l_max']}", "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag}: need a finite length")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_a_sweep_whose_length_ratio_overflows_names_l_max(tmp_path, body_path, capsys):
+    """Finite bounds whose ratio l-max / l-min overflows exit 1 naming l_max,
+    not as target lengths that fail to increase."""
+    assert main(["sweep", "--body", body_path, "--l-min", "1e-300", "--l-max", "1e300",
+                 "--points", "3", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: l_max: l-max / l-min overflows")
     assert not (tmp_path / "x.csv").exists()
 
 

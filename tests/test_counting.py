@@ -22,7 +22,6 @@ from buffon import steinhaus as sh
 from buffon import counting
 from buffon.counting import (
     ExceptionalLineError,
-    count_in_interval,
     count_line,
     evaluate_lines,
     oracle_count,
@@ -39,6 +38,13 @@ def scan_count(a, b, eps, u):
     qlo = math.floor(a / eps - u) - 2
     qhi = math.ceil(b / eps - u) + 2
     return sum(1 for q in range(qlo, qhi + 1) if a <= eps * (q + u) < b)
+
+
+def count_in_interval(a, b, eps, u):
+    """#{q : eps (q + u) in [a, b)} for a <= b by the kernel's count,
+    counting._lattice_count of the lattice coordinates a/eps - u and b/eps - u."""
+    at = np.array([[a / eps - u], [b / eps - u]])
+    return counting._lattice_count(at[0], at[1])[0]
 
 
 def lattice_distance(x, eps, u):
@@ -501,6 +507,28 @@ def test_lattice_line_just_beyond_the_band_is_exceptional_not_pinned():
         count_line(sset, Line(math.pi / 2, 0.5))
 
 
+def test_a_lone_pinned_family_flags_an_endpoint_whose_bound_reaches_half_a_pitch():
+    """With n = 1 the screen reads a pinned endpoint's coordinate, q -+ 1/2, as
+    any other: on the zero-shift square (eps = 1/4) a line at a sine of 5e-14
+    to the pinned edge x = 0, from (3.5e-14, 0) to (0, 0.7), binds that edge
+    with a bound past eps/2, so it is exceptional (a screen that skipped
+    pinned entries would count it as 1).  Its start is screened as usual and
+    clears its own tolerance."""
+    sset = sh.SteinhausSet(body=unit_square(), n=1, eps=0.25, shifts=np.zeros(1))
+    assert (0, 3, 0.0) in sset.pinned_edges
+    theta = math.asin(5e-14)
+    offset = 0.7 * math.sin(theta)
+    start, _, _, valid, tol_s, tol_e, edge_s, edge_e, along = sset.body.chord_bounds(
+        [theta], [offset])
+    lattice = rounding_bound(sset.scale)
+    assert valid[0] and along[0] == -1 and (edge_s[0], edge_e[0]) == (0, 3)
+    assert tol_s[0] + lattice < start[0, 0] and tol_e[0] + lattice >= sset.eps / 2
+    batch = evaluate_lines(sset, [theta], [offset])
+    assert batch.exceptional[0] and batch.total[0] == 0
+    with pytest.raises(ExceptionalLineError):
+        count_line(sset, Line(theta, offset))
+
+
 def test_evaluated_set_is_freed_after_del():
     """The counting kernel keeps no reference to a set once callers drop it
     (its pinned-edge data lives on the set itself)."""
@@ -637,7 +665,7 @@ def test_reused_workspace_leaks_nothing_between_blocks(monkeypatch, case):
                 field = getattr(alone, f.name)
                 field.fill(np.nan if field.dtype == float else field.dtype.type(-1))
         _, _, planes = counting._workspace(sset)
-        planes.fill(np.nan)  # and True in its bool views
+        planes.fill(np.nan)
         want = np.empty(len(alone.theta))
         for rows, per_family in counting._line_block(
                 sset, alone, slice(0, len(alone.theta)), planes, fam_rows):
@@ -853,7 +881,8 @@ def test_unflagged_lines_count_as_exact_arithmetic(case):
 def _per_element_batch(sset, thetas, ps):
     """The kernel's per-family counts and LineBatch fields, one (lines x
     families) array per step: a line is exceptional when some family has
-    |x - rint(x)| eps <= tol at an endpoint (pinned entries masked), when it
+    |x - rint(x)| eps <= tol at an endpoint (pinned entries masked, as the
+    kernel's gap of 1/2 there decides nothing when n >= 2), when it
     runs along an edge, or when it passes within rounding_bound(sset.scale)
     of a padding endpoint (the padding rule).  An invalid line counts zero in
     every family."""
